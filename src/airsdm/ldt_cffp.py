@@ -9,6 +9,7 @@ of the surrogate in that block, so the recorded objective never decreases.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -50,12 +51,27 @@ class BudgetExhausted(RuntimeError):
     """Raised when a block subproblem is left with a non-positive power budget."""
 
 
+def _hermitian_part(name: str, M: np.ndarray) -> np.ndarray:
+    """M symmetrized against rounding; raises unless M is Hermitian to 1e-8."""
+    Mh = M.conj().T
+    if np.abs(M - Mh).max() > 1e-8 * (float(np.abs(M).max()) or 1.0):
+        raise ValueError(f"{name} is not Hermitian")
+    return 0.5 * (M + Mh)
+
+
 @dataclass
 class QcqpProblem:
     """maximize Re{2 a^H x} - x^H A x  subject to  x^H F x <= p_budget.
 
     A must be Hermitian PSD and F Hermitian PD; both are checked (and
-    symmetrized against rounding) at construction.
+    symmetrized against rounding) at construction, which also factors the
+    problem once for ``solve_qcqp``: with F = L L^H, the whitened matrix
+    L^-1 A L^-H = U diag(d) U^H.  A diagonal F (the reflect block's) is
+    whitened by an elementwise scale, any other F through its Cholesky
+    factor.  Congruence preserves inertia, so the whitened spectrum ``d``
+    certifies A >= 0: A is rejected when d_min < -1e-8 * max(d_max, 0),
+    relative to the spectrum whatever the scale of A.  ``retarget`` keeps
+    the factorization for another linear term and budget.
     """
 
     a: np.ndarray
@@ -66,24 +82,42 @@ class QcqpProblem:
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, dtype=complex).ravel()
         n = self.a.size
-        self.A = np.asarray(self.A, dtype=complex).reshape(n, n)
-        self.F = np.asarray(self.F, dtype=complex).reshape(n, n)
         if self.p_budget <= 0:
             raise ValueError(f"power budget must be positive, got {self.p_budget}")
-        for name, M in (("A", self.A), ("F", self.F)):
-            skew = np.abs(M - M.conj().T).max()
-            scale = float(np.abs(M).max()) or 1.0
-            if skew > 1e-8 * scale:
-                raise ValueError(f"{name} is not Hermitian")
-        self.A = 0.5 * (self.A + self.A.conj().T)
-        self.F = 0.5 * (self.F + self.F.conj().T)
-        eig_a = np.linalg.eigvalsh(self.A)
-        if eig_a[0] < -1e-8 * max(abs(eig_a[-1]), 1.0):
+        self.A = _hermitian_part("A", np.asarray(self.A, dtype=complex).reshape(n, n))
+        self.F = _hermitian_part("F", np.asarray(self.F, dtype=complex).reshape(n, n))
+
+        f = self.F.diagonal().real
+        if np.count_nonzero(self.F) == np.count_nonzero(f):      # F is diagonal
+            if not np.all(f > 0.0):
+                raise ValueError("F must be positive definite")
+            w = 1.0 / np.sqrt(f)                  # L^-1 = diag(w)
+            d, U = np.linalg.eigh(w[:, None] * self.A * w)
+            T = U.conj().T * w
+        else:
+            try:
+                Linv = np.linalg.inv(np.linalg.cholesky(self.F))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("F must be positive definite") from exc
+            d, U = np.linalg.eigh(Linv @ self.A @ Linv.conj().T)   # lower triangle
+            T = U.conj().T @ Linv
+        if d[0] < -1e-8 * max(float(d[-1]), 0.0):
             raise ValueError("A must be positive semidefinite")
-        try:
-            self._chol_f = np.linalg.cholesky(self.F)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("F must be positive definite") from exc
+        self._d = np.maximum(d, 0.0)              # ascending
+        self._T = T                               # U^H L^-1: b = T a, x = T^H z
+        # d[:k] are the flat directions of the objective
+        flat = 1e-12 * (float(d[-1]) if d[-1] > 0 else 1.0)
+        self._k = int(np.searchsorted(self._d, flat, side="right"))
+
+    def retarget(self, a: np.ndarray, p_budget: float) -> QcqpProblem:
+        """The same A and F, and their factorization, with a new linear term
+        and budget."""
+        if p_budget <= 0:
+            raise ValueError(f"power budget must be positive, got {p_budget}")
+        new = copy.copy(self)
+        new.a = np.asarray(a, dtype=complex).reshape(self.a.shape)
+        new.p_budget = p_budget
+        return new
 
 
 @dataclass
@@ -92,86 +126,76 @@ class QcqpSolution:
     nu: float            # KKT multiplier of the power constraint
     objective: float
     constraint: float    # x^H F x
-    bisect_steps: int
+    bisect_steps: int    # multiplier evaluations (Newton or bisection steps)
 
 
 def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
     """Exact solution of the single-constraint concave QCQP.
 
-    Reduction: with F = L L^H and A's eigendecomposition in the whitened
-    space, the stationary point is x(nu) = (A + nu F)^{-1} a whose
-    constraint value is strictly decreasing in nu.  nu = 0 is used when the
-    unconstrained maximizer set contains a feasible point (flat directions
-    resolved to the power-minimal optimizer); otherwise nu > 0 is found by
-    bisection until |x^H F x - p| <= tol * p.
+    Works in the problem's cached whitened eigenbasis: with b = U^H L^-1 a,
+    the stationary point is z(nu) = b / (d + nu), x = L^-H U z, whose
+    constraint value g(nu) = sum |b|^2 / (d + nu)^2 is strictly decreasing.
+    nu = 0 is used when the unconstrained maximizer set contains a feasible
+    point (flat directions resolved to the power-minimal optimizer).
+    Otherwise nu > 0 is the root of the secular equation 1/sqrt(g(nu)) =
+    1/sqrt(p), which is nearly linear in nu: safeguarded Newton steps start
+    at the lower end of a bracket, a step that leaves the bracket (or a
+    non-finite g) falls back to bisection, and the search stops when
+    |g - p| <= tol * p (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983).
     """
     n = prob.a.size
-    L = prob._chol_f
     p = prob.p_budget
 
-    if np.linalg.norm(prob.a) == 0.0:
+    if not prob.a.any():
         return QcqpSolution(np.zeros(n, dtype=complex), 0.0, 0.0, 0.0, 0)
 
-    # whiten the constraint: y = L^H x, B = L^-1 A L^-H, a_t = L^-1 a
-    # (A and a share one solve against L)
-    Linv_Aa = np.linalg.solve(L, np.concatenate([prob.A, prob.a[:, None]], axis=1))
-    B = np.linalg.solve(L, Linv_Aa[:, :n].conj().T).conj().T
-    B = 0.5 * (B + B.conj().T)
-    d, U = np.linalg.eigh(B)
-    d = np.clip(d, 0.0, None)
-    a_t = Linv_Aa[:, n]
-    b = U.conj().T @ a_t
+    d, k = prob._d, prob._k
+    b = prob._T @ prob.a
     babs2 = np.abs(b) ** 2
-
-    d_scale = float(d[-1]) if d[-1] > 0 else 1.0
-    null_mask = d <= 1e-12 * d_scale
     norm_b = math.sqrt(float(babs2.sum()))
-    in_range = bool(np.all(np.abs(b[null_mask]) <= 1e-9 * norm_b)) if null_mask.any() else True
-
-    buf = np.empty_like(babs2)
-
-    def power_at(nu: float) -> float:
-        # in-place evaluation: the bisection calls this ~50 times per solve
-        np.add(d, nu, out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.divide(babs2, buf, out=buf)
-        return float(buf.sum())
+    # in range(A), b has no flat components beyond rounding
+    in_range = k == 0 or float(np.abs(b[:k]).max()) <= 1e-9 * norm_b
 
     nu = 0.0
     steps = 0
-    z = np.zeros(n, dtype=complex)
     if in_range:
-        pos = ~null_mask
-        z[pos] = b[pos] / d[pos]
-        g0 = float(np.sum(babs2[pos] / d[pos] ** 2))
-        interior = g0 <= p * (1.0 + 1e-9)
+        z = np.zeros(n, dtype=complex)
+        z[k:] = b[k:] / d[k:]
+        interior = float(np.vdot(z, z).real) <= p * (1.0 + 1e-9)
     else:
         interior = False
 
     if not interior:
-        # sandwich sum(|b|^2/(d+nu)^2) between ||b||^2/(d_max+nu)^2 and
-        # ||b||^2/(d_min+nu)^2 to bracket the root tightly
+        # sandwich g between ||b||^2/(d_max+nu)^2 and ||b||^2/(d_min+nu)^2
         root = norm_b / math.sqrt(p)
-        lo = max(0.0, root - float(d[-1]))
-        hi = max(root - float(d[0]), 1e-300)
-        while power_at(hi) > p:           # safety; the bound above already suffices
-            hi *= 2.0
-        nu = hi
+        if in_range:
+            # the flat components are rounding: drop them
+            dk, wk = d[k:], babs2[k:]
+            lo = max(0.0, root - float(dk[-1]))
+        else:
+            # the flat components alone give g >= |b_flat|^2/(d[k-1]+nu)^2
+            dk, wk = d, babs2
+            lo = max(root - float(dk[-1]),
+                     math.sqrt(float(babs2[:k].sum()) / p) - float(d[k - 1]))
+        hi = max(root - float(dk[0]), 1e-300)
+        nu = lo
         for steps in range(1, 201):
-            mid = 0.5 * (lo + hi)
-            g = power_at(mid)
+            r = 1.0 / (dk + nu)
+            wr2 = wk * r * r
+            g = float(wr2.sum())
             if abs(g - p) <= tol * p:
-                nu = mid
                 break
-            if g > p:
-                lo = mid
+            if g > p or not math.isfinite(g):
+                lo = nu
             else:
-                hi = mid
-            nu = mid
+                hi = nu
+            step = nu + g * (math.sqrt(g / p) - 1.0) / float(np.dot(wr2, r))
+            nu = step if lo < step < hi else 0.5 * (lo + hi)
         z = b / (d + nu)
+        if in_range:
+            z[:k] = 0.0
 
-    y = U @ z
-    x = np.linalg.solve(L.conj().T, y)
+    x = (z.conj() @ prob._T).conj()
     obj = float(2.0 * np.vdot(prob.a, x).real - np.vdot(x, prob.A @ x).real)
     cons = float(np.vdot(x, prob.F @ x).real)
     return QcqpSolution(x, float(nu), obj, cons, steps)
@@ -219,47 +243,50 @@ def optimal_aux(ch: ChannelSet, d: Design, noise: NoiseProfile) -> AuxVars:
 
 # -- block subproblem assembly ----------------------------------------------
 
-def _reflect_mix(theta: np.ndarray, H_si: np.ndarray) -> np.ndarray:
-    """diag(theta) @ H_si."""
-    return theta[:, None] * H_si
+def _sq_norm(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
+
+
+def _assemble_beam(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
+                   p_max: float, bob: bool, shared: QcqpProblem | None) -> QcqpProblem:
+    """QCQP over one transmit beam with the other blocks held fixed.
+
+    Both beams see the same A and F, which depend only on the reflect
+    vector and the auxiliaries; a ``shared`` problem built at the same ones
+    lends them with their factorization.
+    """
+    rx = [(ch.h_b, ch.g_b, aux.lam_b, aux.mu_b), (ch.h_e, ch.g_e, aux.lam_e, aux.mu_e)]
+    (h, g, lam, mu), (h2, g2, _, mu2) = rx if bob else rx[::-1]
+    other = d.v_e if bob else d.v_b
+    budget = p_max - (_sq_norm(other) + _sq_norm(d.theta * (ch.H_si @ other))
+                      + noise.sigma2_irs * _sq_norm(d.theta))
+    if budget <= 0:
+        raise BudgetExhausted(f"{'confidential' if bob else 'AN'}-beam budget {budget} <= 0")
+    t = effective_channel(h, g, ch.H_si, d.theta)
+    a = math.sqrt(1.0 + lam) * mu * t
+    if shared is not None:
+        return shared.retarget(a, budget)
+    # A = |mu_b|^2 t_b t_b^H + |mu_e|^2 t_e t_e^H
+    X = np.stack([abs(mu) * t, abs(mu2) * effective_channel(h2, g2, ch.H_si, d.theta)], axis=1)
+    W = d.theta[:, None] * ch.H_si          # diag(theta) H_si
+    F = np.eye(ch.H_si.shape[1]) + W.conj().T @ W
+    return QcqpProblem(a=a, A=X @ X.conj().T, F=F, p_budget=budget)
 
 
 def assemble_vb(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
                 p_max: float) -> QcqpProblem:
     """QCQP over the confidential beam with the other blocks held fixed."""
-    t_b = effective_channel(ch.h_b, ch.g_b, ch.H_si, d.theta)
-    t_e = effective_channel(ch.h_e, ch.g_e, ch.H_si, d.theta)
-    a = math.sqrt(1.0 + aux.lam_b) * aux.mu_b * t_b
-    A = (abs(aux.mu_b) ** 2) * np.outer(t_b, t_b.conj()) \
-        + (abs(aux.mu_e) ** 2) * np.outer(t_e, t_e.conj())
-    W = _reflect_mix(d.theta, ch.H_si)
-    F = np.eye(ch.H_si.shape[1]) + W.conj().T @ W
-    spent = float(np.sum(np.abs(d.v_e) ** 2)
-                  + np.sum(np.abs(d.theta * (ch.H_si @ d.v_e)) ** 2)
-                  + noise.sigma2_irs * np.sum(np.abs(d.theta) ** 2))
-    p_b = p_max - spent
-    if p_b <= 0:
-        raise BudgetExhausted(f"confidential-beam budget {p_b} <= 0")
-    return QcqpProblem(a=a, A=A, F=F, p_budget=p_b)
+    return _assemble_beam(ch, d, noise, aux, p_max, True, None)
 
 
 def assemble_ve(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
-                p_max: float) -> QcqpProblem:
-    """QCQP over the AN beam with the other blocks held fixed."""
-    t_b = effective_channel(ch.h_b, ch.g_b, ch.H_si, d.theta)
-    t_e = effective_channel(ch.h_e, ch.g_e, ch.H_si, d.theta)
-    a = math.sqrt(1.0 + aux.lam_e) * aux.mu_e * t_e
-    A = (abs(aux.mu_b) ** 2) * np.outer(t_b, t_b.conj()) \
-        + (abs(aux.mu_e) ** 2) * np.outer(t_e, t_e.conj())
-    W = _reflect_mix(d.theta, ch.H_si)
-    F = np.eye(ch.H_si.shape[1]) + W.conj().T @ W
-    spent = float(np.sum(np.abs(d.v_b) ** 2)
-                  + np.sum(np.abs(d.theta * (ch.H_si @ d.v_b)) ** 2)
-                  + noise.sigma2_irs * np.sum(np.abs(d.theta) ** 2))
-    p_e = p_max - spent
-    if p_e <= 0:
-        raise BudgetExhausted(f"AN-beam budget {p_e} <= 0")
-    return QcqpProblem(a=a, A=A, F=F, p_budget=p_e)
+                p_max: float, shared: QcqpProblem | None = None) -> QcqpProblem:
+    """QCQP over the AN beam with the other blocks held fixed.
+
+    ``shared``, the v_b problem at the same reflect vector and auxiliaries,
+    lends its A, F and factorization; only a and the budget are built.
+    """
+    return _assemble_beam(ch, d, noise, aux, p_max, False, shared)
 
 
 def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
@@ -273,34 +300,31 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
     constraint quadratic is exactly the reflect-dependent part of the
     total-power expression.
     """
-    Hvb = ch.H_si @ d.v_b
-    Hve = ch.H_si @ d.v_e
-    c_bb = ch.g_b.conj() * Hvb
-    c_be = ch.g_b.conj() * Hve
-    c_eb = ch.g_e.conj() * Hvb
-    c_ee = ch.g_e.conj() * Hve
-    d_bb = np.vdot(ch.h_b, d.v_b)
-    d_be = np.vdot(ch.h_b, d.v_e)
-    d_eb = np.vdot(ch.h_e, d.v_b)
-    d_ee = np.vdot(ch.h_e, d.v_e)
+    V = np.stack([d.v_b, d.v_e], axis=1)
+    p_be = p_max - _sq_norm(V)
+    if p_be <= 0:
+        raise BudgetExhausted(f"reflect budget {p_be} <= 0")
+    HV = ch.H_si @ V
+    # columns c_bb, c_be, c_ee, c_eb, where c_xy = conj(g_x) * H_si v_y
+    C = np.concatenate([ch.g_b.conj()[:, None] * HV,
+                        ch.g_e.conj()[:, None] * HV[:, ::-1]], axis=1)
+    # d_xy = h_x^H v_y
+    (d_bb, d_be), (d_eb, d_ee) = (np.stack([ch.h_b, ch.h_e]).conj() @ V).tolist()
 
     mb2 = abs(aux.mu_b) ** 2
     me2 = abs(aux.mu_e) ** 2
-    chi = (math.sqrt(1.0 + aux.lam_b) * np.conj(aux.mu_b) * c_bb
-           + math.sqrt(1.0 + aux.lam_e) * np.conj(aux.mu_e) * c_ee
-           - mb2 * (np.conj(d_bb) * c_bb + np.conj(d_be) * c_be)
-           - me2 * (np.conj(d_ee) * c_ee + np.conj(d_eb) * c_eb))
+    chi = C @ np.array([
+        math.sqrt(1.0 + aux.lam_b) * aux.mu_b.conjugate() - mb2 * d_bb.conjugate(),
+        -mb2 * d_be.conjugate(),
+        math.sqrt(1.0 + aux.lam_e) * aux.mu_e.conjugate() - me2 * d_ee.conjugate(),
+        -me2 * d_eb.conjugate(),
+    ])
 
-    ups = (mb2 * (np.outer(c_bb, c_bb.conj()) + np.outer(c_be, c_be.conj()))
-           + me2 * (np.outer(c_ee, c_ee.conj()) + np.outer(c_eb, c_eb.conj())))
+    C *= [abs(aux.mu_b), abs(aux.mu_b), abs(aux.mu_e), abs(aux.mu_e)]
+    ups = C @ C.conj().T
     ups += np.diag(noise.sigma2_irs * (mb2 * np.abs(ch.g_b) ** 2 + me2 * np.abs(ch.g_e) ** 2))
 
-    omega = np.diag(np.abs(Hvb) ** 2 + np.abs(Hve) ** 2
-                    + noise.sigma2_irs * np.ones(ch.H_si.shape[0]))
-
-    p_be = p_max - float(np.sum(np.abs(d.v_b) ** 2) + np.sum(np.abs(d.v_e) ** 2))
-    if p_be <= 0:
-        raise BudgetExhausted(f"reflect budget {p_be} <= 0")
+    omega = np.diag((np.abs(HV) ** 2).sum(axis=1) + noise.sigma2_irs)
     return QcqpProblem(a=chi, A=ups, F=omega, p_budget=p_be)
 
 
@@ -310,7 +334,7 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
 class LdtOptions:
     eps: float = 1e-4          # stop when the surrogate improves by less than this
     max_iters: int = 500
-    qcqp_tol: float = 1e-10    # relative multiplier-bisection tolerance
+    qcqp_tol: float = 1e-10    # relative tolerance of the multiplier search
 
 
 def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
@@ -331,22 +355,22 @@ def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     return Design(v_b=v_b, v_e=v_e, theta=scale * theta_hat)
 
 
-def _solve_block(assemble, ch, d, noise, aux, p_max, tol, trace: RunTrace,
-                 block: str, rescale: list[str]):
-    """Assemble+solve one block; on an exhausted budget, shrink the other
-    blocks by 5% once and retry, flagging the event."""
+def _assemble_block(assemble, ch, d, noise, aux, p_max, trace: RunTrace,
+                    block: str, rescale: tuple[str, ...], **reuse) -> QcqpProblem | None:
+    """Assemble one block; on an exhausted budget, shrink the other blocks
+    by 5% once and retry, flagging the event.  The retry assembles afresh
+    and drops ``reuse``: the rescue may have rescaled what it was built at."""
     try:
-        prob = assemble(ch, d, noise, aux, p_max)
+        return assemble(ch, d, noise, aux, p_max, **reuse)
     except BudgetExhausted:
         trace.add_flag(f"budget-rescue:{block}")
         for name in rescale:
             setattr(d, name, getattr(d, name) * 0.95)
         try:
-            prob = assemble(ch, d, noise, aux, p_max)
+            return assemble(ch, d, noise, aux, p_max)
         except BudgetExhausted:
             trace.add_flag(f"budget-skip:{block}")
             return None
-    return solve_qcqp(prob, tol)
 
 
 def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
@@ -367,18 +391,19 @@ def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     for it in range(1, opt.max_iters + 1):
         aux = optimal_aux(ch, d, noise)
 
-        sol = _solve_block(assemble_vb, ch, d, noise, aux, p_max, opt.qcqp_tol,
-                           trace, "v_b", ["v_e", "theta"])
-        if sol is not None:
-            d.v_b = sol.x
-        sol = _solve_block(assemble_ve, ch, d, noise, aux, p_max, opt.qcqp_tol,
-                           trace, "v_e", ["v_b", "theta"])
-        if sol is not None:
-            d.v_e = sol.x
-        sol = _solve_block(assemble_theta, ch, d, noise, aux, p_max, opt.qcqp_tol,
-                           trace, "theta", ["v_b", "v_e"])
-        if sol is not None:
-            d.theta = sol.x.conj()
+        prob = _assemble_block(assemble_vb, ch, d, noise, aux, p_max, trace,
+                               "v_b", ("v_e", "theta"))
+        if prob is not None:
+            d.v_b = solve_qcqp(prob, opt.qcqp_tol).x
+        # theta is unchanged since the v_b problem, so v_e shares its A and F
+        prob = _assemble_block(assemble_ve, ch, d, noise, aux, p_max, trace,
+                               "v_e", ("v_b", "theta"), shared=prob)
+        if prob is not None:
+            d.v_e = solve_qcqp(prob, opt.qcqp_tol).x
+        prob = _assemble_block(assemble_theta, ch, d, noise, aux, p_max, trace,
+                               "theta", ("v_b", "v_e"))
+        if prob is not None:
+            d.theta = solve_qcqp(prob, opt.qcqp_tol).x.conj()
 
         vr = ldt_objective(ch, d, noise, aux)
         trace.rows.append({

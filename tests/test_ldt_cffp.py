@@ -16,6 +16,7 @@ from conftest import crandn, random_channelset, random_design
 from airsdm.ldt_cffp import (
     BudgetExhausted,
     LdtOptions,
+    _assemble_block,
     assemble_theta,
     assemble_vb,
     assemble_ve,
@@ -26,6 +27,7 @@ from airsdm.ldt_cffp import (
 )
 from airsdm.model import Design, NoiseProfile, ldt_objective, snr_pair, total_power, virtual_rate
 from airsdm.scene import benchmark_scene, build_channels
+from airsdm.trace import RunTrace
 
 
 NOISE = NoiseProfile(sigma2_irs=0.05, sigma2_b=0.07, sigma2_e=0.06)
@@ -172,6 +174,42 @@ def test_assemblers_raise_on_exhausted_budget():
         assemble_ve(ch, glut, NOISE, aux, p_max=1.0)
     with pytest.raises(BudgetExhausted):
         assemble_theta(ch, glut, NOISE, aux, p_max=1.0)
+
+
+def test_shared_ve_problem_matches_fresh_assembly():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        ch, d, aux = _random_state(rng)
+        shared = assemble_vb(ch, d, NOISE, aux, p_max=6.0)
+        d.v_b = solve_qcqp(shared).x          # the runner's v_b step
+        fresh = assemble_ve(ch, d, NOISE, aux, p_max=6.0)
+        reused = assemble_ve(ch, d, NOISE, aux, p_max=6.0, shared=shared)
+        assert reused._T is shared._T
+        assert reused.p_budget == fresh.p_budget
+        assert_allclose(reused.a, fresh.a, rtol=1e-15)
+        s_fresh, s_reused = solve_qcqp(fresh), solve_qcqp(reused)
+        assert_allclose(s_reused.x, s_fresh.x, rtol=1e-12, atol=0)
+        assert_allclose(s_reused.nu, s_fresh.nu, rtol=1e-12)
+
+
+def test_budget_rescue_bypasses_the_shared_factorization():
+    rng = np.random.default_rng(10)
+    ch, d, aux = _random_state(rng)
+    shared = assemble_vb(ch, d, NOISE, aux, p_max=6.0)
+    # a total budget just below what v_b and theta spend exhausts the v_e
+    # block; shrinking both by 5% frees it
+    p_max = 0.99 * (6.0 - assemble_ve(ch, d, NOISE, aux, p_max=6.0).p_budget)
+    rescued = d.copy()
+    trace = RunTrace()
+    prob = _assemble_block(assemble_ve, ch, rescued, NOISE, aux, p_max, trace,
+                           "v_e", ("v_b", "theta"), shared=shared)
+    assert trace.flags == ["budget-rescue:v_e"]
+    assert_allclose(rescued.theta, 0.95 * d.theta, rtol=1e-15)
+    fresh = assemble_ve(ch, rescued, NOISE, aux, p_max)
+    assert prob._T is not shared._T
+    assert_allclose(prob.F, fresh.F, rtol=1e-15)
+    assert not np.allclose(prob.F, shared.F)
+    assert_allclose(solve_qcqp(prob).x, solve_qcqp(fresh).x, rtol=1e-12)
 
 
 def test_block_maximizer_improves_the_surrogate():

@@ -145,6 +145,56 @@ def test_problem_validation():
         QcqpProblem(a=a, A=eye, F=np.zeros((2, 2), dtype=complex), p_budget=1.0)
 
 
+def test_psd_check_is_relative_to_the_whitened_spectrum():
+    # an indefinite A far below unit scale, as the reflect block's A is
+    a = np.ones(2, dtype=complex)
+    A = 1e-6 * np.diag([1.0, -1e-3]).astype(complex)
+    with pytest.raises(ValueError, match="semidefinite"):
+        QcqpProblem(a=a, A=A, F=np.eye(2), p_budget=1.0)
+    with pytest.raises(ValueError, match="semidefinite"):
+        QcqpProblem(a=a, A=A, F=np.array([[2.0, 0.5], [0.5, 1.0]]), p_budget=1.0)
+    # a PSD A of the same scale, singular up to rounding, passes
+    t = np.array([1e-3, 2e-3j])
+    QcqpProblem(a=a, A=np.outer(t, t.conj()), F=np.eye(2), p_budget=1.0)
+
+
+def test_singular_f_is_rejected_on_both_whitening_paths():
+    a = np.ones(2, dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="definite"):
+        QcqpProblem(a=a, A=eye, F=np.diag([1.0, 0.0]), p_budget=1.0)
+    with pytest.raises(ValueError, match="definite"):
+        QcqpProblem(a=a, A=eye, F=np.diag([1.0, -1.0]), p_budget=1.0)
+    with pytest.raises(ValueError, match="definite"):
+        QcqpProblem(a=a, A=eye, F=np.ones((2, 2)), p_budget=1.0)
+
+
+def test_diagonal_and_cholesky_whitening_agree(monkeypatch):
+    # one problem posed with a diagonal F and in rotated coordinates x' = Q x,
+    # where F' = Q F Q^H is dense
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda M: factored.append(M) or cholesky(M))
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        n = 6
+        G = crandn(rng, 3, n)
+        A = G.conj().T @ G + 0.1 * np.eye(n)
+        f = rng.uniform(0.5, 3.0, n)
+        a = crandn(rng, n)
+        Q, _ = np.linalg.qr(crandn(rng, n, n))
+        diag = QcqpProblem(a=a, A=A, F=np.diag(f), p_budget=0.05)
+        assert not factored                   # whitened by a scale
+        dense = QcqpProblem(a=Q @ a, A=Q @ A @ Q.conj().T,
+                            F=Q @ np.diag(f) @ Q.conj().T, p_budget=0.05)
+        assert len(factored) == 1
+        factored.clear()
+        s1, s2 = solve_qcqp(diag), solve_qcqp(dense)
+        assert s1.nu > 0.0
+        assert_allclose(s2.nu, s1.nu, rtol=1e-12)
+        assert_allclose(s2.x, Q @ s1.x, rtol=0, atol=1e-12 * np.linalg.norm(s1.x))
+
+
 def test_problem_symmetrizes_rounding_noise():
     A = np.array([[1.0, 0.1 + 1e-12j], [0.1 - 2e-12j, 2.0]], dtype=complex)
     prob = QcqpProblem(a=np.ones(2, dtype=complex), A=A, F=np.eye(2), p_budget=1.0)
@@ -179,6 +229,41 @@ def test_kkt_residuals_within_tolerance():
         assert res["feasibility"] <= 1e-6 * prob.p_budget
         assert abs(res["comp_slack"]) <= 1e-6 * prob.p_budget
         assert sol.nu >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["generic", "zero_a", "aligned"])
+def test_newton_multiplier_meets_oracle_and_kkt_in_few_steps(kind):
+    # zero_a: A = 0, so a lies outside range(A) and g(0) is infinite; generic
+    # draws are rank deficient whenever the random rank is below n
+    rng = np.random.default_rng({"generic": 31, "zero_a": 32, "aligned": 33}[kind])
+    for k in range(40):
+        n = 1 + k % 2 if k < 20 else int(rng.integers(3, 9))
+        prob = random_problem(rng, n, singular_a=kind == "zero_a",
+                              aligned_a=kind == "aligned")
+        sol = solve_qcqp(prob)
+        assert sol.bisect_steps <= 20
+        res = kkt_residuals(prob, sol)
+        assert res["stationarity"] <= 1e-6 * np.linalg.norm(prob.a)
+        assert res["feasibility"] <= 1e-6 * prob.p_budget
+        assert abs(res["comp_slack"]) <= 1e-6 * prob.p_budget
+        if n <= 2:
+            oracle = grid_oracle(prob)
+            assert sol.objective >= oracle - 1e-3 * max(1.0, abs(oracle))
+
+
+def test_newton_multiplier_with_a_orthogonal_to_a_stiff_range():
+    # b lies wholly in flat directions whose rounding-level eigenvalues are
+    # not negligible next to the multiplier; the bracket must still hold it
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        v = crandn(rng, 4)
+        a = crandn(rng, 4)
+        a -= v * np.vdot(v, a) / np.vdot(v, v)
+        p = float(rng.uniform(0.05, 20.0))
+        prob = QcqpProblem(a=a, A=1e12 * np.outer(v, v.conj()), F=np.eye(4), p_budget=p)
+        sol = solve_qcqp(prob)
+        assert sol.bisect_steps <= 20
+        assert_allclose(sol.constraint, p, rtol=1e-9)
 
 
 def test_solver_is_deterministic():
