@@ -47,7 +47,6 @@ from .nsp_mrr import (
     pa_sinrs,
     blocked_secrecy_rate,
     PaScalarContext,
-    sr1,
     run_nsp_mrr_pa,
     NspOptions,
 )

@@ -42,7 +42,6 @@ __all__ = [
     "pa_sinrs",
     "blocked_secrecy_rate",
     "PaScalarContext",
-    "sr1",
     "NspOptions",
     "run_nsp_mrr_pa",
 ]
@@ -221,16 +220,13 @@ def pa_sinrs(bch: BlockedChannelSet, d: BlockDesign,
 
 
 def blocked_secrecy_rate(bch: BlockedChannelSet, d: BlockDesign,
-                         noise: NoiseProfile, ratio_objective: bool = False) -> float:
-    """Secrecy rate of the blocked system in bits (difference of logs).
-
-    ``ratio_objective=True`` instead returns the ratio of the two log
-    terms, kept as an alternative reading for reproduction experiments.
-    """
+                         noise: NoiseProfile) -> float:
+    """Secrecy rate of the blocked system in bits (difference of logs)."""
     gamma_b, gamma_e = pa_sinrs(bch, d, noise)
-    if ratio_objective:
-        return math.log2(1.0 + gamma_b) / math.log2(1.0 + gamma_e)
     return math.log2(1.0 + gamma_b) - math.log2(1.0 + gamma_e)
+
+
+_BOX_ERROR = "eta and beta must lie strictly inside (0, 1)"
 
 
 class PaScalarContext:
@@ -240,20 +236,19 @@ class PaScalarContext:
     power-split search can evaluate thousands of (eta, beta) candidates
     (scalars or equal-shape arrays) with plain arithmetic.  The embedded
     amplification gains are the exact closed forms at each candidate.
+    A pair of Python floats takes a float-only path that evaluates the
+    same expression in the same order, so it matches the array path bit
+    for bit at a fraction of its per-call cost.
     """
-
-    vectorized = True
 
     def __init__(self, bch: BlockedChannelSet, v_b: np.ndarray, v_e: np.ndarray,
                  theta1: np.ndarray, theta2: np.ndarray, mu: float, p_s: float,
-                 noise: NoiseProfile, ratio_objective: bool = False):
+                 noise: NoiseProfile):
         self.mu = float(mu)
         self.p_s = float(p_s)
-        self.sigma2_1 = noise.sigma2_irs
-        self.sigma2_2 = noise.sigma2_irs
-        self.sigma2_b = noise.sigma2_b
-        self.sigma2_e = noise.sigma2_e
-        self.ratio_objective = ratio_objective
+        self.sigma2_irs = float(noise.sigma2_irs)
+        self.sigma2_b = float(noise.sigma2_b)
+        self.sigma2_e = float(noise.sigma2_e)
 
         k_b1 = _cascade_gain(theta1, bch.g_b1, bch.H_s1, v_b)
         k_b2 = _cascade_gain(theta2, bch.g_b2, bch.H_s2, v_e)
@@ -262,32 +257,33 @@ class PaScalarContext:
         d_bb = complex(np.vdot(bch.h_b, v_b))
         d_ee = complex(np.vdot(bch.h_e, v_e))
 
+        # Every coefficient is a Python float, so float candidates stay floats.
         self.a = abs(k_b1) ** 2
-        self.b = (np.conj(d_bb) * k_b1).real
+        self.b = float((np.conj(d_bb) * k_b1).real)
         self.c = abs(d_bb) ** 2
         self.d = abs(k_b2) ** 2
-        self.e = self.sigma2_1 * float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.g_b1) ** 2))
-        self.f = self.sigma2_2 * float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.g_b2) ** 2))
+        self.e = self.sigma2_irs * float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.g_b1) ** 2))
+        self.f = self.sigma2_irs * float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.g_b2) ** 2))
         self.a_hat = abs(k_e1) ** 2
         self.b_hat = abs(k_e2) ** 2
-        self.c_hat = (np.conj(d_ee) * k_e2).real
+        self.c_hat = float((np.conj(d_ee) * k_e2).real)
         self.d_hat = abs(d_ee) ** 2
-        self.e_hat = self.sigma2_1 * float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.g_e1) ** 2))
-        self.f_hat = self.sigma2_2 * float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.g_e2) ** 2))
+        self.e_hat = self.sigma2_irs * float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.g_e1) ** 2))
+        self.f_hat = self.sigma2_irs * float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.g_e2) ** 2))
         self.s1 = float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.H_s1 @ v_b) ** 2))
         self.s2 = float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.H_s2 @ v_e) ** 2))
 
     def _check_box(self, eta, beta) -> None:
         eta = np.asarray(eta)
         beta = np.asarray(beta)
-        if np.any(eta <= 0.0) or np.any(eta >= 1.0) or np.any(beta <= 0.0) or np.any(beta >= 1.0):
-            raise ValueError("eta and beta must lie strictly inside (0, 1)")
+        if np.any((eta <= 0.0) | (eta >= 1.0) | (beta <= 0.0) | (beta >= 1.0)):
+            raise ValueError(_BOX_ERROR)
 
     def incident_powers(self, eta, beta):
         """(A, B): per-block incident power (signal + IRS noise) at unit gain."""
         ps = self.p_s
-        A = eta * beta * ps * self.s1 + self.sigma2_1
-        B = eta * (1.0 - beta) * ps * self.s2 + self.sigma2_2
+        A = eta * beta * ps * self.s1 + self.sigma2_irs
+        B = eta * (1.0 - beta) * ps * self.s2 + self.sigma2_irs
         return A, B
 
     def rho(self, eta, beta):
@@ -301,10 +297,13 @@ class PaScalarContext:
     def sinrs(self, eta, beta):
         """(gamma_b, gamma_e) after substituting the amplification gains."""
         self._check_box(eta, beta)
+        return self._sinrs(eta, beta, np.sqrt)
+
+    def _sinrs(self, eta, beta, sqrt):
         ps, mu = self.p_s, self.mu
         A, B = self.incident_powers(eta, beta)
         g_b1 = eta * beta * ps * (self.a * (1.0 - eta) * mu * ps * B
-                                  + 2.0 * self.b * B * np.sqrt((1.0 - eta) * mu * ps * A)
+                                  + 2.0 * self.b * B * sqrt((1.0 - eta) * mu * ps * A)
                                   + self.c * A * B)
         g_b2 = (self.d * eta * (1.0 - eta) * (1.0 - beta) * (1.0 - mu) * ps ** 2 * A
                 + self.e * (1.0 - eta) * mu * ps * B
@@ -312,7 +311,7 @@ class PaScalarContext:
                 + self.sigma2_b * A * B)
         g_e1 = eta * (1.0 - eta) * beta * mu * ps ** 2 * self.a_hat * B
         g_e2 = (eta * (1.0 - beta) * ps * (self.b_hat * (1.0 - eta) * (1.0 - mu) * ps * A
-                                           + 2.0 * self.c_hat * A * np.sqrt((1.0 - eta) * (1.0 - mu) * ps * B)
+                                           + 2.0 * self.c_hat * A * sqrt((1.0 - eta) * (1.0 - mu) * ps * B)
                                            + self.d_hat * A * B)
                 + self.e_hat * (1.0 - eta) * mu * ps * B
                 + self.f_hat * (1.0 - eta) * (1.0 - mu) * ps * A
@@ -321,19 +320,18 @@ class PaScalarContext:
 
     def __call__(self, eta, beta):
         """Secrecy rate in bits at (eta, beta); arrays broadcast elementwise."""
-        gamma_b, gamma_e = self.sinrs(eta, beta)
-        if self.ratio_objective:
-            return np.log2(1.0 + gamma_b) / np.log2(1.0 + gamma_e)
+        if isinstance(eta, float) and isinstance(beta, float):
+            if eta <= 0.0 or eta >= 1.0 or beta <= 0.0 or beta >= 1.0:
+                raise ValueError(_BOX_ERROR)
+            try:
+                gamma_b, gamma_e = self._sinrs(eta, beta, math.sqrt)
+            except (ZeroDivisionError, ValueError):
+                # A zero denominator or a negative root: numpy's inf/nan instead.
+                gamma_b, gamma_e = self._sinrs(eta, beta, np.sqrt)
+        else:
+            gamma_b, gamma_e = self.sinrs(eta, beta)
+        # np.log2, not math.log2: the two differ in the last bit on some inputs.
         return np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)
-
-
-def sr1(eta, beta, context: PaScalarContext):
-    """Secrecy rate (bits) of the blocked system at a power split.
-
-    Thin functional wrapper over a prepared :class:`PaScalarContext`;
-    accepts scalars or broadcastable arrays.
-    """
-    return context(eta, beta)
 
 
 @dataclass
@@ -341,8 +339,6 @@ class NspOptions:
     eps: float = 1e-4        # stop when both beamformer updates move less than this
     max_iters: int = 100
     mu: float = 0.8          # block-1 share of the IRS power
-    ratio_objective: bool = False
-    search_params: dict | None = None  # extra SearchSpec fields for the PA search
 
 
 def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
@@ -383,10 +379,8 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
             trace.add_flag(flag)
 
         ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
-                              opt.mu, p_s, noise, opt.ratio_objective)
-        params = dict(opt.search_params or {})
-        spec = SearchSpec(objective=ctx, vectorized=True,
-                          seed=seed + it - 1, **params)
+                              opt.mu, p_s, noise)
+        spec = SearchSpec(objective=ctx, vectorized=True, seed=seed + it - 1)
         res = searcher(spec)
         eta, beta = res.point
         d.pa = PaFactors(eta=eta, beta=beta, mu=opt.mu)

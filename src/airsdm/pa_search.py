@@ -84,33 +84,35 @@ def _grid_axis(spec: SearchSpec) -> np.ndarray:
     return np.linspace(spec.lo, spec.hi, int(round(ratio)) + 1)
 
 
-def _eval_row(spec: SearchSpec, eta: float, betas: np.ndarray) -> np.ndarray:
+def _eval_points(spec: SearchSpec, etas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Objective at each (etas[i], betas[i]): one call when vectorized."""
     if spec.vectorized:
-        return np.asarray(spec.objective(np.full(betas.size, eta), betas), dtype=float)
-    return np.array([spec.objective(eta, float(b)) for b in betas], dtype=float)
+        return np.asarray(spec.objective(etas, betas), dtype=float)
+    return np.array([spec.objective(float(e), float(b)) for e, b in zip(etas, betas)],
+                    dtype=float)
 
 
 def exhaustive_search(spec: SearchSpec) -> SearchResult:
-    """Full scan of the (eta, beta) grid; ties go to the smallest (eta, beta)."""
+    """Full scan of the (eta, beta) grid; ties go to the smallest (eta, beta).
+
+    The first ``min(budget, n^2)`` grid points are evaluated row-major in
+    one objective call, then reduced row by row (one trace entry per row).
+    """
     axis = _grid_axis(spec)
-    cap = spec.budget if spec.budget is not None else axis.size ** 2
+    n = axis.size
+    cap = spec.budget if spec.budget is not None else n * n
+    evals = min(cap, n * n)
+    values = _eval_points(spec, np.repeat(axis, n)[:evals], np.tile(axis, n)[:evals])
     best_val = -math.inf
     best_pt = (float(axis[0]), float(axis[0]))
     trace: list[float] = []
-    evals = 0
-    for eta in axis:
-        take = min(axis.size, cap - evals)
-        if take <= 0:
-            break
-        row = _eval_row(spec, float(eta), axis[:take])
-        evals += take
+    for i in range(0, evals, n):
+        row = values[i:i + n]
         j = int(np.argmax(row))          # first index wins -> smallest beta
         if row[j] > best_val:            # strict -> smallest eta on ties
             best_val = float(row[j])
-            best_pt = (float(eta), float(axis[j]))
+            best_pt = (float(axis[i // n]), float(axis[j]))
         trace.append(best_val)
-        if evals >= cap:
-            break
     return SearchResult(best_pt, best_val, evals, trace)
 
 
@@ -122,18 +124,14 @@ def pso_search(spec: SearchSpec) -> SearchResult:
     """
     rng = np.random.default_rng(spec.seed)
     cap = spec.budget if spec.budget is not None else spec.swarm * (spec.iterations + 1)
+    swarm = min(spec.swarm, cap)         # a budget below one sweep shrinks the swarm
     width = spec.hi - spec.lo
     vmax = spec.velocity_clamp * width
 
-    pos = rng.uniform(spec.lo, spec.hi, size=(spec.swarm, 2))
-    vel = np.zeros((spec.swarm, 2))
+    pos = rng.uniform(spec.lo, spec.hi, size=(swarm, 2))
+    vel = np.zeros((swarm, 2))
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        if spec.vectorized:
-            return np.asarray(spec.objective(points[:, 0], points[:, 1]), dtype=float)
-        return np.array([spec.objective(float(e), float(b)) for e, b in points], dtype=float)
-
-    vals = evaluate(pos)
+    vals = _eval_points(spec, pos[:, 0], pos[:, 1])
     evals = pos.shape[0]
     pbest = pos.copy()
     pbest_val = vals.copy()
@@ -143,17 +141,17 @@ def pso_search(spec: SearchSpec) -> SearchResult:
     trace = [gbest_val]
 
     for _ in range(spec.iterations):
-        if evals + spec.swarm > cap:
+        if evals + swarm > cap:
             break
-        r1 = rng.uniform(size=(spec.swarm, 2))
-        r2 = rng.uniform(size=(spec.swarm, 2))
+        r1 = rng.uniform(size=(swarm, 2))
+        r2 = rng.uniform(size=(swarm, 2))
         vel = (spec.inertia * vel
                + spec.c1 * r1 * (pbest - pos)
                + spec.c2 * r2 * (gbest[None, :] - pos))
         np.clip(vel, -vmax, vmax, out=vel)
         pos = np.clip(pos + vel, spec.lo, spec.hi)
-        vals = evaluate(pos)
-        evals += spec.swarm
+        vals = _eval_points(spec, pos[:, 0], pos[:, 1])
+        evals += swarm
         better = vals > pbest_val
         pbest[better] = pos[better]
         pbest_val[better] = vals[better]
@@ -183,10 +181,11 @@ def annealing_search(spec: SearchSpec) -> SearchResult:
     """
     rng = np.random.default_rng(spec.seed)
     cap = spec.budget if spec.budget is not None else spec.levels * spec.proposals_per_level + 1
-    z = rng.uniform(spec.lo, spec.hi, size=2)
-    fz = float(spec.objective(float(z[0]), float(z[1])))
+    lo, hi = spec.lo, spec.hi
+    z_eta, z_beta = rng.uniform(lo, hi, size=2).tolist()
+    fz = float(spec.objective(z_eta, z_beta))
     evals = 1
-    best = z.copy()
+    best = (z_eta, z_beta)
     best_val = fz
     trace: list[float] = []
     temp = spec.t0
@@ -195,22 +194,22 @@ def annealing_search(spec: SearchSpec) -> SearchResult:
         for _ in range(spec.proposals_per_level):
             if evals >= cap:
                 break
-            step = rng.normal(0.0, spec.proposal_step, size=2)
-            cand = np.array([_reflect(z[0] + step[0], spec.lo, spec.hi),
-                             _reflect(z[1] + step[1], spec.lo, spec.hi)])
-            fc = float(spec.objective(float(cand[0]), float(cand[1])))
+            step_eta, step_beta = rng.normal(0.0, spec.proposal_step, size=2).tolist()
+            eta = _reflect(z_eta + step_eta, lo, hi)
+            beta = _reflect(z_beta + step_beta, lo, hi)
+            fc = float(spec.objective(eta, beta))
             evals += 1
             loss = fz - fc               # energy increase of the move
             if loss <= 0.0 or rng.uniform() < math.exp(-loss / temp):
-                z, fz = cand, fc
+                z_eta, z_beta, fz = eta, beta, fc
             if fc > best_val:
                 best_val = fc
-                best = cand.copy()
+                best = (eta, beta)
         trace.append(best_val)
         temp *= spec.cooling
         if evals >= cap:
             break
-    return SearchResult((float(best[0]), float(best[1])), best_val, evals, trace)
+    return SearchResult(best, best_val, evals, trace)
 
 
 def fixed_point_search(spec: SearchSpec, eta: float = 0.5, beta: float = 0.5) -> SearchResult:
@@ -220,22 +219,18 @@ def fixed_point_search(spec: SearchSpec, eta: float = 0.5, beta: float = 0.5) ->
 
 
 def fixed_eta_search(spec: SearchSpec, eta: float = 0.5) -> SearchResult:
-    """Baseline: eta pinned, beta scanned on the grid."""
-    axis = _grid_axis(spec)
-    row = _eval_row(spec, eta, axis)
+    """Baseline: eta pinned, beta scanned on the grid (first ``budget`` points)."""
+    axis = _grid_axis(spec)[:spec.budget]
+    row = _eval_points(spec, np.full(axis.size, eta), axis)
     j = int(np.argmax(row))
-    best = float(row[j])
-    return SearchResult((eta, float(axis[j])), best, axis.size,
+    return SearchResult((eta, float(axis[j])), float(row[j]), axis.size,
                         list(np.maximum.accumulate(row)))
 
 
 def fixed_beta_search(spec: SearchSpec, beta: float = 0.5) -> SearchResult:
-    """Baseline: beta pinned, eta scanned on the grid."""
-    axis = _grid_axis(spec)
-    if spec.vectorized:
-        col = np.asarray(spec.objective(axis, np.full(axis.size, beta)), dtype=float)
-    else:
-        col = np.array([spec.objective(float(e), beta) for e in axis], dtype=float)
+    """Baseline: beta pinned, eta scanned on the grid (first ``budget`` points)."""
+    axis = _grid_axis(spec)[:spec.budget]
+    col = _eval_points(spec, axis, np.full(axis.size, beta))
     j = int(np.argmax(col))
     return SearchResult((float(axis[j]), beta), float(col[j]), axis.size,
                         list(np.maximum.accumulate(col)))

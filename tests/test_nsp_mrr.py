@@ -21,7 +21,6 @@ from airsdm.nsp_mrr import (
     nsp_projector,
     pa_sinrs,
     run_nsp_mrr_pa,
-    sr1,
 )
 from airsdm.pa_search import annealing_search, pso_search
 from airsdm.scene import BlockedChannelSet, benchmark_scene, build_channels
@@ -263,19 +262,50 @@ def test_scalar_context_rejects_the_box_boundary():
         ctx(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
 
 
-def test_sr1_is_the_context_call():
+def test_scalar_call_equals_the_one_element_array_call_bit_for_bit():
     rng = np.random.default_rng(11)
-    _, _, ctx = _context_and_design(rng)
-    assert sr1(0.4, 0.6, ctx) == ctx(0.4, 0.6)
+    edge = 1e-12
+    for _ in range(10):
+        _, _, ctx = _context_and_design(rng)
+        etas = rng.uniform(edge, 1.0 - edge, 1000)
+        betas = rng.uniform(edge, 1.0 - edge, 1000)
+        etas[:4] = (edge, 1.0 - edge, 0.5, edge)
+        betas[:4] = (0.5, 1.0 - edge, edge, 1.0 - edge)
+        for eta, beta in zip(etas.tolist(), betas.tolist()):
+            fast = ctx(eta, beta)
+            assert fast == ctx(np.array([eta]), np.array([beta]))[0]
+            assert fast.dtype == np.float64
 
 
-def test_ratio_objective_reading():
+def test_scalar_call_keeps_numpy_semantics_when_the_denominators_underflow():
+    rng = np.random.default_rng(13)
+    bch = random_blocked(rng)
+    faint = NoiseProfile(sigma2_irs=1e-200, sigma2_b=1e-200, sigma2_e=1e-200)
+    d = random_block_design(rng, bch, faint)
+    ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2, d.pa.mu, 1e-300, faint)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fast = ctx(0.5, 0.5)                 # 0/0 in plain floats would raise
+        ref = ctx(np.array([0.5]), np.array([0.5]))[0]
+    assert np.isnan(fast) and np.isnan(ref)
+
+
+def test_scalar_and_array_calls_reject_the_same_points():
     rng = np.random.default_rng(12)
-    bch, d, _ = _context_and_design(rng)
-    d.rho1, d.rho2 = amplification_rho(bch, d, NOISE)
-    gb, ge = pa_sinrs(bch, d, NOISE)
-    assert_allclose(blocked_secrecy_rate(bch, d, NOISE, ratio_objective=True),
-                    math.log2(1 + gb) / math.log2(1 + ge), rtol=1e-12)
+    _, _, ctx = _context_and_design(rng)
+    edge = 1e-12
+    inside = (edge, 0.5, 1.0 - edge)
+    outside = (-edge, 0.0, 1.0, 1.0 + edge, -0.3, 1.7)
+    for bad in outside:
+        for good in inside:
+            for eta, beta in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError):
+                    ctx(eta, beta)
+                with pytest.raises(ValueError):
+                    ctx(np.array([eta]), np.array([beta]))
+    for eta in inside:
+        for beta in inside:
+            assert np.isfinite(ctx(eta, beta))
+            assert np.isfinite(ctx(np.array([eta]), np.array([beta]))[0])
 
 
 def test_pa_factors_validate_the_open_interval():

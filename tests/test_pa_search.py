@@ -1,10 +1,17 @@
 """Power-split searchers on analytically known surfaces."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_block_design, random_blocked, unit
+
+from airsdm.model import NoiseProfile
+from airsdm.nsp_mrr import PaScalarContext
 from airsdm.pa_search import (
+    SearchResult,
     SearchSpec,
     annealing_search,
     exhaustive_search,
@@ -22,6 +29,22 @@ def bowl(eta, beta):
 
 def tilted(eta, beta):
     return 0.4 * eta + 0.1 * beta
+
+
+def terraced(eta, beta):
+    """Stepped bowl: many exact ties, and NaN on one beta strip."""
+    steps = np.floor(20.0 * bowl(eta, beta))
+    return np.where(np.abs(beta - 0.5) < 0.02, np.nan, steps)
+
+
+class CallCounter:
+    def __init__(self, objective):
+        self.objective = objective
+        self.calls = 0
+
+    def __call__(self, eta, beta):
+        self.calls += 1
+        return self.objective(eta, beta)
 
 
 # -- grid scan -----------------------------------------------------------------
@@ -65,6 +88,63 @@ def test_grid_scalar_and_vectorized_agree():
     assert a.point == b.point
     assert a.value == b.value
     assert a.trace == b.trace
+
+
+def row_by_row_scan(spec):
+    """Reference grid scan: one objective call per grid row, budget cut mid-row."""
+    axis = np.linspace(spec.lo, spec.hi, round((spec.hi - spec.lo) / spec.grid_step) + 1)
+    cap = spec.budget if spec.budget is not None else axis.size ** 2
+    best_val, best_pt, trace, evals = -math.inf, (float(axis[0]), float(axis[0])), [], 0
+    for eta in axis:
+        take = min(axis.size, cap - evals)
+        if take <= 0:
+            break
+        if spec.vectorized:
+            row = np.asarray(spec.objective(np.full(take, eta), axis[:take]), dtype=float)
+        else:
+            row = np.array([spec.objective(float(eta), float(b)) for b in axis[:take]],
+                           dtype=float)
+        evals += take
+        j = int(np.argmax(row))
+        if row[j] > best_val:
+            best_val, best_pt = float(row[j]), (float(eta), float(axis[j]))
+        trace.append(best_val)
+    return SearchResult(best_pt, best_val, evals, trace)
+
+
+def assert_same_result(a, b):
+    assert a.point == b.point
+    assert a.value == b.value
+    assert a.evaluations == b.evaluations
+    assert a.trace == b.trace
+
+
+def test_grid_calls_a_vectorized_objective_once():
+    for budget in (None, 1, 150):
+        counter = CallCounter(bowl)
+        exhaustive_search(SearchSpec(objective=counter, vectorized=True, budget=budget))
+        assert counter.calls == 1
+
+
+@pytest.mark.parametrize("budget", [1, 98, 99, 150, 9801, 20000, None])
+def test_one_call_scan_matches_the_row_by_row_scan(budget):
+    for objective in (bowl, terraced):
+        spec = SearchSpec(objective=objective, vectorized=True, budget=budget)
+        assert_same_result(exhaustive_search(spec), row_by_row_scan(spec))
+    spec = SearchSpec(objective=terraced, vectorized=False, budget=budget)
+    assert_same_result(exhaustive_search(spec), row_by_row_scan(spec))
+
+
+def test_one_call_scan_matches_the_row_by_row_scan_on_a_secrecy_surface():
+    rng = np.random.default_rng(21)
+    noise = NoiseProfile(sigma2_irs=0.03, sigma2_b=0.05, sigma2_e=0.04)
+    for _ in range(3):
+        bch = random_blocked(rng)
+        d = random_block_design(rng, bch, noise)
+        ctx = PaScalarContext(bch, unit(d.v_b), unit(d.v_e), d.theta1, d.theta2,
+                              d.pa.mu, d.p_s, noise)
+        spec = SearchSpec(objective=ctx, vectorized=True)
+        assert_same_result(exhaustive_search(spec), row_by_row_scan(spec))
 
 
 def test_indivisible_grid_step_raises():
@@ -112,6 +192,14 @@ def test_pso_budget_truncates_iterations():
     assert res.evaluations == 90       # 3 full swarm sweeps fit under 100
 
 
+def test_pso_budget_below_the_swarm_caps_the_initial_swarm():
+    counter = CallCounter(bowl)
+    res = pso_search(SearchSpec(objective=counter, vectorized=False, seed=0, budget=10))
+    assert res.evaluations == 10
+    assert counter.calls == 10
+    assert len(res.trace) == 1
+
+
 # -- simulated annealing ------------------------------------------------------------
 
 def test_annealing_budget_and_box():
@@ -127,6 +215,19 @@ def test_annealing_nearly_solves_a_smooth_surface():
     assert res.value >= -1e-4
     assert abs(res.point[0] - 0.3) <= 0.05
     assert abs(res.point[1] - 0.7) <= 0.05
+
+
+def test_annealing_golden_run_on_the_bowl():
+    # Recorded from the array-state implementation this float loop replaced.
+    res = annealing_search(SearchSpec(objective=bowl, seed=3))
+    assert res.point == (0.30108615815685413, 0.7067612073352405)
+    assert res.value == -4.6893664171811393e-05
+    assert res.evaluations == 2001
+    runs = [(-0.1683437586601813, 1), (-0.12041160167276954, 1),
+            (-0.04268823745027269, 1), (-0.0003190530712841487, 2),
+            (-0.00023342423618195603, 10), (-7.295905189292334e-05, 82),
+            (-4.6893664171811393e-05, 3)]
+    assert res.trace == [value for value, count in runs for _ in range(count)]
 
 
 def test_annealing_is_seed_deterministic():
@@ -179,3 +280,13 @@ def test_fixed_searchers_accept_custom_pins():
     assert_allclose(res.point, (0.3, 0.1), atol=1e-12)
     res = fixed_point_search(SearchSpec(objective=bowl), eta=0.25, beta=0.75)
     assert res.point == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("search, scanned", [(fixed_eta_search, 1), (fixed_beta_search, 0)])
+def test_fixed_scans_stop_at_the_budget(search, scanned):
+    counter = CallCounter(bowl)
+    res = search(SearchSpec(objective=counter, vectorized=False, budget=10))
+    assert res.evaluations == 10
+    assert counter.calls == 10
+    assert len(res.trace) == 10
+    assert_allclose(res.point[scanned], 0.10, atol=1e-12)  # best of the first ten points
