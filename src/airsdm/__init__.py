@@ -30,7 +30,6 @@ from .ldt_cffp import (
     assemble_vb,
     assemble_ve,
     assemble_theta,
-    update_lambda,
     update_mu,
     optimal_aux,
     run_ldt_cffp,

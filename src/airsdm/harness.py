@@ -15,8 +15,7 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .scene import SceneConfig, build_channels, dbm_to_watts
 from .model import Design, NoiseProfile, secrecy_rate
 from .ldt_cffp import run_ldt_cffp
-from .nsp_mrr import NspOptions, PaScalarContext, blocked_secrecy_rate, run_nsp_mrr_pa
+from .nsp_mrr import PaScalarContext, blocked_secrecy_rate, run_nsp_mrr_pa
 from .pa_search import (
     annealing_search,
     exhaustive_search,
@@ -121,7 +120,6 @@ class ExperimentSpec:
     seeds: list[int] = field(default_factory=lambda: list(range(1, 21)))
     out: str | None = None       # output path stem for emit_results
     formats: list[str] = field(default_factory=lambda: ["csv"])
-    workers: int = 1             # thread-pool width; rows are sorted, so any width is equivalent
 
     def __post_init__(self) -> None:
         if isinstance(self.sweep, dict):
@@ -141,8 +139,6 @@ class ExperimentSpec:
         for f in self.formats:
             if f not in ("csv", "json"):
                 raise ValueError(f"unknown format {f!r}; expected 'csv' or 'json'")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.sweep.kind == "pa_grid":
             bad = [m for m in self.methods if m not in _NSP_METHODS]
             if bad:
@@ -158,14 +154,13 @@ class ExperimentSpec:
             "seeds": list(self.seeds),
             "out": self.out,
             "formats": list(self.formats),
-            "workers": self.workers,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        known = {"sweep", "methods", "scene", "power_dbm", "noise_dbm",
-                 "seeds", "out", "formats", "workers"}
-        unknown = set(data) - known
+        # "workers" named a thread pool that no longer exists; old spec files still load
+        data = {k: v for k, v in data.items() if k != "workers"}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
         if "sweep" not in data or "methods" not in data:
@@ -284,9 +279,8 @@ def _run_pa_grid(spec: ExperimentSpec, method: str, seed: int) -> list[ResultRow
     _, bch = build_channels(cfg)
     design, trace = run_nsp_mrr_pa(bch, noise, p_watts,
                                    searcher=_SEARCHERS[method], seed=seed)
-    opt = NspOptions()
     ctx = PaScalarContext(bch, design.v_b, design.v_e, design.theta1,
-                          design.theta2, opt.mu, p_watts, noise)
+                          design.theta2, design.pa.mu, p_watts, noise)
     pairs = spec.sweep.values
     etas = np.array([p[0] for p in pairs])
     betas = np.array([p[1] for p in pairs])
@@ -315,7 +309,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (sweep value, method, seed) cell; failures become flagged rows.
 
     Rows come back sorted by (method, sweep, value, seed), so the table is
-    independent of execution order (and of ``spec.workers``).
+    independent of execution order.
     """
     if spec.sweep.kind == "pa_grid":
         jobs = [(None, m, s) for m in spec.methods for s in spec.seeds]
@@ -323,25 +317,19 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         jobs = [(v, m, s) for v in spec.sweep.values
                 for m in spec.methods for s in spec.seeds]
 
-    def run_one(job) -> list[ResultRow]:
-        value, method, seed = job
+    rows: list[ResultRow] = []
+    for value, method, seed in jobs:
         t0 = time.perf_counter()
         try:
             if spec.sweep.kind == "pa_grid":
-                return _run_pa_grid(spec, method, seed)
-            return [_run_point(spec, value, method, seed)]
+                rows.extend(_run_pa_grid(spec, method, seed))
+            else:
+                rows.append(_run_point(spec, value, method, seed))
         except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
             flag = f"error:{type(exc).__name__}: {exc}"
-            return [ResultRow(method, spec.sweep.kind, value, seed,
-                              float("nan"), 0,
-                              max(time.perf_counter() - t0, 1e-9), [flag])]
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            batches = list(pool.map(run_one, jobs))
-    else:
-        batches = [run_one(job) for job in jobs]
-    rows = [row for batch in batches for row in batch]
+            rows.append(ResultRow(method, spec.sweep.kind, value, seed,
+                                  float("nan"), 0,
+                                  max(time.perf_counter() - t0, 1e-9), [flag]))
     rows.sort(key=_row_key)
     return rows
 

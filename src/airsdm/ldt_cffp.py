@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "QcqpSolution",
     "solve_qcqp",
     "kkt_residuals",
-    "update_lambda",
     "update_mu",
     "optimal_aux",
     "assemble_vb",
@@ -213,12 +212,6 @@ def kkt_residuals(prob: QcqpProblem, sol: QcqpSolution) -> dict:
 
 # -- auxiliary-variable updates ---------------------------------------------
 
-def update_lambda(t: float) -> float:
-    """Closed-form maximizer of log(1+lam) - lam + 2 t sqrt(1+lam) over lam >= 0."""
-    lam = 0.5 * (t * t + t * math.sqrt(t * t + 4.0))
-    return max(0.0, lam)
-
-
 def update_mu(lam: float, tv: complex, denom: float) -> complex:
     """Closed-form maximizer of -|mu|^2 denom + 2 sqrt(1+lam) Re{mu^* tv}."""
     if denom <= 0:
@@ -334,7 +327,6 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
 class LdtOptions:
     eps: float = 1e-4          # stop when the surrogate improves by less than this
     max_iters: int = 500
-    qcqp_tol: float = 1e-10    # relative tolerance of the multiplier search
 
 
 def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
@@ -394,16 +386,16 @@ def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
         prob = _assemble_block(assemble_vb, ch, d, noise, aux, p_max, trace,
                                "v_b", ("v_e", "theta"))
         if prob is not None:
-            d.v_b = solve_qcqp(prob, opt.qcqp_tol).x
+            d.v_b = solve_qcqp(prob).x
         # theta is unchanged since the v_b problem, so v_e shares its A and F
         prob = _assemble_block(assemble_ve, ch, d, noise, aux, p_max, trace,
                                "v_e", ("v_b", "theta"), shared=prob)
         if prob is not None:
-            d.v_e = solve_qcqp(prob, opt.qcqp_tol).x
+            d.v_e = solve_qcqp(prob).x
         prob = _assemble_block(assemble_theta, ch, d, noise, aux, p_max, trace,
                                "theta", ("v_b", "v_e"))
         if prob is not None:
-            d.theta = solve_qcqp(prob, opt.qcqp_tol).x.conj()
+            d.theta = solve_qcqp(prob).x.conj()
 
         vr = ldt_objective(ch, d, noise, aux)
         trace.rows.append({

@@ -40,8 +40,6 @@ __all__ = [
     "total_power",
     "virtual_rate",
     "ldt_objective",
-    "design_to_dict",
-    "design_from_dict",
 ]
 
 
@@ -176,29 +174,3 @@ def ldt_objective(ch: ChannelSet, d: Design, noise: NoiseProfile,
     val += 2.0 * math.sqrt(1.0 + aux.lam_e) * (np.conj(aux.mu_e) * i_e).real
     return float(val)
 
-
-# -- trace-dump serialization (complex entries as re/im pairs) -------------
-
-def _cvec_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v).ravel()]
-
-
-def _pairs_to_cvec(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
-def design_to_dict(d: Design) -> dict:
-    """Structured text record of a design (complex entries as [re, im])."""
-    return {
-        "v_b": _cvec_to_pairs(d.v_b),
-        "v_e": _cvec_to_pairs(d.v_e),
-        "theta": _cvec_to_pairs(d.theta),
-    }
-
-
-def design_from_dict(data: dict) -> Design:
-    return Design(
-        v_b=_pairs_to_cvec(data["v_b"]),
-        v_e=_pairs_to_cvec(data["v_e"]),
-        theta=_pairs_to_cvec(data["theta"]),
-    )

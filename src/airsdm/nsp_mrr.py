@@ -273,35 +273,18 @@ class PaScalarContext:
         self.s1 = float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.H_s1 @ v_b) ** 2))
         self.s2 = float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.H_s2 @ v_e) ** 2))
 
-    def _check_box(self, eta, beta) -> None:
-        eta = np.asarray(eta)
-        beta = np.asarray(beta)
-        if np.any((eta <= 0.0) | (eta >= 1.0) | (beta <= 0.0) | (beta >= 1.0)):
-            raise ValueError(_BOX_ERROR)
-
-    def incident_powers(self, eta, beta):
-        """(A, B): per-block incident power (signal + IRS noise) at unit gain."""
-        ps = self.p_s
-        A = eta * beta * ps * self.s1 + self.sigma2_irs
-        B = eta * (1.0 - beta) * ps * self.s2 + self.sigma2_irs
-        return A, B
-
-    def rho(self, eta, beta):
-        """Amplification gains embedded in the scalar path."""
-        self._check_box(eta, beta)
-        A, B = self.incident_powers(eta, beta)
-        rho1 = np.sqrt((1.0 - eta) * self.mu * self.p_s / A)
-        rho2 = np.sqrt((1.0 - eta) * (1.0 - self.mu) * self.p_s / B)
-        return rho1, rho2
-
     def sinrs(self, eta, beta):
         """(gamma_b, gamma_e) after substituting the amplification gains."""
-        self._check_box(eta, beta)
+        e, b = np.asarray(eta), np.asarray(beta)
+        if np.any((e <= 0.0) | (e >= 1.0) | (b <= 0.0) | (b >= 1.0)):
+            raise ValueError(_BOX_ERROR)
         return self._sinrs(eta, beta, np.sqrt)
 
     def _sinrs(self, eta, beta, sqrt):
         ps, mu = self.p_s, self.mu
-        A, B = self.incident_powers(eta, beta)
+        # per-block incident power (signal + IRS noise) at unit gain
+        A = eta * beta * ps * self.s1 + self.sigma2_irs
+        B = eta * (1.0 - beta) * ps * self.s2 + self.sigma2_irs
         g_b1 = eta * beta * ps * (self.a * (1.0 - eta) * mu * ps * B
                                   + 2.0 * self.b * B * sqrt((1.0 - eta) * mu * ps * A)
                                   + self.c * A * B)
@@ -338,7 +321,6 @@ class PaScalarContext:
 class NspOptions:
     eps: float = 1e-4        # stop when both beamformer updates move less than this
     max_iters: int = 100
-    mu: float = 0.8          # block-1 share of the IRS power
 
 
 def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
@@ -364,7 +346,7 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
         theta1=np.ones(bch.n1, dtype=complex) / math.sqrt(bch.n1),
         theta2=np.ones(bch.n2, dtype=complex) / math.sqrt(bch.n2),
         rho1=0.0, rho2=0.0,
-        pa=PaFactors(eta=0.5, beta=0.5, mu=opt.mu),
+        pa=PaFactors(eta=0.5, beta=0.5),
         p_s=p_s,
     )
 
@@ -379,11 +361,11 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
             trace.add_flag(flag)
 
         ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
-                              opt.mu, p_s, noise)
+                              d.pa.mu, p_s, noise)
         spec = SearchSpec(objective=ctx, vectorized=True, seed=seed + it - 1)
         res = searcher(spec)
         eta, beta = res.point
-        d.pa = PaFactors(eta=eta, beta=beta, mu=opt.mu)
+        d.pa = PaFactors(eta, beta)
         d.rho1, d.rho2 = amplification_rho(bch, d, noise)
 
         delta_b = float(np.linalg.norm(d.v_b - prev_vb))

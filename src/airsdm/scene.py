@@ -19,7 +19,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -132,19 +131,7 @@ class SceneConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown scene keys: {sorted(unknown)}")
-        pos_keys = {"bs_pos", "irs1_pos", "irs2_pos", "bob_pos", "eve_pos"}
-        kwargs = {k: (tuple(v) if k in pos_keys else v) for k, v in data.items()}
-        return cls(**kwargs)
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_file(cls, path: str) -> "SceneConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls(**data)
 
 
 @dataclass

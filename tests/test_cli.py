@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from airsdm import cli
 from airsdm.cli import main
 from airsdm.harness import ExperimentSpec, SweepSpec, read_results_csv
 from airsdm.scene import benchmark_scene
@@ -111,11 +112,23 @@ def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
 
 
 def test_validate_reports_five_passing_suites(capsys):
-    assert main(["validate", "--checks", "2"]) == 0
+    assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "5/5 invariant suites passed" in out
     assert out.count("ok  ") == 5
     assert "FAIL" not in out
+
+
+def test_validate_exits_1_when_a_suite_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_SUITES", (
+        ("passing", lambda checks, seed: (True, "fine")),
+        ("failing", lambda checks, seed: (False, f"broken at seed {seed}")),
+    ))
+    assert main(["validate", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "ok   passing: fine" in out
+    assert "FAIL failing: broken at seed 3" in out
+    assert "1/2 invariant suites passed" in out
 
 
 def test_trace_emits_json_lines(capsys):

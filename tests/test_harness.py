@@ -78,8 +78,6 @@ def test_experiment_spec_validation():
         _spec(seeds=[1, 1, 2])
     with pytest.raises(ValueError):
         _spec(formats=["yaml"])
-    with pytest.raises(ValueError):
-        _spec(workers=0)
     # the PA-surface sweep only makes sense for power-split methods
     with pytest.raises(ValueError):
         _spec(sweep=SweepSpec("pa_grid", [(0.5, 0.5)]), methods=["ldt-cffp"])
@@ -88,13 +86,19 @@ def test_experiment_spec_validation():
 
 def test_experiment_spec_round_trips_through_json(tmp_path):
     spec = _spec(methods=["ldt-cffp", "nsp-mrr-pa/ES"],
-                 formats=["csv", "json"], out="results/run7", workers=2)
+                 formats=["csv", "json"], out="results/run7")
     again = ExperimentSpec.from_dict(spec.to_dict())
     assert again == spec
 
     path = tmp_path / "spec.json"
     spec.to_file(path)
     assert ExperimentSpec.from_file(path) == spec
+
+
+def test_experiment_spec_ignores_the_legacy_workers_key():
+    data = _spec().to_dict()
+    assert "workers" not in data
+    assert ExperimentSpec.from_dict({**data, "workers": 4}) == ExperimentSpec.from_dict(data)
 
 
 def test_experiment_spec_rejects_unknown_fields(tmp_path):
@@ -197,16 +201,6 @@ def test_run_experiment_turns_failures_into_flagged_rows(monkeypatch):
     for r in rows:
         if r.method == "zero-reflection":
             assert math.isfinite(r.sr_bits)
-
-
-def test_worker_count_does_not_change_the_table():
-    spec1 = _spec(seeds=[1, 2, 3])
-    spec2 = _spec(seeds=[1, 2, 3], workers=3)
-    rows1 = run_experiment(spec1)
-    rows2 = run_experiment(spec2)
-    strip = lambda r: (r.method, r.sweep_name, r.sweep_value, r.seed, r.sr_bits,
-                       r.iterations, tuple(r.flags), r.eta, r.beta)
-    assert [strip(r) for r in rows1] == [strip(r) for r in rows2]
 
 
 def test_run_experiment_ldt_rows_report_iterations():

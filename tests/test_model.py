@@ -12,8 +12,6 @@ from airsdm.model import (
     AuxVars,
     Design,
     NoiseProfile,
-    design_from_dict,
-    design_to_dict,
     effective_channel,
     ldt_objective,
     secrecy_rate,
@@ -136,15 +134,6 @@ def test_aux_vars_reject_negative_lambda():
 def test_noise_profile_rejects_nonpositive():
     with pytest.raises(ValueError):
         NoiseProfile(sigma2_b=0.0)
-
-
-def test_design_dict_round_trip():
-    rng = np.random.default_rng(5)
-    d = Design(v_b=crandn(rng, 4), v_e=crandn(rng, 4), theta=crandn(rng, 6))
-    again = design_from_dict(design_to_dict(d))
-    assert np.array_equal(again.v_b, d.v_b)
-    assert np.array_equal(again.v_e, d.v_e)
-    assert np.array_equal(again.theta, d.theta)
 
 
 def test_design_copy_is_deep():

@@ -229,16 +229,6 @@ def test_scalar_context_matches_the_full_model():
                 assert_allclose(ge, ge_full, rtol=1e-10)
 
 
-def test_scalar_context_rho_matches_the_closed_form():
-    rng = np.random.default_rng(8)
-    bch, d, ctx = _context_and_design(rng)
-    d.pa = PaFactors(eta=0.37, beta=0.61, mu=d.pa.mu)
-    rho1, rho2 = amplification_rho(bch, d, NOISE)
-    c1, c2 = ctx.rho(0.37, 0.61)
-    assert_allclose(c1, rho1, rtol=1e-12)
-    assert_allclose(c2, rho2, rtol=1e-12)
-
-
 def test_scalar_context_broadcasts_like_a_scalar_loop():
     rng = np.random.default_rng(9)
     _, _, ctx = _context_and_design(rng)

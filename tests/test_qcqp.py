@@ -19,7 +19,6 @@ from airsdm.ldt_cffp import (
     QcqpSolution,
     kkt_residuals,
     solve_qcqp,
-    update_lambda,
     update_mu,
 )
 
@@ -282,26 +281,6 @@ def test_solution_record_fields():
 
 
 # -- auxiliary updates -----------------------------------------------------------
-
-def test_update_lambda_frozen_values():
-    assert update_lambda(0.0) == 0.0
-    # t = 1.5: lambda = (2.25 + 1.5 * 2.5) / 2 = 3 exactly
-    assert_allclose(update_lambda(1.5), 3.0, rtol=1e-14)
-    # t = 10: lambda = 50 + 5 sqrt(104)
-    assert_allclose(update_lambda(10.0), 100.99019513592785, rtol=1e-14)
-
-
-def test_update_lambda_is_the_grid_argmax():
-    lam_grid = np.linspace(0.0, 400.0, 400001)
-    for t in (0.05, 0.7, 1.5, 4.0, 12.0):
-        f = np.log1p(lam_grid) - lam_grid + 2.0 * t * np.sqrt(1.0 + lam_grid)
-        lam_star = update_lambda(t)
-        f_star = math.log1p(lam_star) - lam_star + 2.0 * t * math.sqrt(1.0 + lam_star)
-        assert f_star >= float(f.max()) - 1e-9
-        # stationarity: 1/(1+lam) - 1 + t/sqrt(1+lam) = 0
-        assert_allclose(1.0 / (1.0 + lam_star) - 1.0 + t / math.sqrt(1.0 + lam_star),
-                        0.0, atol=1e-12)
-
 
 def test_update_mu_frozen_value_and_grid():
     assert update_mu(3.0, 1.0 + 1.0j, 2.0) == 1.0 + 1.0j
