@@ -18,7 +18,6 @@ from airsdm import (
     NoiseProfile,
     PaFactors,
     PaScalarContext,
-    SearchSpec,
     amplification_rho,
     annealing_search,
     benchmark_scene,
@@ -72,17 +71,17 @@ print(f"\n   range {lo:.4f} .. {hi:.4f} bits  "
 print(f"\n{'searcher':>12}  {'eta':>5}  {'beta':>5}  {'SR bits':>9}  "
       f"{'evals':>6}  {'wall ms':>8}")
 searchers = [
-    ("exhaustive", exhaustive_search, {}),
-    ("PSO", pso_search, {}),
-    ("annealing", annealing_search, {}),
-    ("fixed eta", fixed_eta_search, {}),
-    ("fixed beta", fixed_beta_search, {}),
-    ("fixed both", fixed_point_search, {}),
+    ("exhaustive", exhaustive_search),
+    ("PSO", pso_search),
+    ("annealing", annealing_search),
+    ("fixed eta", fixed_eta_search),
+    ("fixed beta", fixed_beta_search),
+    ("fixed both", fixed_point_search),
 ]
 best = None
-for name, fn, params in searchers:
+for name, fn in searchers:
     t0 = time.perf_counter()
-    res = fn(SearchSpec(objective=surface, vectorized=True, seed=11, **params))
+    res = fn(surface, 11)
     ms = 1e3 * (time.perf_counter() - t0)
     print(f"{name:>12}  {res.point[0]:>5.2f}  {res.point[1]:>5.2f}  "
           f"{res.value:>9.4f}  {res.evaluations:>6d}  {ms:>8.1f}")

@@ -50,7 +50,6 @@ from .nsp_mrr import (
     NspOptions,
 )
 from .pa_search import (
-    SearchSpec,
     SearchResult,
     exhaustive_search,
     pso_search,

@@ -327,6 +327,8 @@ _SUITES = (
 
 
 def _cmd_validate(args) -> int:
+    if args.checks < 1:
+        raise ValueError(f"--checks must be at least 1, got {args.checks}")
     failures = 0
     for name, check in _SUITES:
         ok, detail = check(args.checks, args.seed)

@@ -136,9 +136,13 @@ class ExperimentSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         self.seeds = [int(s) for s in self.seeds]
+        if not self.formats:
+            raise ValueError("formats must be non-empty")
         for f in self.formats:
             if f not in ("csv", "json"):
                 raise ValueError(f"unknown format {f!r}; expected 'csv' or 'json'")
+        if len(set(self.formats)) != len(self.formats):
+            raise ValueError("formats must be distinct")
         if self.sweep.kind == "pa_grid":
             bad = [m for m in self.methods if m not in _NSP_METHODS]
             if bad:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .scene import BlockedChannelSet
 from .model import NoiseProfile
-from .pa_search import SearchSpec, SearchResult, exhaustive_search
+from .pa_search import SearchResult, exhaustive_search
 from .trace import RunTrace
 
 __all__ = [
@@ -324,7 +324,7 @@ class NspOptions:
 
 
 def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
-                   searcher: Callable[[SearchSpec], SearchResult] = exhaustive_search,
+                   searcher: Callable[..., SearchResult] = exhaustive_search,
                    seed: int = 0, options: NspOptions | None = None,
                    ) -> tuple[BlockDesign, RunTrace]:
     """Alternate beamformers, reflect vectors, amplification and PA search.
@@ -362,8 +362,7 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
 
         ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
                               d.pa.mu, p_s, noise)
-        spec = SearchSpec(objective=ctx, vectorized=True, seed=seed + it - 1)
-        res = searcher(spec)
+        res = searcher(ctx, seed + it - 1)
         eta, beta = res.point
         d.pa = PaFactors(eta, beta)
         d.rho1, d.rho2 = amplification_rho(bch, d, noise)

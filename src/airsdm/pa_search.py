@@ -11,8 +11,11 @@ strictly inside (0,1)^2 and report a cumulative-best trace:
                       reflected at the box boundary and geometric cooling,
 * fixed_*           - pinned-factor baselines.
 
-All searchers are deterministic for a fixed SearchSpec (including seed)
-and never exceed the evaluation budget.
+Every searcher is called as ``searcher(objective, seed)``.  The objective
+takes two equal-shape float arrays and returns the values elementwise, or
+two Python floats and returns one value, as ``PaScalarContext`` does.  The
+box, grid, swarm and annealing settings are the module constants below;
+all searchers are deterministic for a fixed objective and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "SearchSpec",
     "SearchResult",
     "exhaustive_search",
     "pso_search",
@@ -34,38 +36,22 @@ __all__ = [
     "fixed_beta_search",
 ]
 
-
-@dataclass
-class SearchSpec:
-    """One search request: objective, box, seed, budget and method knobs."""
-
-    objective: Callable          # f(eta, beta) -> float (arrays ok when vectorized)
-    lo: float = 0.01             # box lower edge (both dimensions)
-    hi: float = 0.99             # box upper edge
-    seed: int = 0
-    vectorized: bool = False     # objective accepts equal-shape ndarrays
-    budget: int | None = None    # evaluation cap; None -> method default
-    # grid scan
-    grid_step: float = 0.01
-    # particle swarm
-    swarm: int = 30
-    iterations: int = 100
-    inertia: float = 0.7
-    c1: float = 1.5              # cognitive pull
-    c2: float = 1.5              # social pull
-    velocity_clamp: float = 0.2  # max |velocity| as a fraction of the box width
-    # annealing
-    t0: float = 1.0
-    cooling: float = 0.95
-    levels: int = 100
-    proposals_per_level: int = 20
-    proposal_step: float = 0.05  # Gaussian proposal std
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lo < self.hi < 1.0):
-            raise ValueError(f"box must satisfy 0 < lo < hi < 1, got [{self.lo}, {self.hi}]")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
+LO, HI = 0.01, 0.99                 # box edges (both dimensions)
+GRID = np.linspace(LO, HI, 99)      # grid axis, step 0.01
+PIN = 0.5                           # pinned factor of the fixed_* baselines
+# particle swarm
+SWARM = 30
+SWEEPS = 100
+INERTIA = 0.7
+C1 = 1.5                            # cognitive pull
+C2 = 1.5                            # social pull
+VMAX = 0.2 * (HI - LO)              # max |velocity| per dimension
+# annealing
+T0 = 1.0
+COOLING = 0.95
+LEVELS = 100
+PROPOSALS = 20                      # proposals per temperature level
+STEP = 0.05                         # Gaussian proposal std
 
 
 @dataclass
@@ -76,63 +62,41 @@ class SearchResult:
     trace: list[float] = field(default_factory=list)  # cumulative best
 
 
-def _grid_axis(spec: SearchSpec) -> np.ndarray:
-    ratio = (spec.hi - spec.lo) / spec.grid_step
-    if abs(ratio - round(ratio)) > 1e-6:
-        raise ValueError(
-            f"grid step {spec.grid_step} does not divide the box [{spec.lo}, {spec.hi}]")
-    return np.linspace(spec.lo, spec.hi, int(round(ratio)) + 1)
+def _values(objective: Callable, etas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    return np.asarray(objective(etas, betas), dtype=float)
 
 
-def _eval_points(spec: SearchSpec, etas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Objective at each (etas[i], betas[i]): one call when vectorized."""
-    if spec.vectorized:
-        return np.asarray(spec.objective(etas, betas), dtype=float)
-    return np.array([spec.objective(float(e), float(b)) for e, b in zip(etas, betas)],
-                    dtype=float)
-
-
-def exhaustive_search(spec: SearchSpec) -> SearchResult:
+def exhaustive_search(objective: Callable, seed: int = 0) -> SearchResult:
     """Full scan of the (eta, beta) grid; ties go to the smallest (eta, beta).
 
-    The first ``min(budget, n^2)`` grid points are evaluated row-major in
-    one objective call, then reduced row by row (one trace entry per row).
+    All grid points are evaluated row-major in one objective call, then
+    reduced row by row (one trace entry per row).  ``seed`` is unused.
     """
-    axis = _grid_axis(spec)
-    n = axis.size
-    cap = spec.budget if spec.budget is not None else n * n
-    evals = min(cap, n * n)
-    values = _eval_points(spec, np.repeat(axis, n)[:evals], np.tile(axis, n)[:evals])
+    n = GRID.size
+    values = _values(objective, np.repeat(GRID, n), np.tile(GRID, n))
     best_val = -math.inf
-    best_pt = (float(axis[0]), float(axis[0]))
+    best_pt = (float(GRID[0]), float(GRID[0]))
     trace: list[float] = []
-    for i in range(0, evals, n):
-        row = values[i:i + n]
+    for i, row in enumerate(values.reshape(n, n)):
         j = int(np.argmax(row))          # first index wins -> smallest beta
         if row[j] > best_val:            # strict -> smallest eta on ties
             best_val = float(row[j])
-            best_pt = (float(axis[i // n]), float(axis[j]))
+            best_pt = (float(GRID[i]), float(GRID[j]))
         trace.append(best_val)
-    return SearchResult(best_pt, best_val, evals, trace)
+    return SearchResult(best_pt, best_val, n * n, trace)
 
 
-def pso_search(spec: SearchSpec) -> SearchResult:
+def pso_search(objective: Callable, seed: int = 0) -> SearchResult:
     """Particle swarm with per-dimension uniform pull factors.
 
     Velocity: q <- w q + c1 r1 (p_best - p) + c2 r2 (g_best - p), clamped to
-    +-velocity_clamp * box width; positions are clipped to the box.
+    +-VMAX; positions are clipped to the box.
     """
-    rng = np.random.default_rng(spec.seed)
-    cap = spec.budget if spec.budget is not None else spec.swarm * (spec.iterations + 1)
-    swarm = min(spec.swarm, cap)         # a budget below one sweep shrinks the swarm
-    width = spec.hi - spec.lo
-    vmax = spec.velocity_clamp * width
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(LO, HI, size=(SWARM, 2))
+    vel = np.zeros((SWARM, 2))
 
-    pos = rng.uniform(spec.lo, spec.hi, size=(swarm, 2))
-    vel = np.zeros((swarm, 2))
-
-    vals = _eval_points(spec, pos[:, 0], pos[:, 1])
-    evals = pos.shape[0]
+    vals = _values(objective, pos[:, 0], pos[:, 1])
     pbest = pos.copy()
     pbest_val = vals.copy()
     g = int(np.argmax(vals))
@@ -140,18 +104,15 @@ def pso_search(spec: SearchSpec) -> SearchResult:
     gbest_val = float(vals[g])
     trace = [gbest_val]
 
-    for _ in range(spec.iterations):
-        if evals + swarm > cap:
-            break
-        r1 = rng.uniform(size=(swarm, 2))
-        r2 = rng.uniform(size=(swarm, 2))
-        vel = (spec.inertia * vel
-               + spec.c1 * r1 * (pbest - pos)
-               + spec.c2 * r2 * (gbest[None, :] - pos))
-        np.clip(vel, -vmax, vmax, out=vel)
-        pos = np.clip(pos + vel, spec.lo, spec.hi)
-        vals = _eval_points(spec, pos[:, 0], pos[:, 1])
-        evals += swarm
+    for _ in range(SWEEPS):
+        r1 = rng.uniform(size=(SWARM, 2))
+        r2 = rng.uniform(size=(SWARM, 2))
+        vel = (INERTIA * vel
+               + C1 * r1 * (pbest - pos)
+               + C2 * r2 * (gbest[None, :] - pos))
+        np.clip(vel, -VMAX, VMAX, out=vel)
+        pos = np.clip(pos + vel, LO, HI)
+        vals = _values(objective, pos[:, 0], pos[:, 1])
         better = vals > pbest_val
         pbest[better] = pos[better]
         pbest_val[better] = vals[better]
@@ -160,45 +121,40 @@ def pso_search(spec: SearchSpec) -> SearchResult:
             gbest_val = float(pbest_val[g])
             gbest = pbest[g].copy()
         trace.append(gbest_val)
-    return SearchResult((float(gbest[0]), float(gbest[1])), gbest_val, evals, trace)
+    return SearchResult((float(gbest[0]), float(gbest[1])), gbest_val,
+                        SWARM * (SWEEPS + 1), trace)
 
 
-def _reflect(x: float, lo: float, hi: float) -> float:
-    """Fold a scalar back into [lo, hi] by reflection at the edges."""
-    width = hi - lo
-    y = (x - lo) % (2.0 * width)
+def _reflect(x: float) -> float:
+    """Fold a scalar back into [LO, HI] by reflection at the edges."""
+    width = HI - LO
+    y = (x - LO) % (2.0 * width)
     if y > width:
         y = 2.0 * width - y
-    return lo + y
+    return LO + y
 
 
-def annealing_search(spec: SearchSpec) -> SearchResult:
+def annealing_search(objective: Callable, seed: int = 0) -> SearchResult:
     """Simulated annealing; worse moves accepted with prob exp(-loss/T).
 
     The Metropolis test runs on the negated objective (maximization), with
     Gaussian proposals reflected at the box boundary and T shrunk by the
     cooling factor after each temperature level.
     """
-    rng = np.random.default_rng(spec.seed)
-    cap = spec.budget if spec.budget is not None else spec.levels * spec.proposals_per_level + 1
-    lo, hi = spec.lo, spec.hi
-    z_eta, z_beta = rng.uniform(lo, hi, size=2).tolist()
-    fz = float(spec.objective(z_eta, z_beta))
-    evals = 1
+    rng = np.random.default_rng(seed)
+    z_eta, z_beta = rng.uniform(LO, HI, size=2).tolist()
+    fz = float(objective(z_eta, z_beta))
     best = (z_eta, z_beta)
     best_val = fz
     trace: list[float] = []
-    temp = spec.t0
+    temp = T0
 
-    for _ in range(spec.levels):
-        for _ in range(spec.proposals_per_level):
-            if evals >= cap:
-                break
-            step_eta, step_beta = rng.normal(0.0, spec.proposal_step, size=2).tolist()
-            eta = _reflect(z_eta + step_eta, lo, hi)
-            beta = _reflect(z_beta + step_beta, lo, hi)
-            fc = float(spec.objective(eta, beta))
-            evals += 1
+    for _ in range(LEVELS):
+        for _ in range(PROPOSALS):
+            step_eta, step_beta = rng.normal(0.0, STEP, size=2).tolist()
+            eta = _reflect(z_eta + step_eta)
+            beta = _reflect(z_beta + step_beta)
+            fc = float(objective(eta, beta))
             loss = fz - fc               # energy increase of the move
             if loss <= 0.0 or rng.uniform() < math.exp(-loss / temp):
                 z_eta, z_beta, fz = eta, beta, fc
@@ -206,31 +162,27 @@ def annealing_search(spec: SearchSpec) -> SearchResult:
                 best_val = fc
                 best = (eta, beta)
         trace.append(best_val)
-        temp *= spec.cooling
-        if evals >= cap:
-            break
-    return SearchResult(best, best_val, evals, trace)
+        temp *= COOLING
+    return SearchResult(best, best_val, LEVELS * PROPOSALS + 1, trace)
 
 
-def fixed_point_search(spec: SearchSpec, eta: float = 0.5, beta: float = 0.5) -> SearchResult:
+def fixed_point_search(objective: Callable, seed: int = 0) -> SearchResult:
     """Baseline: no search, evaluate the pinned (eta, beta) only."""
-    val = float(spec.objective(eta, beta))
-    return SearchResult((eta, beta), val, 1, [val])
+    val = float(objective(PIN, PIN))
+    return SearchResult((PIN, PIN), val, 1, [val])
 
 
-def fixed_eta_search(spec: SearchSpec, eta: float = 0.5) -> SearchResult:
-    """Baseline: eta pinned, beta scanned on the grid (first ``budget`` points)."""
-    axis = _grid_axis(spec)[:spec.budget]
-    row = _eval_points(spec, np.full(axis.size, eta), axis)
+def fixed_eta_search(objective: Callable, seed: int = 0) -> SearchResult:
+    """Baseline: eta pinned, beta scanned on the grid axis."""
+    row = _values(objective, np.full(GRID.size, PIN), GRID)
     j = int(np.argmax(row))
-    return SearchResult((eta, float(axis[j])), float(row[j]), axis.size,
+    return SearchResult((PIN, float(GRID[j])), float(row[j]), GRID.size,
                         list(np.maximum.accumulate(row)))
 
 
-def fixed_beta_search(spec: SearchSpec, beta: float = 0.5) -> SearchResult:
-    """Baseline: beta pinned, eta scanned on the grid (first ``budget`` points)."""
-    axis = _grid_axis(spec)[:spec.budget]
-    col = _eval_points(spec, axis, np.full(axis.size, beta))
+def fixed_beta_search(objective: Callable, seed: int = 0) -> SearchResult:
+    """Baseline: beta pinned, eta scanned on the grid axis."""
+    col = _values(objective, GRID, np.full(GRID.size, PIN))
     j = int(np.argmax(col))
-    return SearchResult((float(axis[j]), beta), float(col[j]), axis.size,
+    return SearchResult((float(GRID[j]), PIN), float(col[j]), GRID.size,
                         list(np.maximum.accumulate(col)))

@@ -131,6 +131,15 @@ def test_validate_exits_1_when_a_suite_fails(monkeypatch, capsys):
     assert "1/2 invariant suites passed" in out
 
 
+
+@pytest.mark.parametrize("checks", ["0", "-3"])
+def test_validate_rejects_fewer_than_one_check(monkeypatch, capsys, checks):
+    monkeypatch.setattr(cli, "_SUITES", (("passing", lambda checks, seed: (True, "fine")),))
+    assert main(["validate", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert "--checks must be at least 1" in captured.err
+    assert "suites passed" not in captured.out
+
 def test_trace_emits_json_lines(capsys):
     assert main(["trace", "--method", "nsp-mrr-pa/ES", "--n", "8",
                  "--seed", "1"]) == 0

@@ -84,6 +84,15 @@ def test_experiment_spec_validation():
     _spec(sweep=SweepSpec("pa_grid", [(0.5, 0.5)]), methods=["nsp-mrr-pa/ES"])
 
 
+
+def test_experiment_spec_rejects_empty_and_repeated_formats():
+    with pytest.raises(ValueError, match="non-empty"):
+        _spec(formats=[])
+    with pytest.raises(ValueError, match="non-empty"):
+        ExperimentSpec.from_dict({**_spec().to_dict(), "formats": []})
+    with pytest.raises(ValueError, match="distinct"):
+        _spec(formats=["csv", "csv"])
+
 def test_experiment_spec_round_trips_through_json(tmp_path):
     spec = _spec(methods=["ldt-cffp", "nsp-mrr-pa/ES"],
                  formats=["csv", "json"], out="results/run7")

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_block_design, random_blocked, unit
@@ -12,7 +11,6 @@ from airsdm.model import NoiseProfile
 from airsdm.nsp_mrr import PaScalarContext
 from airsdm.pa_search import (
     SearchResult,
-    SearchSpec,
     annealing_search,
     exhaustive_search,
     fixed_beta_search,
@@ -50,61 +48,35 @@ class CallCounter:
 # -- grid scan -----------------------------------------------------------------
 
 def test_grid_axis_has_99_points():
-    spec = SearchSpec(objective=bowl, vectorized=True)
-    res = exhaustive_search(spec)
+    res = exhaustive_search(bowl)
     assert res.evaluations == 99 * 99
     assert len(res.trace) == 99
 
 
 def test_grid_finds_the_on_grid_peak():
-    res = exhaustive_search(SearchSpec(objective=bowl, vectorized=True))
+    res = exhaustive_search(bowl)
     assert_allclose(res.point, (0.3, 0.7), atol=1e-12)
     assert_allclose(res.value, 0.0, atol=1e-24)
 
 
 def test_grid_trace_is_non_decreasing():
-    res = exhaustive_search(SearchSpec(objective=bowl, vectorized=True))
+    res = exhaustive_search(bowl)
     assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
     assert res.trace[-1] == res.value
 
 
 def test_grid_ties_go_to_the_smallest_pair():
-    res = exhaustive_search(SearchSpec(objective=lambda e, b: np.zeros_like(e),
-                                       vectorized=True))
+    res = exhaustive_search(lambda e, b: np.zeros_like(e))
     assert res.point == (0.01, 0.01)
 
 
-def test_grid_respects_an_evaluation_budget():
-    res = exhaustive_search(SearchSpec(objective=bowl, vectorized=True, budget=150))
-    assert res.evaluations == 150
-    # 99 first-row evals plus a 51-wide slice of the second row
-    assert len(res.trace) == 2
-
-
-def test_grid_scalar_and_vectorized_agree():
-    a = exhaustive_search(SearchSpec(objective=bowl, vectorized=True))
-    b = exhaustive_search(SearchSpec(objective=lambda e, b_: bowl(e, b_),
-                                     vectorized=False))
-    assert a.point == b.point
-    assert a.value == b.value
-    assert a.trace == b.trace
-
-
-def row_by_row_scan(spec):
-    """Reference grid scan: one objective call per grid row, budget cut mid-row."""
-    axis = np.linspace(spec.lo, spec.hi, round((spec.hi - spec.lo) / spec.grid_step) + 1)
-    cap = spec.budget if spec.budget is not None else axis.size ** 2
+def row_by_row_scan(objective):
+    """Reference grid scan: one objective call per grid row."""
+    axis = np.linspace(0.01, 0.99, 99)
     best_val, best_pt, trace, evals = -math.inf, (float(axis[0]), float(axis[0])), [], 0
     for eta in axis:
-        take = min(axis.size, cap - evals)
-        if take <= 0:
-            break
-        if spec.vectorized:
-            row = np.asarray(spec.objective(np.full(take, eta), axis[:take]), dtype=float)
-        else:
-            row = np.array([spec.objective(float(eta), float(b)) for b in axis[:take]],
-                           dtype=float)
-        evals += take
+        row = np.asarray(objective(np.full(axis.size, eta), axis), dtype=float)
+        evals += axis.size
         j = int(np.argmax(row))
         if row[j] > best_val:
             best_val, best_pt = float(row[j]), (float(eta), float(axis[j]))
@@ -120,19 +92,14 @@ def assert_same_result(a, b):
 
 
 def test_grid_calls_a_vectorized_objective_once():
-    for budget in (None, 1, 150):
-        counter = CallCounter(bowl)
-        exhaustive_search(SearchSpec(objective=counter, vectorized=True, budget=budget))
-        assert counter.calls == 1
+    counter = CallCounter(bowl)
+    exhaustive_search(counter)
+    assert counter.calls == 1
 
 
-@pytest.mark.parametrize("budget", [1, 98, 99, 150, 9801, 20000, None])
-def test_one_call_scan_matches_the_row_by_row_scan(budget):
+def test_one_call_scan_matches_the_row_by_row_scan():
     for objective in (bowl, terraced):
-        spec = SearchSpec(objective=objective, vectorized=True, budget=budget)
-        assert_same_result(exhaustive_search(spec), row_by_row_scan(spec))
-    spec = SearchSpec(objective=terraced, vectorized=False, budget=budget)
-    assert_same_result(exhaustive_search(spec), row_by_row_scan(spec))
+        assert_same_result(exhaustive_search(objective), row_by_row_scan(objective))
 
 
 def test_one_call_scan_matches_the_row_by_row_scan_on_a_secrecy_surface():
@@ -143,29 +110,13 @@ def test_one_call_scan_matches_the_row_by_row_scan_on_a_secrecy_surface():
         d = random_block_design(rng, bch, noise)
         ctx = PaScalarContext(bch, unit(d.v_b), unit(d.v_e), d.theta1, d.theta2,
                               d.pa.mu, d.p_s, noise)
-        spec = SearchSpec(objective=ctx, vectorized=True)
-        assert_same_result(exhaustive_search(spec), row_by_row_scan(spec))
-
-
-def test_indivisible_grid_step_raises():
-    with pytest.raises(ValueError):
-        exhaustive_search(SearchSpec(objective=bowl, grid_step=0.013))
-
-
-def test_bad_box_raises():
-    with pytest.raises(ValueError):
-        SearchSpec(objective=bowl, lo=0.5, hi=0.2)
-    with pytest.raises(ValueError):
-        SearchSpec(objective=bowl, lo=0.0, hi=0.99)
-    with pytest.raises(ValueError):
-        SearchSpec(objective=bowl, budget=0)
+        assert_same_result(exhaustive_search(ctx), row_by_row_scan(ctx))
 
 
 # -- particle swarm --------------------------------------------------------------
 
 def test_pso_stays_in_the_box_and_meets_its_budget():
-    spec = SearchSpec(objective=bowl, vectorized=True, seed=7)
-    res = pso_search(spec)
+    res = pso_search(bowl, 7)
     assert res.evaluations == 30 * 101
     assert 0.01 <= res.point[0] <= 0.99
     assert 0.01 <= res.point[1] <= 0.99
@@ -173,37 +124,59 @@ def test_pso_stays_in_the_box_and_meets_its_budget():
 
 
 def test_pso_nearly_solves_a_smooth_surface():
-    res = pso_search(SearchSpec(objective=bowl, vectorized=True, seed=1))
+    res = pso_search(bowl, 1)
     assert res.value >= -1e-6          # true max is 0
     assert abs(res.point[0] - 0.3) <= 1e-2
     assert abs(res.point[1] - 0.7) <= 1e-2
 
 
 def test_pso_is_seed_deterministic():
-    a = pso_search(SearchSpec(objective=tilted, vectorized=True, seed=5))
-    b = pso_search(SearchSpec(objective=tilted, vectorized=True, seed=5))
+    a = pso_search(tilted, 5)
+    b = pso_search(tilted, 5)
     assert a.point == b.point and a.value == b.value and a.trace == b.trace
-    c = pso_search(SearchSpec(objective=tilted, vectorized=True, seed=6))
+    c = pso_search(tilted, 6)
     assert c.point != a.point or c.trace != a.trace
 
 
-def test_pso_budget_truncates_iterations():
-    res = pso_search(SearchSpec(objective=bowl, vectorized=True, seed=0, budget=100))
-    assert res.evaluations == 90       # 3 full swarm sweeps fit under 100
-
-
-def test_pso_budget_below_the_swarm_caps_the_initial_swarm():
-    counter = CallCounter(bowl)
-    res = pso_search(SearchSpec(objective=counter, vectorized=False, seed=0, budget=10))
-    assert res.evaluations == 10
-    assert counter.calls == 10
-    assert len(res.trace) == 1
+def test_pso_golden_run_on_the_bowl():
+    # Recorded before the swarm settings became module constants.
+    res = pso_search(bowl, 7)
+    assert res.point == (0.30000000364585944, 0.7000000168738753)
+    assert res.value == -2.9801995865192557e-16
+    assert res.evaluations == 3030
+    runs = [(-0.01487117337686665, 1), (-0.0005441418410210482, 2),
+            (-0.0001832807391964891, 1), (-0.00011461500892055918, 3),
+            (-5.5752621119903344e-05, 1), (-1.3895578181022185e-05, 2),
+            (-4.232055260879083e-06, 2), (-9.182303537757887e-07, 2),
+            (-2.1618611079436553e-07, 7), (-1.1161151241930541e-08, 4),
+            (-7.598633919154386e-09, 6), (-5.143385417877296e-09, 2),
+            (-2.066182043575242e-09, 7), (-1.4252043934094124e-09, 6),
+            (-9.304410414273188e-10, 1), (-2.3161334726910172e-10, 1),
+            (-1.332455986161762e-10, 2), (-1.0386413802777477e-10, 2),
+            (-9.155667460117857e-11, 1), (-5.1096435638006106e-11, 1),
+            (-2.986762796085844e-11, 1), (-1.848320878956805e-11, 1),
+            (-1.2217231009310303e-11, 1), (-8.665573226256914e-12, 1),
+            (-6.588330843257416e-12, 1), (-2.6440824890968104e-12, 1),
+            (-1.7711062200584595e-12, 1), (-7.321732138935788e-13, 1),
+            (-7.181319453124846e-13, 2), (-4.528982673205668e-13, 1),
+            (-2.0089192033076226e-13, 1), (-1.0847772358445752e-13, 1),
+            (-8.494300650454818e-14, 4), (-8.11580615237555e-14, 1),
+            (-7.912173219168082e-14, 1), (-7.838769775807354e-14, 1),
+            (-7.821265775986662e-14, 3), (-7.818563058625288e-14, 1),
+            (-7.816088801675391e-14, 1), (-7.814361909286821e-14, 1),
+            (-7.8131555788419e-14, 1), (-7.812312369379751e-14, 1),
+            (-7.811722719145822e-14, 1), (-7.811310259497877e-14, 1),
+            (-7.811021681666987e-14, 1), (-1.0458197718456758e-14, 2),
+            (-1.4857414038643796e-15, 3), (-1.0118192639323305e-15, 1),
+            (-7.009844063718046e-16, 3), (-3.280451697713561e-16, 6),
+            (-2.9801995865192557e-16, 1)]
+    assert res.trace == [value for value, count in runs for _ in range(count)]
 
 
 # -- simulated annealing ------------------------------------------------------------
 
 def test_annealing_budget_and_box():
-    res = annealing_search(SearchSpec(objective=bowl, seed=3))
+    res = annealing_search(bowl, 3)
     assert res.evaluations == 100 * 20 + 1
     assert 0.01 <= res.point[0] <= 0.99
     assert 0.01 <= res.point[1] <= 0.99
@@ -211,7 +184,7 @@ def test_annealing_budget_and_box():
 
 
 def test_annealing_nearly_solves_a_smooth_surface():
-    res = annealing_search(SearchSpec(objective=bowl, seed=11))
+    res = annealing_search(bowl, 11)
     assert res.value >= -1e-4
     assert abs(res.point[0] - 0.3) <= 0.05
     assert abs(res.point[1] - 0.7) <= 0.05
@@ -219,7 +192,7 @@ def test_annealing_nearly_solves_a_smooth_surface():
 
 def test_annealing_golden_run_on_the_bowl():
     # Recorded from the array-state implementation this float loop replaced.
-    res = annealing_search(SearchSpec(objective=bowl, seed=3))
+    res = annealing_search(bowl, 3)
     assert res.point == (0.30108615815685413, 0.7067612073352405)
     assert res.value == -4.6893664171811393e-05
     assert res.evaluations == 2001
@@ -231,8 +204,8 @@ def test_annealing_golden_run_on_the_bowl():
 
 
 def test_annealing_is_seed_deterministic():
-    a = annealing_search(SearchSpec(objective=bowl, seed=9))
-    b = annealing_search(SearchSpec(objective=bowl, seed=9))
+    a = annealing_search(bowl, 9)
+    b = annealing_search(bowl, 9)
     assert a.point == b.point and a.value == b.value
 
 
@@ -243,7 +216,7 @@ def test_annealing_prefers_the_global_basin_of_a_two_peak_surface():
         return tall + short
 
     hits = sum(
-        annealing_search(SearchSpec(objective=two_peaks, seed=s)).point[0] > 0.5
+        annealing_search(two_peaks, s).point[0] > 0.5
         for s in range(10))
     assert hits >= 8
 
@@ -251,14 +224,14 @@ def test_annealing_prefers_the_global_basin_of_a_two_peak_surface():
 # -- pinned baselines -----------------------------------------------------------------
 
 def test_fixed_point_evaluates_once():
-    res = fixed_point_search(SearchSpec(objective=bowl))
+    res = fixed_point_search(bowl)
     assert res.evaluations == 1
     assert res.point == (0.5, 0.5)
     assert res.value == bowl(0.5, 0.5)
 
 
 def test_fixed_eta_scans_beta_only():
-    res = fixed_eta_search(SearchSpec(objective=bowl, vectorized=True))
+    res = fixed_eta_search(bowl)
     assert res.evaluations == 99
     assert res.point[0] == 0.5
     assert_allclose(res.point[1], 0.7, atol=1e-12)
@@ -266,27 +239,8 @@ def test_fixed_eta_scans_beta_only():
 
 
 def test_fixed_beta_scans_eta_only():
-    res = fixed_beta_search(SearchSpec(objective=bowl, vectorized=True))
+    res = fixed_beta_search(bowl)
     assert res.evaluations == 99
     assert res.point[1] == 0.5
     assert_allclose(res.point[0], 0.3, atol=1e-12)
     assert_allclose(res.value, bowl(0.3, 0.5), atol=1e-15)
-
-
-def test_fixed_searchers_accept_custom_pins():
-    res = fixed_eta_search(SearchSpec(objective=bowl, vectorized=True), eta=0.9)
-    assert_allclose(res.point, (0.9, 0.7), atol=1e-12)
-    res = fixed_beta_search(SearchSpec(objective=bowl, vectorized=True), beta=0.1)
-    assert_allclose(res.point, (0.3, 0.1), atol=1e-12)
-    res = fixed_point_search(SearchSpec(objective=bowl), eta=0.25, beta=0.75)
-    assert res.point == (0.25, 0.75)
-
-
-@pytest.mark.parametrize("search, scanned", [(fixed_eta_search, 1), (fixed_beta_search, 0)])
-def test_fixed_scans_stop_at_the_budget(search, scanned):
-    counter = CallCounter(bowl)
-    res = search(SearchSpec(objective=counter, vectorized=False, budget=10))
-    assert res.evaluations == 10
-    assert counter.calls == 10
-    assert len(res.trace) == 10
-    assert_allclose(res.point[scanned], 0.10, atol=1e-12)  # best of the first ten points
