@@ -67,6 +67,28 @@ _NSP_METHODS = ("nsp-mrr-pa/ES", "nsp-mrr-pa/PSO", "nsp-mrr-pa/SA",
                 "fixed-eta", "fixed-beta", "fixed-both")
 
 
+def _integer(v, what: str) -> int:
+    """``v`` as an int; ValueError unless it is an integral number."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):   # None, text, NaN, inf
+        i = None
+    if i is None or i != v:
+        raise ValueError(f"{what} must be integers, got {v!r}")
+    return i
+
+
+def _finite(v, what: str) -> float:
+    """``v`` as a float; ValueError unless it is a finite number."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite numbers, got {v!r}")
+    return x
+
+
 @dataclass
 class SweepSpec:
     """One sweep axis: what varies between experiment points.
@@ -83,25 +105,28 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}; expected one of {SWEEP_KINDS}")
-        if not self.values:
-            raise ValueError("sweep values must be non-empty")
+        if not isinstance(self.values, (list, tuple)) or not self.values:
+            raise ValueError(f"sweep values must be a non-empty list, got {self.values!r}")
         if self.kind in ("n_elements", "n1", "n2"):
-            for v in self.values:
-                if int(v) != v or v < 1:
-                    raise ValueError(f"{self.kind} values must be positive integers, got {v!r}")
-            if self.kind == "n_elements" and any(int(v) % 2 for v in self.values):
+            values = [_integer(v, f"{self.kind} values") for v in self.values]
+            if any(v < 1 for v in values):
+                raise ValueError(f"{self.kind} values must be positive integers, got {self.values!r}")
+            if self.kind == "n_elements" and any(v % 2 for v in values):
                 raise ValueError("n_elements values must be even (blocked methods split N in half)")
-            self.values = [int(v) for v in self.values]
+            self.values = values
         elif self.kind == "pa_grid":
             pairs = []
             for v in self.values:
-                e, b = v
-                if not (0.0 < e < 1.0 and 0.0 < b < 1.0):
+                try:
+                    e, b = (float(x) for x in v)
+                except (TypeError, ValueError):
+                    raise ValueError(f"pa_grid values must be (eta, beta) pairs, got {v!r}") from None
+                if not (0.0 < e < 1.0 and 0.0 < b < 1.0):   # also rejects NaN
                     raise ValueError(f"pa_grid pairs must lie in (0, 1)^2, got {v!r}")
-                pairs.append((float(e), float(b)))
+                pairs.append((e, b))
             self.values = pairs
         else:
-            self.values = [float(v) for v in self.values]
+            self.values = [_finite(v, f"{self.kind} values") for v in self.values]
 
     def to_dict(self) -> dict:
         values = [list(v) if isinstance(v, tuple) else v for v in self.values]
@@ -123,6 +148,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.sweep, dict):
+            if set(self.sweep) != {"kind", "values"}:
+                raise ValueError(f"sweep needs exactly 'kind' and 'values', got {sorted(self.sweep)}")
             self.sweep = SweepSpec(**self.sweep)
         if isinstance(self.scene, dict):
             self.scene = SceneConfig.from_dict(self.scene)
@@ -131,11 +158,13 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        self.power_dbm = _finite(self.power_dbm, "power_dbm")
+        self.noise_dbm = _finite(self.noise_dbm, "noise_dbm")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        self.seeds = [_integer(s, "seeds") for s in self.seeds]
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        self.seeds = [int(s) for s in self.seeds]
         if not self.formats:
             raise ValueError("formats must be non-empty")
         for f in self.formats:

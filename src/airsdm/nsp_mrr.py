@@ -334,6 +334,11 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     carries amplification gains recomputed at the searched (eta, beta), so
     its BS + IRS power spend equals p_s exactly.  Deterministic for fixed
     inputs; ``seed`` only feeds stochastic searchers.
+
+    Pass ``it`` calls ``searcher(ctx, seed + it - 1, start=...)`` with no
+    start on the first pass and the previous pass's split afterwards, so a
+    warm-started searcher (annealing) settles with the beamformers instead
+    of jittering around a fresh random start on every pass.
     """
     opt = options or NspOptions()
     trace = RunTrace()
@@ -350,6 +355,7 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
         p_s=p_s,
     )
 
+    start = None
     for it in range(1, opt.max_iters + 1):
         prev_vb, prev_ve = d.v_b, d.v_e
         v_b, v_e, fl = nsp_beamformers(bch, d)
@@ -362,7 +368,8 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
 
         ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
                               d.pa.mu, p_s, noise)
-        res = searcher(ctx, seed + it - 1)
+        res = searcher(ctx, seed + it - 1, start=start)
+        start = res.point                # the next pass's search begins here
         eta, beta = res.point
         d.pa = PaFactors(eta, beta)
         d.rho1, d.rho2 = amplification_rho(bch, d, noise)

@@ -11,11 +11,15 @@ strictly inside (0,1)^2 and report a cumulative-best trace:
                       reflected at the box boundary and geometric cooling,
 * fixed_*           - pinned-factor baselines.
 
-Every searcher is called as ``searcher(objective, seed)``.  The objective
-takes two equal-shape float arrays and returns the values elementwise, or
-two Python floats and returns one value, as ``PaScalarContext`` does.  The
-box, grid, swarm and annealing settings are the module constants below;
-all searchers are deterministic for a fixed objective and seed.
+Every searcher is called as ``searcher(objective, seed, start=None)``.  The
+objective takes two equal-shape float arrays and returns the values
+elementwise, or two Python floats and returns one value, as
+``PaScalarContext`` does.  ``start`` is an optional warm-start point, a
+finite (eta, beta) pair inside the box; only annealing uses it (its chain
+begins there instead of at a uniform draw), the others check it and
+ignore it.  The box, grid, swarm and annealing settings are the module
+constants below; all searchers are deterministic for a fixed objective,
+seed and start.
 """
 
 from __future__ import annotations
@@ -62,16 +66,32 @@ class SearchResult:
     trace: list[float] = field(default_factory=list)  # cumulative best
 
 
+def _check_start(start: tuple[float, float] | None) -> tuple[float, float] | None:
+    """The warm-start point as two floats; ValueError unless inside the box."""
+    if start is None:
+        return None
+    try:
+        eta, beta = (float(x) for x in start)
+    except (TypeError, ValueError):
+        raise ValueError(f"start must be an (eta, beta) pair, got {start!r}") from None
+    if not (LO <= eta <= HI and LO <= beta <= HI):   # also rejects NaN
+        raise ValueError(f"start must lie in [{LO}, {HI}]^2, got {start!r}")
+    return eta, beta
+
+
 def _values(objective: Callable, etas: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return np.asarray(objective(etas, betas), dtype=float)
 
 
-def exhaustive_search(objective: Callable, seed: int = 0) -> SearchResult:
+def exhaustive_search(objective: Callable, seed: int = 0,
+                      start: tuple[float, float] | None = None) -> SearchResult:
     """Full scan of the (eta, beta) grid; ties go to the smallest (eta, beta).
 
     All grid points are evaluated row-major in one objective call, then
-    reduced row by row (one trace entry per row).  ``seed`` is unused.
+    reduced row by row (one trace entry per row).  ``seed`` and ``start``
+    are unused.
     """
+    _check_start(start)
     n = GRID.size
     values = _values(objective, np.repeat(GRID, n), np.tile(GRID, n))
     best_val = -math.inf
@@ -86,12 +106,14 @@ def exhaustive_search(objective: Callable, seed: int = 0) -> SearchResult:
     return SearchResult(best_pt, best_val, n * n, trace)
 
 
-def pso_search(objective: Callable, seed: int = 0) -> SearchResult:
+def pso_search(objective: Callable, seed: int = 0,
+               start: tuple[float, float] | None = None) -> SearchResult:
     """Particle swarm with per-dimension uniform pull factors.
 
     Velocity: q <- w q + c1 r1 (p_best - p) + c2 r2 (g_best - p), clamped to
-    +-VMAX; positions are clipped to the box.
+    +-VMAX; positions are clipped to the box.  ``start`` is unused.
     """
+    _check_start(start)
     rng = np.random.default_rng(seed)
     pos = rng.uniform(LO, HI, size=(SWARM, 2))
     vel = np.zeros((SWARM, 2))
@@ -134,15 +156,19 @@ def _reflect(x: float) -> float:
     return LO + y
 
 
-def annealing_search(objective: Callable, seed: int = 0) -> SearchResult:
+def annealing_search(objective: Callable, seed: int = 0,
+                     start: tuple[float, float] | None = None) -> SearchResult:
     """Simulated annealing; worse moves accepted with prob exp(-loss/T).
 
     The Metropolis test runs on the negated objective (maximization), with
     Gaussian proposals reflected at the box boundary and T shrunk by the
-    cooling factor after each temperature level.
+    cooling factor after each temperature level.  The chain and the best
+    so far begin at ``start``, scored under ``objective``, or at a uniform
+    draw from the box when ``start`` is None.
     """
     rng = np.random.default_rng(seed)
-    z_eta, z_beta = rng.uniform(LO, HI, size=2).tolist()
+    z = _check_start(start)
+    z_eta, z_beta = rng.uniform(LO, HI, size=2).tolist() if z is None else z
     fz = float(objective(z_eta, z_beta))
     best = (z_eta, z_beta)
     best_val = fz
@@ -166,22 +192,28 @@ def annealing_search(objective: Callable, seed: int = 0) -> SearchResult:
     return SearchResult(best, best_val, LEVELS * PROPOSALS + 1, trace)
 
 
-def fixed_point_search(objective: Callable, seed: int = 0) -> SearchResult:
+def fixed_point_search(objective: Callable, seed: int = 0,
+                       start: tuple[float, float] | None = None) -> SearchResult:
     """Baseline: no search, evaluate the pinned (eta, beta) only."""
+    _check_start(start)
     val = float(objective(PIN, PIN))
     return SearchResult((PIN, PIN), val, 1, [val])
 
 
-def fixed_eta_search(objective: Callable, seed: int = 0) -> SearchResult:
+def fixed_eta_search(objective: Callable, seed: int = 0,
+                     start: tuple[float, float] | None = None) -> SearchResult:
     """Baseline: eta pinned, beta scanned on the grid axis."""
+    _check_start(start)
     row = _values(objective, np.full(GRID.size, PIN), GRID)
     j = int(np.argmax(row))
     return SearchResult((PIN, float(GRID[j])), float(row[j]), GRID.size,
                         list(np.maximum.accumulate(row)))
 
 
-def fixed_beta_search(objective: Callable, seed: int = 0) -> SearchResult:
+def fixed_beta_search(objective: Callable, seed: int = 0,
+                      start: tuple[float, float] | None = None) -> SearchResult:
     """Baseline: beta pinned, eta scanned on the grid axis."""
+    _check_start(start)
     col = _values(objective, GRID, np.full(GRID.size, PIN))
     j = int(np.argmax(col))
     return SearchResult((float(GRID[j]), PIN), float(col[j]), GRID.size,

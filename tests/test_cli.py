@@ -104,6 +104,26 @@ def test_run_with_a_missing_spec_is_an_invalid_spec_error(tmp_path, capsys):
     assert "airsdm:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"sweep": {"kind": "pa_grid", "values": [0.5]}},
+    {"sweep": {"kind": "total_power_dbm", "values": [None]}},
+    {"power_dbm": float("nan")},
+    {"noise_dbm": float("inf")},
+    {"seeds": [1, 1.5]},
+])
+def test_run_with_a_malformed_spec_is_an_invalid_spec_error(tmp_path, capsys, change):
+    spec = ExperimentSpec(
+        sweep=SweepSpec("n_elements", [8]), methods=["nsp-mrr-pa/ES"],
+        scene=benchmark_scene(m_bs=4, n_irs=8), seeds=[1],
+        out=str(tmp_path / "never-written"),
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec.to_dict(), **change}))   # NaN/Infinity literals
+    assert main(["run", str(path)]) == 2
+    assert "airsdm:" in capsys.readouterr().err
+    assert not (tmp_path / "never-written.csv").exists()
+
+
 def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
     code = main(["sweep", "--n", "8", "--method", "zero-reflection",
                  "--seeds", "1", "--out", str(tmp_path / "no-such-dir" / "res")])

@@ -85,6 +85,43 @@ def test_experiment_spec_validation():
 
 
 
+def test_experiment_spec_rejects_non_integral_and_colliding_seeds():
+    for seeds in ([1, 1.5], [2.5], [1, None], [1, "2"], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="seeds"):
+            _spec(seeds=seeds)
+    # distinct before the int conversion, equal after it
+    with pytest.raises(ValueError, match="distinct"):
+        _spec(seeds=[1, 1.0])
+    assert _spec(seeds=[3.0, 1]).seeds == [3, 1]
+
+
+def test_malformed_sweep_values_raise_value_errors():
+    bad = [("pa_grid", [0.5]), ("pa_grid", [None]), ("pa_grid", [(0.5,)]),
+           ("pa_grid", [(0.2, 0.3, 0.4)]), ("pa_grid", [("a", 0.5)]),
+           ("pa_grid", [(math.nan, 0.5)]), ("n_elements", [None]),
+           ("n_elements", [math.nan]), ("n_elements", [math.inf]), ("n1", ["4"]),
+           ("total_power_dbm", [None]), ("total_power_dbm", [math.nan]),
+           ("total_power_dbm", [20.0, math.inf]), ("total_power_dbm", [-math.inf]),
+           ("total_power_dbm", 20.0), ("total_power_dbm", None)]
+    for kind, values in bad:
+        with pytest.raises(ValueError):
+            SweepSpec(kind, values)
+    with pytest.raises(ValueError, match="kind"):
+        _spec(sweep={"kind": "n_elements"})
+    with pytest.raises(ValueError, match="kind"):
+        _spec(sweep={"kind": "n_elements", "values": [8], "step": 2})
+
+
+def test_experiment_spec_rejects_non_finite_powers():
+    for bad in (math.nan, math.inf, -math.inf, None, "loud"):
+        with pytest.raises(ValueError, match="power_dbm"):
+            _spec(power_dbm=bad)
+        with pytest.raises(ValueError, match="noise_dbm"):
+            _spec(noise_dbm=bad)
+    spec = _spec(power_dbm=25, noise_dbm=-80)
+    assert (spec.power_dbm, spec.noise_dbm) == (25.0, -80.0)
+
+
 def test_experiment_spec_rejects_empty_and_repeated_formats():
     with pytest.raises(ValueError, match="non-empty"):
         _spec(formats=[])

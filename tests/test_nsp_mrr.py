@@ -1,6 +1,7 @@
 """Blocked pipeline: projectors, closed-form beams, gains, scalar PA path."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from airsdm.nsp_mrr import (
     run_nsp_mrr_pa,
 )
 from airsdm.pa_search import annealing_search, pso_search
-from airsdm.scene import BlockedChannelSet, benchmark_scene, build_channels
+from airsdm.scene import BlockedChannelSet, benchmark_scene, build_channels, dbm_to_watts
 
 
 NOISE = NoiseProfile(sigma2_irs=0.03, sigma2_b=0.05, sigma2_e=0.04)
@@ -380,3 +381,39 @@ def test_pipeline_accepts_stochastic_searchers():
         assert trace.rows[0]["search_evals"] == evals
         assert 0.0 < d.pa.eta < 1.0 and 0.0 < d.pa.beta < 1.0
         assert np.isfinite(blocked_secrecy_rate(bch, d, noise))
+
+
+def test_pipeline_warm_starts_each_search_from_the_previous_split():
+    cfg = benchmark_scene(m_bs=6, n_irs=16)
+    _, bch = build_channels(cfg)
+    calls = []
+
+    def recording(objective, seed, start=None):
+        res = annealing_search(objective, seed, start=start)
+        calls.append((seed, start, res.point))
+        return res
+
+    _, trace = run_nsp_mrr_pa(bch, NoiseProfile(), p_s=0.1, searcher=recording, seed=4)
+    assert len(calls) == trace.iterations >= 2
+    assert [seed for seed, _, _ in calls] == list(range(4, 4 + len(calls)))
+    assert calls[0][1] is None
+    for (_, _, point), (_, start, _) in zip(calls, calls[1:]):
+        assert start == point
+
+
+def test_annealing_pipeline_converges_on_scattered_channels():
+    # Criterion 10's Rician scene: a cold-started search per pass used to jitter
+    # the split and run every annealing cell to the iteration cap.
+    cfg = benchmark_scene(m_bs=8, n_irs=8, n1=4, n2=4, rician_k_db=5.0, pl_ref_db=-60.0)
+    w = dbm_to_watts(-70.0)
+    noise = NoiseProfile(sigma2_irs=w, sigma2_b=w, sigma2_e=w)
+    p_s = dbm_to_watts(20.0)
+    for draw in (1, 2):
+        _, bch = build_channels(replace(cfg, seed=cfg.seed + draw))
+        d_es, _ = run_nsp_mrr_pa(bch, noise, p_s, seed=draw)
+        sr_es = blocked_secrecy_rate(bch, d_es, noise)
+        for seed in (1, 2, 3):
+            d, trace = run_nsp_mrr_pa(bch, noise, p_s, searcher=annealing_search, seed=seed)
+            assert trace.converged and "iteration-cap" not in trace.flags
+            assert trace.iterations <= 20
+            assert abs(blocked_secrecy_rate(bch, d, noise) - sr_es) <= 1e-3

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_block_design, random_blocked, unit
@@ -244,3 +245,73 @@ def test_fixed_beta_scans_eta_only():
     assert res.point[1] == 0.5
     assert_allclose(res.point[0], 0.3, atol=1e-12)
     assert_allclose(res.value, bowl(0.3, 0.5), atol=1e-15)
+
+
+# -- warm start ---------------------------------------------------------------------
+
+STARTS = [(0.9, 0.1), (0.3, 0.7), (0.01, 0.99), (0.99, 0.01)]
+BAD_STARTS = [(0.0, 0.5), (0.5, 1.0), (0.005, 0.5), (0.5, 0.995), (math.nan, 0.5),
+              (0.5, math.inf), (-math.inf, 0.5), (0.5,), (0.1, 0.2, 0.3), "ab", 0.5,
+              (None, 0.5)]
+ALL_SEARCHERS = [exhaustive_search, pso_search, annealing_search,
+                 fixed_point_search, fixed_eta_search, fixed_beta_search]
+
+
+@pytest.mark.parametrize("searcher", [exhaustive_search, pso_search, fixed_point_search,
+                                      fixed_eta_search, fixed_beta_search])
+def test_searchers_other_than_annealing_ignore_the_start(searcher):
+    for objective in (bowl, tilted):
+        cold = searcher(objective, 4)
+        for start in STARTS + [np.array([0.5, 0.5])]:
+            assert_same_result(searcher(objective, 4, start=start), cold)
+
+
+@pytest.mark.parametrize("searcher", ALL_SEARCHERS)
+def test_a_start_outside_the_box_or_not_a_finite_pair_raises(searcher):
+    for start in BAD_STARTS:
+        with pytest.raises(ValueError, match="start"):
+            searcher(bowl, 1, start=start)
+
+
+def test_annealing_without_a_start_is_the_cold_search():
+    assert_same_result(annealing_search(bowl, 3, start=None), annealing_search(bowl, 3))
+
+
+def test_warm_annealing_never_ends_below_its_start():
+    for objective in (bowl, tilted):
+        for start in STARTS:
+            for seed in range(4):
+                res = annealing_search(objective, seed, start=start)
+                assert res.value >= objective(*start)
+                assert res.trace[0] >= objective(*start)
+                assert res.evaluations == 2001
+                assert len(res.trace) == 100
+
+
+def test_warm_annealing_begins_at_the_start_and_draws_no_uniform_point():
+    seen = []
+
+    def recording(eta, beta):
+        seen.append((eta, beta))
+        return bowl(eta, beta)
+
+    res = annealing_search(recording, 5, start=(0.9, 0.1))
+    assert len(seen) == res.evaluations == 2001
+    assert seen[0] == (0.9, 0.1)
+    # the first proposal is the first normal draw of a fresh stream
+    step = np.random.default_rng(5).normal(0.0, 0.05, size=2)
+    assert_allclose(seen[1], (0.9 + step[0], 0.1 + step[1]), rtol=0, atol=1e-15)
+
+
+def test_warm_annealing_golden_run_on_the_bowl():
+    res = annealing_search(bowl, 3, start=(0.9, 0.1))
+    assert res.point == (0.2987504627652005, 0.701868680104511)
+    assert res.value == -5.053308634145658e-06
+    assert res.evaluations == 2001
+    runs = [(-0.5004392518019556, 1), (-0.4780267810914766, 1),
+            (-0.18954676203163984, 1), (-0.12251860745830125, 1),
+            (-0.10224603090070614, 4), (-0.09908944004998646, 4),
+            (-0.05524960345592088, 1), (-0.0354970433040335, 1),
+            (-0.004468122349534878, 1), (-2.413826652762721e-05, 68),
+            (-5.053308634145658e-06, 17)]
+    assert res.trace == [value for value, count in runs for _ in range(count)]
