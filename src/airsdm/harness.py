@@ -165,6 +165,13 @@ class ExperimentSpec:
         self.seeds = [_integer(s, "seeds") for s in self.seeds]
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        # run seeds seed the optimizers' generators; a Rician scene draws its
+        # channels with scene.seed + run seed (see _scene_at)
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if self.scene.rician_k_db is not None and self.scene.seed + min(self.seeds) < 0:
+            raise ValueError(f"scene.seed + run seed must be non-negative on a Rician "
+                             f"scene, got {self.scene.seed} + {min(self.seeds)}")
         if not self.formats:
             raise ValueError("formats must be non-empty")
         for f in self.formats:

@@ -10,19 +10,22 @@ of the surrogate in that block, so the recorded objective never decreases.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .scene import ChannelSet
 from .model import (
     Design,
+    DesignState,
+    Evaluation,
     NoiseProfile,
     AuxVars,
-    effective_channel,
-    _receiver_terms,
+    _sq_norm,
+    # not called here; kept as module globals that traced runs wrap
     secrecy_rate,
     total_power,
     ldt_objective,
@@ -50,12 +53,32 @@ class BudgetExhausted(RuntimeError):
     """Raised when a block subproblem is left with a non-positive power budget."""
 
 
-def _hermitian_part(name: str, M: np.ndarray) -> np.ndarray:
-    """M symmetrized against rounding; raises unless M is Hermitian to 1e-8."""
-    Mh = M.conj().T
-    if np.abs(M - Mh).max() > 1e-8 * (float(np.abs(M).max()) or 1.0):
+def _hermitian_part(name: str, M: np.ndarray) -> tuple[np.ndarray, bool]:
+    """M symmetrized against rounding, and whether it is diagonal; raises
+    unless M is Hermitian to 1e-8, max|M - M^H| <= 1e-8 max|M|.
+
+    A diagonal M costs O(n): M - M^H is 2i Im(diag M) and the Hermitian
+    part is diag(Re M).  Otherwise max|M| >= max|M_ii|, so every entry is
+    scanned for the scale only when the diagonal's does not pass the skew.
+    """
+    m = M.diagonal()
+    diagonal = np.count_nonzero(M) == np.count_nonzero(m)
+    if diagonal:
+        skew = 2.0 * float(np.abs(m.imag).max())
+        scale = float(np.abs(m).max())
+        H = np.zeros(M.shape, dtype=M.dtype)
+        H.flat[::M.shape[0] + 1] = m.real
+    else:
+        Mh = M.conj().T
+        skew = float(np.abs(M - Mh).max())
+        scale = float(np.abs(m).max())
+        if skew > 1e-8 * scale:
+            scale = float(np.abs(M).max())
+        H = M + Mh
+        H *= 0.5
+    if skew > 1e-8 * (scale or 1.0):
         raise ValueError(f"{name} is not Hermitian")
-    return 0.5 * (M + Mh)
+    return H, diagonal
 
 
 @dataclass
@@ -83,12 +106,12 @@ class QcqpProblem:
         n = self.a.size
         if self.p_budget <= 0:
             raise ValueError(f"power budget must be positive, got {self.p_budget}")
-        self.A = _hermitian_part("A", np.asarray(self.A, dtype=complex).reshape(n, n))
-        self.F = _hermitian_part("F", np.asarray(self.F, dtype=complex).reshape(n, n))
+        self.A, _ = _hermitian_part("A", np.asarray(self.A, dtype=complex).reshape(n, n))
+        self.F, diagonal = _hermitian_part("F", np.asarray(self.F, dtype=complex).reshape(n, n))
 
-        f = self.F.diagonal().real
-        if np.count_nonzero(self.F) == np.count_nonzero(f):      # F is diagonal
-            if not np.all(f > 0.0):
+        if diagonal:
+            f = self.F.diagonal().real
+            if not (f > 0.0).all():
                 raise ValueError("F must be positive definite")
             w = 1.0 / np.sqrt(f)                  # L^-1 = diag(w)
             d, U = np.linalg.eigh(w[:, None] * self.A * w)
@@ -106,7 +129,7 @@ class QcqpProblem:
         self._T = T                               # U^H L^-1: b = T a, x = T^H z
         # d[:k] are the flat directions of the objective
         flat = 1e-12 * (float(d[-1]) if d[-1] > 0 else 1.0)
-        self._k = int(np.searchsorted(self._d, flat, side="right"))
+        self._k = int(self._d.searchsorted(flat, side="right"))
 
     def retarget(self, a: np.ndarray, p_budget: float) -> QcqpProblem:
         """The same A and F, and their factorization, with a new linear term
@@ -123,9 +146,19 @@ class QcqpProblem:
 class QcqpSolution:
     x: np.ndarray
     nu: float            # KKT multiplier of the power constraint
-    objective: float
-    constraint: float    # x^H F x
     bisect_steps: int    # multiplier evaluations (Newton or bisection steps)
+    prob: QcqpProblem = field(repr=False)
+
+    @functools.cached_property
+    def objective(self) -> float:
+        """Re{2 a^H x} - x^H A x, computed on first use."""
+        x = self.x
+        return float(2.0 * np.vdot(self.prob.a, x).real - np.vdot(x, self.prob.A @ x).real)
+
+    @functools.cached_property
+    def constraint(self) -> float:
+        """x^H F x, computed on first use."""
+        return float(np.vdot(self.x, self.prob.F @ self.x).real)
 
 
 def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
@@ -146,7 +179,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
     p = prob.p_budget
 
     if not prob.a.any():
-        return QcqpSolution(np.zeros(n, dtype=complex), 0.0, 0.0, 0.0, 0)
+        return QcqpSolution(np.zeros(n, dtype=complex), 0.0, 0, prob)
 
     d, k = prob._d, prob._k
     b = prob._T @ prob.a
@@ -195,9 +228,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
             z[:k] = 0.0
 
     x = (z.conj() @ prob._T).conj()
-    obj = float(2.0 * np.vdot(prob.a, x).real - np.vdot(x, prob.A @ x).real)
-    cons = float(np.vdot(x, prob.F @ x).real)
-    return QcqpSolution(x, float(nu), obj, cons, steps)
+    return QcqpSolution(x, float(nu), steps, prob)
 
 
 def kkt_residuals(prob: QcqpProblem, sol: QcqpSolution) -> dict:
@@ -226,64 +257,76 @@ def optimal_aux(ch: ChannelSet, d: Design, noise: NoiseProfile) -> AuxVars:
     rate in nats.  (lam equals the corresponding SINR; mu follows from its
     closed form at that lam; both fixed-point equations hold at once.)
     """
-    s_b, i_b, den_b, s_e, i_e, den_e = _receiver_terms(ch, d, noise)
-    lam_b = abs(s_b) ** 2 / (den_b - abs(s_b) ** 2)
-    lam_e = abs(i_e) ** 2 / (den_e - abs(i_e) ** 2)
-    mu_b = update_mu(lam_b, s_b, den_b)
-    mu_e = update_mu(lam_e, i_e, den_e)
-    return AuxVars(lam_b=float(lam_b), lam_e=float(lam_e), mu_b=mu_b, mu_e=mu_e)
+    return _aux_at(DesignState(ch, d).evaluate(noise))
+
+
+def _aux_at(ev: Evaluation) -> AuxVars:
+    """optimal_aux from an evaluation already made."""
+    lam_b, lam_e = ev.virtual_snrs()
+    return AuxVars(lam_b=lam_b, lam_e=lam_e, mu_b=update_mu(lam_b, ev.s_b, ev.den_b),
+                   mu_e=update_mu(lam_e, ev.i_e, ev.den_e))
 
 
 # -- block subproblem assembly ----------------------------------------------
+#
+# Each assembler takes an optional ``state``, the DesignState of ``d``; the
+# runner passes its own so that the effective channels and H_si v are not
+# rebuilt.  Without one, the assembler builds it.
 
-def _sq_norm(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real)
+def _state_of(ch: ChannelSet, d: Design, state: DesignState | None) -> DesignState:
+    if state is None:
+        return DesignState(ch, d)
+    if state.d is not d:
+        raise ValueError("state belongs to another design")
+    return state
 
 
 def _assemble_beam(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
-                   p_max: float, bob: bool, shared: QcqpProblem | None) -> QcqpProblem:
+                   p_max: float, bob: bool, shared: QcqpProblem | None,
+                   state: DesignState | None) -> QcqpProblem:
     """QCQP over one transmit beam with the other blocks held fixed.
 
     Both beams see the same A and F, which depend only on the reflect
     vector and the auxiliaries; a ``shared`` problem built at the same ones
     lends them with their factorization.
     """
-    rx = [(ch.h_b, ch.g_b, aux.lam_b, aux.mu_b), (ch.h_e, ch.g_e, aux.lam_e, aux.mu_e)]
-    (h, g, lam, mu), (h2, g2, _, mu2) = rx if bob else rx[::-1]
-    other = d.v_e if bob else d.v_b
-    budget = p_max - (_sq_norm(other) + _sq_norm(d.theta * (ch.H_si @ other))
-                      + noise.sigma2_irs * _sq_norm(d.theta))
+    state = _state_of(ch, d, state)
+    budget = p_max - (state.beam_power(not bob) + state.irs_noise_power(noise))
     if budget <= 0:
         raise BudgetExhausted(f"{'confidential' if bob else 'AN'}-beam budget {budget} <= 0")
-    t = effective_channel(h, g, ch.H_si, d.theta)
-    a = math.sqrt(1.0 + lam) * mu * t
+    t = state.rows.conj()                    # rows t_b, t_e
+    if bob:
+        a = math.sqrt(1.0 + aux.lam_b) * aux.mu_b * t[0]
+    else:
+        a = math.sqrt(1.0 + aux.lam_e) * aux.mu_e * t[1]
     if shared is not None:
         return shared.retarget(a, budget)
     # A = |mu_b|^2 t_b t_b^H + |mu_e|^2 t_e t_e^H
-    X = np.stack([abs(mu) * t, abs(mu2) * effective_channel(h2, g2, ch.H_si, d.theta)], axis=1)
+    X = t.T * [abs(aux.mu_b), abs(aux.mu_e)]
     W = d.theta[:, None] * ch.H_si          # diag(theta) H_si
-    F = np.eye(ch.H_si.shape[1]) + W.conj().T @ W
+    F = state.eye_m + W.conj().T @ W
     return QcqpProblem(a=a, A=X @ X.conj().T, F=F, p_budget=budget)
 
 
 def assemble_vb(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
-                p_max: float) -> QcqpProblem:
+                p_max: float, state: DesignState | None = None) -> QcqpProblem:
     """QCQP over the confidential beam with the other blocks held fixed."""
-    return _assemble_beam(ch, d, noise, aux, p_max, True, None)
+    return _assemble_beam(ch, d, noise, aux, p_max, True, None, state)
 
 
 def assemble_ve(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
-                p_max: float, shared: QcqpProblem | None = None) -> QcqpProblem:
+                p_max: float, shared: QcqpProblem | None = None,
+                state: DesignState | None = None) -> QcqpProblem:
     """QCQP over the AN beam with the other blocks held fixed.
 
     ``shared``, the v_b problem at the same reflect vector and auxiliaries,
     lends its A, F and factorization; only a and the budget are built.
     """
-    return _assemble_beam(ch, d, noise, aux, p_max, False, shared)
+    return _assemble_beam(ch, d, noise, aux, p_max, False, shared, state)
 
 
 def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
-                   p_max: float) -> QcqpProblem:
+                   p_max: float, state: DesignState | None = None) -> QcqpProblem:
     """QCQP over the reflect vector with both beams held fixed.
 
     The QCQP variable is the CONJUGATE of the design's reflect diagonal
@@ -293,16 +336,16 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
     constraint quadratic is exactly the reflect-dependent part of the
     total-power expression.
     """
-    V = np.stack([d.v_b, d.v_e], axis=1)
+    state = _state_of(ch, d, state)
+    V = np.array([d.v_b, d.v_e]).T
     p_be = p_max - _sq_norm(V)
     if p_be <= 0:
         raise BudgetExhausted(f"reflect budget {p_be} <= 0")
-    HV = ch.H_si @ V
     # columns c_bb, c_be, c_ee, c_eb, where c_xy = conj(g_x) * H_si v_y
-    C = np.concatenate([ch.g_b.conj()[:, None] * HV,
-                        ch.g_e.conj()[:, None] * HV[:, ::-1]], axis=1)
+    HV = np.array([state.hv_b, state.hv_e, state.hv_e, state.hv_b]).T
+    C = state.g_cols * HV
     # d_xy = h_x^H v_y
-    (d_bb, d_be), (d_eb, d_ee) = (np.stack([ch.h_b, ch.h_e]).conj() @ V).tolist()
+    (d_bb, d_be), (d_eb, d_ee) = (state.h_rows @ V).tolist()
 
     mb2 = abs(aux.mu_b) ** 2
     me2 = abs(aux.mu_e) ** 2
@@ -315,9 +358,11 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
 
     C *= [abs(aux.mu_b), abs(aux.mu_b), abs(aux.mu_e), abs(aux.mu_e)]
     ups = C @ C.conj().T
-    ups += np.diag(noise.sigma2_irs * (mb2 * np.abs(ch.g_b) ** 2 + me2 * np.abs(ch.g_e) ** 2))
+    n = ups.shape[0]
+    ups.flat[::n + 1] += noise.sigma2_irs * (mb2 * state.g_abs2[0] + me2 * state.g_abs2[1])
 
-    omega = np.diag((np.abs(HV) ** 2).sum(axis=1) + noise.sigma2_irs)
+    omega = np.zeros((n, n), dtype=complex)
+    omega.flat[::n + 1] = (np.abs(HV[:, :2]) ** 2).sum(axis=1) + noise.sigma2_irs
     return QcqpProblem(a=chi, A=ups, F=omega, p_budget=p_be)
 
 
@@ -347,19 +392,22 @@ def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     return Design(v_b=v_b, v_e=v_e, theta=scale * theta_hat)
 
 
-def _assemble_block(assemble, ch, d, noise, aux, p_max, trace: RunTrace,
-                    block: str, rescale: tuple[str, ...], **reuse) -> QcqpProblem | None:
+def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
+                    trace: RunTrace, block: str, rescale: tuple[str, ...],
+                    **reuse) -> QcqpProblem | None:
     """Assemble one block; on an exhausted budget, shrink the other blocks
-    by 5% once and retry, flagging the event.  The retry assembles afresh
-    and drops ``reuse``: the rescue may have rescaled what it was built at."""
+    by 5% once and retry, flagging the event.  The retry refreshes ``state``
+    and drops ``reuse``: the rescue rescaled what they were built at."""
+    d = state.d
     try:
-        return assemble(ch, d, noise, aux, p_max, **reuse)
+        return assemble(ch, d, noise, aux, p_max, state=state, **reuse)
     except BudgetExhausted:
         trace.add_flag(f"budget-rescue:{block}")
         for name in rescale:
             setattr(d, name, getattr(d, name) * 0.95)
+        state.refresh()
         try:
-            return assemble(ch, d, noise, aux, p_max)
+            return assemble(ch, d, noise, aux, p_max, state=state)
         except BudgetExhausted:
             trace.add_flag(f"budget-skip:{block}")
             return None
@@ -374,35 +422,41 @@ def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     QCQP steps over the confidential beam, the AN beam and the reflect
     vector.  Stops when the surrogate improves by at most ``eps`` or at the
     iteration cap (flagged).  Deterministic for a fixed (channels, seed).
+
+    Each design is evaluated once: the evaluation that closes an iteration
+    gives its trace row and the next iteration's auxiliaries, and the
+    blocks share the effective channels and H_si v kept in the state.
     """
     opt = options or LdtOptions()
     trace = RunTrace()
     t0 = time.perf_counter()
-    d = initial_design(ch, noise, p_max, seed)
+    state = DesignState(ch, initial_design(ch, noise, p_max, seed))
+    ev = state.evaluate(noise)
     prev = -math.inf
     for it in range(1, opt.max_iters + 1):
-        aux = optimal_aux(ch, d, noise)
+        aux = _aux_at(ev)
 
-        prob = _assemble_block(assemble_vb, ch, d, noise, aux, p_max, trace,
+        prob = _assemble_block(assemble_vb, ch, state, noise, aux, p_max, trace,
                                "v_b", ("v_e", "theta"))
         if prob is not None:
-            d.v_b = solve_qcqp(prob).x
+            state.set_v_b(solve_qcqp(prob).x)
         # theta is unchanged since the v_b problem, so v_e shares its A and F
-        prob = _assemble_block(assemble_ve, ch, d, noise, aux, p_max, trace,
+        prob = _assemble_block(assemble_ve, ch, state, noise, aux, p_max, trace,
                                "v_e", ("v_b", "theta"), shared=prob)
         if prob is not None:
-            d.v_e = solve_qcqp(prob).x
-        prob = _assemble_block(assemble_theta, ch, d, noise, aux, p_max, trace,
+            state.set_v_e(solve_qcqp(prob).x)
+        prob = _assemble_block(assemble_theta, ch, state, noise, aux, p_max, trace,
                                "theta", ("v_b", "v_e"))
         if prob is not None:
-            d.theta = solve_qcqp(prob).x.conj()
+            state.set_theta(solve_qcqp(prob).x.conj())
 
-        vr = ldt_objective(ch, d, noise, aux)
+        ev = state.evaluate(noise)
+        vr = ev.surrogate(aux)
         trace.rows.append({
             "iteration": it,
             "vr_prime": vr,
-            "sr_bits": secrecy_rate(ch, d, noise),
-            "power_slack": p_max - total_power(ch, d, noise),
+            "sr_bits": ev.secrecy_rate(),
+            "power_slack": p_max - ev.power,
             "wall_time_s": time.perf_counter() - t0,
         })
         trace.iterations = it
@@ -413,4 +467,4 @@ def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     if not trace.converged:
         trace.add_flag("iteration-cap")
     trace.wall_time_s = time.perf_counter() - t0
-    return d, trace
+    return state.d, trace

@@ -40,6 +40,9 @@ __all__ = [
     "total_power",
     "virtual_rate",
     "ldt_objective",
+    "DesignState",
+    "Evaluation",
+    "evaluate",
 ]
 
 
@@ -86,42 +89,138 @@ class AuxVars:
 def effective_channel(h: np.ndarray, g: np.ndarray, H_si: np.ndarray,
                       theta: np.ndarray) -> np.ndarray:
     """Column vector t with t^H = h^H + g^H diag(theta) H_si."""
-    row = h.conj() + (g.conj() * theta) @ H_si
-    return row.conj()
+    return _effective_rows(h.conj(), g.conj(), H_si, theta).conj()
 
 
-def _receiver_terms(ch: ChannelSet, d: Design, noise: NoiseProfile):
-    """Per-receiver signal/interference scalars shared by the rate expressions.
+def _effective_rows(h_rows: np.ndarray, g_rows: np.ndarray, H_si: np.ndarray,
+                    theta: np.ndarray) -> np.ndarray:
+    """Row channels t^H = h^H + g^H diag(theta) H_si from conjugated h and g
+    (one receiver per row when stacked)."""
+    return h_rows + (g_rows * theta) @ H_si
 
-    Returns (s_b, i_b, den_b, s_e, i_e, den_e) where s/i are the complex
-    gains t^H v_b / t^H v_e and den is the full received power
-    |s|^2 + |i|^2 + noise terms.
+
+def _sq_norm(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
+
+
+def _sinr(signal: complex, den: float) -> float:
+    """|signal|^2 over the rest of the received power ``den``."""
+    return abs(signal) ** 2 / (den - abs(signal) ** 2)
+
+
+@dataclass
+class Evaluation:
+    """Per-receiver scalars and total power of one design.
+
+    s_x = t_x^H v_b and i_x = t_x^H v_e are the complex gains of the two
+    beams at receiver x, den_x the full received power |s|^2 + |i|^2 plus
+    the noise terms.  Every rate, the surrogate, its auxiliaries and the
+    power report derive from these.
     """
-    t_b = effective_channel(ch.h_b, ch.g_b, ch.H_si, d.theta)
-    t_e = effective_channel(ch.h_e, ch.g_e, ch.H_si, d.theta)
-    s_b = np.vdot(t_b, d.v_b)
-    i_b = np.vdot(t_b, d.v_e)
-    s_e = np.vdot(t_e, d.v_b)
-    i_e = np.vdot(t_e, d.v_e)
-    amp_b = noise.sigma2_irs * float(np.sum(np.abs(ch.g_b) ** 2 * np.abs(d.theta) ** 2))
-    amp_e = noise.sigma2_irs * float(np.sum(np.abs(ch.g_e) ** 2 * np.abs(d.theta) ** 2))
-    den_b = abs(s_b) ** 2 + abs(i_b) ** 2 + amp_b + noise.sigma2_b
-    den_e = abs(s_e) ** 2 + abs(i_e) ** 2 + amp_e + noise.sigma2_e
-    return s_b, i_b, den_b, s_e, i_e, den_e
+
+    s_b: complex
+    i_b: complex
+    den_b: float
+    s_e: complex
+    i_e: complex
+    den_e: float
+    power: float
+
+    def snr_pair(self) -> tuple[float, float]:
+        """(snr_b, snr_e): Bob's and Eve's SINR on the confidential beam."""
+        return _sinr(self.s_b, self.den_b), _sinr(self.s_e, self.den_e)
+
+    def virtual_snrs(self) -> tuple[float, float]:
+        """(snr_b, snr_e_virtual): Bob decodes v_b; Eve virtually decodes v_e."""
+        return _sinr(self.s_b, self.den_b), _sinr(self.i_e, self.den_e)
+
+    def secrecy_rate(self) -> float:
+        snr_b, snr_e = self.snr_pair()
+        return math.log2(1.0 + snr_b) - math.log2(1.0 + snr_e)
+
+    def surrogate(self, aux: "AuxVars") -> float:
+        """The logarithmic surrogate (nats) at these auxiliaries."""
+        val = math.log1p(aux.lam_b) + math.log1p(aux.lam_e) - aux.lam_b - aux.lam_e
+        val -= abs(aux.mu_b) ** 2 * self.den_b
+        val -= abs(aux.mu_e) ** 2 * self.den_e
+        val += 2.0 * math.sqrt(1.0 + aux.lam_b) * (aux.mu_b.conjugate() * self.s_b).real
+        val += 2.0 * math.sqrt(1.0 + aux.lam_e) * (aux.mu_e.conjugate() * self.i_e).real
+        return float(val)
+
+
+class DesignState:
+    """A design plus the products of it that every expression shares.
+
+    ``rows`` holds t_b^H and t_e^H (one row each) and depends only on theta;
+    ``hv_b`` and ``hv_e`` are H_si v_b and H_si v_e.  Change the design
+    through the setters, which refresh the products of the block they
+    change, or call ``refresh`` after changing ``d`` in place.  The
+    design-independent arrays of the channels are built once, here.
+    """
+
+    def __init__(self, ch: ChannelSet, d: Design):
+        self.H_si = ch.H_si                                  # (N, M)
+        self.h_rows = np.stack([ch.h_b, ch.h_e]).conj()      # (2, M) h_b^H, h_e^H
+        self.g_rows = np.stack([ch.g_b, ch.g_e]).conj()      # (2, N) g_b^H, g_e^H
+        # (N, 4) columns conj(g_b), conj(g_b), conj(g_e), conj(g_e)
+        self.g_cols = self.g_rows[[0, 0, 1, 1]].T.copy()
+        self.g_abs2 = np.abs(self.g_rows) ** 2               # (2, N)
+        self.eye_m = np.eye(ch.H_si.shape[1])
+        self.d = d
+        self.refresh()
+
+    def refresh(self) -> None:
+        self.set_v_b(self.d.v_b)
+        self.set_v_e(self.d.v_e)
+        self.set_theta(self.d.theta)
+
+    def set_v_b(self, v_b: np.ndarray) -> None:
+        self.d.v_b = v_b
+        self.hv_b = self.H_si @ v_b
+
+    def set_v_e(self, v_e: np.ndarray) -> None:
+        self.d.v_e = v_e
+        self.hv_e = self.H_si @ v_e
+
+    def set_theta(self, theta: np.ndarray) -> None:
+        self.d.theta = theta
+        self.rows = _effective_rows(self.h_rows, self.g_rows, self.H_si, theta)
+
+    def beam_power(self, bob: bool) -> float:
+        """Power one beam costs at the BS and through the IRS:
+        ||v||^2 + ||diag(theta) H_si v||^2."""
+        v, hv = (self.d.v_b, self.hv_b) if bob else (self.d.v_e, self.hv_e)
+        return _sq_norm(v) + _sq_norm(self.d.theta * hv)
+
+    def irs_noise_power(self, noise: NoiseProfile) -> float:
+        """Amplified IRS noise power sigma2_irs * ||theta||^2."""
+        return noise.sigma2_irs * _sq_norm(self.d.theta)
+
+    def evaluate(self, noise: NoiseProfile) -> Evaluation:
+        """The per-receiver gains, received powers and total power of ``d``."""
+        d = self.d
+        (s_b, i_b), (s_e, i_e) = (self.rows @ np.array([d.v_b, d.v_e]).T).tolist()
+        amp_b, amp_e = (noise.sigma2_irs * (self.g_abs2 @ np.abs(d.theta) ** 2)).tolist()
+        power = self.beam_power(True) + self.beam_power(False) + self.irs_noise_power(noise)
+        return Evaluation(
+            s_b=s_b, i_b=i_b, den_b=abs(s_b) ** 2 + abs(i_b) ** 2 + amp_b + noise.sigma2_b,
+            s_e=s_e, i_e=i_e, den_e=abs(s_e) ** 2 + abs(i_e) ** 2 + amp_e + noise.sigma2_e,
+            power=power)
+
+
+def evaluate(ch: ChannelSet, d: Design, noise: NoiseProfile) -> Evaluation:
+    """Everything the rates, the surrogate and the power need at one design."""
+    return DesignState(ch, d).evaluate(noise)
 
 
 def snr_pair(ch: ChannelSet, d: Design, noise: NoiseProfile) -> tuple[float, float]:
     """(snr_b, snr_e): Bob's and Eve's SINR on the confidential beam."""
-    s_b, i_b, den_b, s_e, i_e, den_e = _receiver_terms(ch, d, noise)
-    snr_b = abs(s_b) ** 2 / (den_b - abs(s_b) ** 2)
-    snr_e = abs(s_e) ** 2 / (den_e - abs(s_e) ** 2)
-    return float(snr_b), float(snr_e)
+    return evaluate(ch, d, noise).snr_pair()
 
 
 def secrecy_rate(ch: ChannelSet, d: Design, noise: NoiseProfile) -> float:
     """Achievable secrecy rate in bits: log2(1+snr_b) - log2(1+snr_e)."""
-    snr_b, snr_e = snr_pair(ch, d, noise)
-    return math.log2(1.0 + snr_b) - math.log2(1.0 + snr_e)
+    return evaluate(ch, d, noise).secrecy_rate()
 
 
 def total_power(ch: ChannelSet, d: Design, noise: NoiseProfile) -> float:
@@ -132,20 +231,7 @@ def total_power(ch: ChannelSet, d: Design, noise: NoiseProfile) -> float:
     amplified IRS noise sigma2_irs * ||theta||^2 (cross terms between the
     two beams vanish under independent unit-power symbols).
     """
-    p_bs = float(np.sum(np.abs(d.v_b) ** 2) + np.sum(np.abs(d.v_e) ** 2))
-    r_b = d.theta * (ch.H_si @ d.v_b)
-    r_e = d.theta * (ch.H_si @ d.v_e)
-    p_irs = float(np.sum(np.abs(r_b) ** 2) + np.sum(np.abs(r_e) ** 2))
-    p_noise = noise.sigma2_irs * float(np.sum(np.abs(d.theta) ** 2))
-    return p_bs + p_irs + p_noise
-
-
-def _virtual_snrs(ch: ChannelSet, d: Design, noise: NoiseProfile) -> tuple[float, float]:
-    """(snr_b, snr_e_virtual): Bob decodes v_b; Eve virtually decodes v_e."""
-    s_b, i_b, den_b, s_e, i_e, den_e = _receiver_terms(ch, d, noise)
-    snr_b = abs(s_b) ** 2 / (den_b - abs(s_b) ** 2)
-    snr_ev = abs(i_e) ** 2 / (den_e - abs(i_e) ** 2)
-    return float(snr_b), float(snr_ev)
+    return evaluate(ch, d, noise).power
 
 
 def virtual_rate(ch: ChannelSet, d: Design, noise: NoiseProfile,
@@ -155,7 +241,7 @@ def virtual_rate(ch: ChannelSet, d: Design, noise: NoiseProfile,
     ``base`` selects the logarithm (e for nats, 2 for bits); the surrogate
     ``ldt_objective`` is tight against the nats version.
     """
-    snr_b, snr_ev = _virtual_snrs(ch, d, noise)
+    snr_b, snr_ev = evaluate(ch, d, noise).virtual_snrs()
     return (math.log(1.0 + snr_b) + math.log(1.0 + snr_ev)) / math.log(base)
 
 
@@ -166,11 +252,4 @@ def ldt_objective(ch: ChannelSet, d: Design, noise: NoiseProfile,
     Concave in each variable block; equals ``virtual_rate`` (nats) when the
     auxiliaries solve their stationarity conditions at the given design.
     """
-    s_b, i_b, den_b, s_e, i_e, den_e = _receiver_terms(ch, d, noise)
-    val = math.log1p(aux.lam_b) + math.log1p(aux.lam_e) - aux.lam_b - aux.lam_e
-    val -= abs(aux.mu_b) ** 2 * den_b
-    val -= abs(aux.mu_e) ** 2 * den_e
-    val += 2.0 * math.sqrt(1.0 + aux.lam_b) * (np.conj(aux.mu_b) * s_b).real
-    val += 2.0 * math.sqrt(1.0 + aux.lam_e) * (np.conj(aux.mu_e) * i_e).real
-    return float(val)
-
+    return evaluate(ch, d, noise).surrogate(aux)

@@ -110,14 +110,19 @@ class SceneConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n1 + self.n2 != self.n_irs:
             raise ValueError(f"n1 + n2 must equal n_irs ({self.n1}+{self.n2} != {self.n_irs})")
-        if self.pl_ref_db >= 0:
-            raise ValueError(f"pl_ref_db must be negative, got {self.pl_ref_db}")
-        if self.pl_exponent <= 0:
-            raise ValueError(f"pl_exponent must be positive, got {self.pl_exponent}")
+        # chained comparisons, so that NaN fails them too
+        if not -math.inf < self.pl_ref_db < 0:
+            raise ValueError(f"pl_ref_db must be negative and finite, got {self.pl_ref_db}")
+        if not 0 < self.pl_exponent < math.inf:
+            raise ValueError(f"pl_exponent must be positive and finite, got {self.pl_exponent}")
+        if self.rician_k_db is not None and not math.isfinite(self.rician_k_db):
+            raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
         for name in ("bs_pos", "irs1_pos", "irs2_pos", "bob_pos", "eve_pos"):
             p = tuple(float(c) for c in getattr(self, name))
             if len(p) != 3:
                 raise ValueError(f"{name} must have 3 coordinates, got {p}")
+            if not all(math.isfinite(c) for c in p):
+                raise ValueError(f"{name} must have finite coordinates, got {p}")
             setattr(self, name, p)
 
     # -- serialization (JSON, strict keys) --------------------------------

@@ -110,6 +110,9 @@ def test_run_with_a_missing_spec_is_an_invalid_spec_error(tmp_path, capsys):
     {"power_dbm": float("nan")},
     {"noise_dbm": float("inf")},
     {"seeds": [1, 1.5]},
+    {"seeds": [-1]},
+    {"scene": benchmark_scene(m_bs=4, n_irs=8, rician_k_db=5.0, seed=-2).to_dict(),
+     "seeds": [1]},
 ])
 def test_run_with_a_malformed_spec_is_an_invalid_spec_error(tmp_path, capsys, change):
     spec = ExperimentSpec(

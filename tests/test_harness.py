@@ -95,6 +95,25 @@ def test_experiment_spec_rejects_non_integral_and_colliding_seeds():
     assert _spec(seeds=[3.0, 1]).seeds == [3, 1]
 
 
+def test_experiment_spec_rejects_negative_run_seeds():
+    for seeds in ([-1], [3, -2]):
+        with pytest.raises(ValueError, match="non-negative"):
+            _spec(seeds=seeds)
+    assert _spec(seeds=[0, 4]).seeds == [0, 4]
+
+
+def test_rician_spec_rejects_negative_channel_draw_seeds():
+    rician = benchmark_scene(m_bs=4, n_irs=4, rician_k_db=5.0, seed=-3)
+    with pytest.raises(ValueError, match="Rician"):
+        _spec(scene=rician, seeds=[2, 3])       # draws with seed -1 and 0
+    # a negative scene seed is legal while every draw seed stays non-negative
+    spec = _spec(scene=rician, seeds=[3, 4])
+    rows = run_experiment(spec)
+    assert [r.flags for r in rows] == [[]] * len(rows)
+    # a pure-LoS scene draws nothing, so its scene seed is unconstrained
+    assert _spec(scene=benchmark_scene(m_bs=4, n_irs=4, seed=-3), seeds=[1]).seeds == [1]
+
+
 def test_malformed_sweep_values_raise_value_errors():
     bad = [("pa_grid", [0.5]), ("pa_grid", [None]), ("pa_grid", [(0.5,)]),
            ("pa_grid", [(0.2, 0.3, 0.4)]), ("pa_grid", [("a", 0.5)]),

@@ -5,7 +5,9 @@ constraint must track the full surrogate and the total power exactly as
 that block's variable moves, holding everything else fixed.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from conftest import crandn, random_channelset, random_design
 
+from airsdm import ldt_cffp
 from airsdm.ldt_cffp import (
     BudgetExhausted,
     LdtOptions,
@@ -25,7 +28,8 @@ from airsdm.ldt_cffp import (
     run_ldt_cffp,
     solve_qcqp,
 )
-from airsdm.model import Design, NoiseProfile, ldt_objective, snr_pair, total_power, virtual_rate
+from airsdm.model import (Design, DesignState, NoiseProfile, effective_channel, ldt_objective,
+                          secrecy_rate, snr_pair, total_power, virtual_rate)
 from airsdm.scene import benchmark_scene, build_channels
 from airsdm.trace import RunTrace
 
@@ -201,8 +205,8 @@ def test_budget_rescue_bypasses_the_shared_factorization():
     p_max = 0.99 * (6.0 - assemble_ve(ch, d, NOISE, aux, p_max=6.0).p_budget)
     rescued = d.copy()
     trace = RunTrace()
-    prob = _assemble_block(assemble_ve, ch, rescued, NOISE, aux, p_max, trace,
-                           "v_e", ("v_b", "theta"), shared=shared)
+    prob = _assemble_block(assemble_ve, ch, DesignState(ch, rescued),
+                           NOISE, aux, p_max, trace, "v_e", ("v_b", "theta"), shared=shared)
     assert trace.flags == ["budget-rescue:v_e"]
     assert_allclose(rescued.theta, 0.95 * d.theta, rtol=1e-15)
     fresh = assemble_ve(ch, rescued, NOISE, aux, p_max)
@@ -222,6 +226,156 @@ def test_block_maximizer_improves_the_surrogate():
         d2.v_b = sol.x
         assert ldt_objective(ch, d2, NOISE, aux) >= base - 1e-10
         assert total_power(ch, d2, NOISE) <= 6.0 * (1.0 + 1e-8)
+
+
+# -- one shared evaluation per design -------------------------------------------
+
+def _reference_values(ch, d, noise):
+    """Aux, surrogate, secrecy rate and power written out per receiver."""
+    t_b = effective_channel(ch.h_b, ch.g_b, ch.H_si, d.theta)
+    t_e = effective_channel(ch.h_e, ch.g_e, ch.H_si, d.theta)
+    s_b, i_b = np.vdot(t_b, d.v_b), np.vdot(t_b, d.v_e)
+    s_e, i_e = np.vdot(t_e, d.v_b), np.vdot(t_e, d.v_e)
+    amp = noise.sigma2_irs * np.abs(d.theta) ** 2
+    den_b = abs(s_b) ** 2 + abs(i_b) ** 2 + np.sum(np.abs(ch.g_b) ** 2 * amp) + noise.sigma2_b
+    den_e = abs(s_e) ** 2 + abs(i_e) ** 2 + np.sum(np.abs(ch.g_e) ** 2 * amp) + noise.sigma2_e
+    lam_b = abs(s_b) ** 2 / (den_b - abs(s_b) ** 2)
+    lam_e = abs(i_e) ** 2 / (den_e - abs(i_e) ** 2)
+    mu_b = math.sqrt(1 + lam_b) * s_b / den_b
+    mu_e = math.sqrt(1 + lam_e) * i_e / den_e
+    surrogate = (math.log1p(lam_b) + math.log1p(lam_e) - lam_b - lam_e
+                 - abs(mu_b) ** 2 * den_b - abs(mu_e) ** 2 * den_e
+                 + 2 * math.sqrt(1 + lam_b) * (np.conj(mu_b) * s_b).real
+                 + 2 * math.sqrt(1 + lam_e) * (np.conj(mu_e) * i_e).real)
+    snr_e = abs(s_e) ** 2 / (den_e - abs(s_e) ** 2)
+    sr = math.log2(1 + lam_b) - math.log2(1 + snr_e)
+    power = sum(np.sum(np.abs(v) ** 2) + np.sum(np.abs(d.theta * (ch.H_si @ v)) ** 2)
+                for v in (d.v_b, d.v_e)) + np.sum(amp)
+    return (lam_b, lam_e, mu_b, mu_e), surrogate, sr, power
+
+
+def _reference_problems(ch, d, noise, aux, p_max):
+    """(a, A, F, p_budget) of the three blocks, built term by term."""
+    t = {x: effective_channel(getattr(ch, "h_" + x), getattr(ch, "g_" + x), ch.H_si, d.theta)
+         for x in "be"}
+    lam = {"b": aux.lam_b, "e": aux.lam_e}
+    mu = {"b": aux.mu_b, "e": aux.mu_e}
+    v = {"b": d.v_b, "e": d.v_e}
+    irs_noise = noise.sigma2_irs * np.sum(np.abs(d.theta) ** 2)
+    beam = {y: np.sum(np.abs(v[y]) ** 2) + np.sum(np.abs(d.theta * (ch.H_si @ v[y])) ** 2)
+            for y in "be"}
+    A = sum(abs(mu[x]) ** 2 * np.outer(t[x], t[x].conj()) for x in "be")
+    F = np.eye(ch.h_b.size) + ch.H_si.conj().T @ (np.abs(d.theta)[:, None] ** 2 * ch.H_si)
+    out = {}
+    for y, x, other in (("v_b", "b", "e"), ("v_e", "e", "b")):
+        out[y] = (math.sqrt(1 + lam[x]) * mu[x] * t[x], A, F, p_max - beam[other] - irs_noise)
+    # theta (conjugated): surrogate terms in c_xy = conj(g_x) * (H_si v_y), d_xy = h_x^H v_y
+    c = {(x, y): getattr(ch, "g_" + x).conj() * (ch.H_si @ v[y]) for x in "be" for y in "be"}
+    dd = {(x, y): np.vdot(getattr(ch, "h_" + x), v[y]) for x in "be" for y in "be"}
+    chi = sum(math.sqrt(1 + lam[x]) * np.conj(mu[x]) * c[x, x] for x in "be")
+    chi = chi - sum(abs(mu[x]) ** 2 * np.conj(dd[x, y]) * c[x, y] for x in "be" for y in "be")
+    ups = sum(abs(mu[x]) ** 2 * np.outer(c[x, y], c[x, y].conj()) for x in "be" for y in "be")
+    ups = ups + np.diag(noise.sigma2_irs * (abs(mu["b"]) ** 2 * np.abs(ch.g_b) ** 2
+                                            + abs(mu["e"]) ** 2 * np.abs(ch.g_e) ** 2))
+    omega = np.diag(np.abs(ch.H_si @ d.v_b) ** 2 + np.abs(ch.H_si @ d.v_e) ** 2
+                    + noise.sigma2_irs)
+    out["theta"] = (chi, ups, omega, p_max - np.sum(np.abs(d.v_b) ** 2) - np.sum(np.abs(d.v_e) ** 2))
+    return out
+
+
+def _assert_problem(prob, ref):
+    a, A, F, budget = ref
+    scale = np.abs(A).max()
+    assert_allclose(prob.a, a, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+    assert_allclose(prob.A, A, rtol=1e-12, atol=1e-12 * scale)
+    assert_allclose(prob.F, F, rtol=1e-12, atol=1e-12 * np.abs(F).max())
+    assert_allclose(prob.p_budget, budget, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(4, 8), (3, 5), (6, 2), (1, 4)])
+def test_shared_evaluation_reproduces_the_per_receiver_formulas(m, n):
+    rng = np.random.default_rng(11 + m * n)
+    for _ in range(20):
+        ch, d, _ = _random_state(rng, m=m, n=n)
+        ev = DesignState(ch, d).evaluate(NOISE)
+        (lam_b, lam_e, mu_b, mu_e), surrogate, sr, power = _reference_values(ch, d, NOISE)
+        aux = ldt_cffp._aux_at(ev)
+        assert_allclose([aux.lam_b, aux.lam_e], [lam_b, lam_e], rtol=1e-12)
+        assert_allclose([aux.mu_b, aux.mu_e], [mu_b, mu_e], rtol=1e-12)
+        assert_allclose(ev.surrogate(aux), surrogate, rtol=1e-12)
+        assert_allclose(ev.secrecy_rate(), sr, rtol=1e-12)
+        assert_allclose(ev.power, power, rtol=1e-12)
+        # the public functions are this evaluation
+        public = optimal_aux(ch, d, NOISE)
+        assert (public.lam_b, public.lam_e, public.mu_b, public.mu_e) == \
+            (aux.lam_b, aux.lam_e, aux.mu_b, aux.mu_e)
+        assert ldt_objective(ch, d, NOISE, aux) == ev.surrogate(aux)
+        assert secrecy_rate(ch, d, NOISE) == ev.secrecy_rate()
+        assert total_power(ch, d, NOISE) == ev.power
+
+
+@pytest.mark.parametrize("m, n", [(4, 8), (3, 5), (6, 2)])
+def test_assemblers_reproduce_the_term_by_term_blocks(m, n):
+    """Fresh and runner-kept states give the blocks written out term by term."""
+    rng = np.random.default_rng(12 + m * n)
+    for _ in range(10):
+        ch, d, aux = _random_state(rng, m=m, n=n)
+        ref = _reference_problems(ch, d, NOISE, aux, 6.0)
+        # a state moved to d through the setters, as the runner keeps it
+        kept = DesignState(ch, d.copy())
+        kept.set_v_b(d.v_b.copy())
+        kept.set_v_e(d.v_e.copy())
+        kept.set_theta(d.theta.copy())
+        for block, assemble in (("v_b", assemble_vb), ("v_e", assemble_ve),
+                                ("theta", assemble_theta)):
+            _assert_problem(assemble(ch, d, NOISE, aux, 6.0), ref[block])
+            _assert_problem(assemble(ch, kept.d, NOISE, aux, 6.0, state=kept), ref[block])
+
+
+def test_assemblers_reject_a_state_of_another_design():
+    rng = np.random.default_rng(13)
+    ch, d, aux = _random_state(rng)
+    state = DesignState(ch, d.copy())
+    with pytest.raises(ValueError, match="another design"):
+        assemble_theta(ch, d, NOISE, aux, 6.0, state=state)
+
+
+def test_run_reproduces_the_recorded_trajectory():
+    """Trace rows recorded before each iterate was evaluated once."""
+    golden = json.loads((Path(__file__).parent / "data" / "ldt_cffp_golden.json").read_text())
+    ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
+    _, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1)
+    rows = golden["rows"]
+    assert trace.iterations == len(rows)
+    assert [r["iteration"] for r in trace.rows] == [r[0] for r in rows]
+    for key, col in (("vr_prime", 1), ("sr_bits", 2)):
+        assert_allclose(trace.objective_values(key), [r[col] for r in rows], rtol=1e-10)
+    # the budget is spent to rounding, so the slack is compared against p_max
+    assert_allclose(trace.objective_values("power_slack"), [r[3] for r in rows],
+                    rtol=1e-10, atol=1e-10 * 1.0)
+
+
+def test_run_builds_and_solves_every_block_through_the_module_globals(monkeypatch):
+    """Two QcqpProblem constructions and three solve_qcqp calls per iteration,
+    looked up on the module at call time, so traced runs see each of them."""
+    counts = {"QcqpProblem": 0, "solve_qcqp": 0}
+
+    def counted(name):
+        original = getattr(ldt_cffp, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(ldt_cffp, name, wrapper)
+
+    counted("QcqpProblem")
+    counted("solve_qcqp")
+    ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
+    _, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1,
+                            options=LdtOptions(max_iters=20))
+    assert not any(f.startswith("budget-") for f in trace.flags)
+    assert counts == {"QcqpProblem": 2 * trace.iterations,
+                      "solve_qcqp": 3 * trace.iterations}
 
 
 # -- initialization and the runner ------------------------------------------------

@@ -97,6 +97,25 @@ def test_scene_config_validation(kwargs):
         SceneConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"bs_pos": (math.nan, 0.0, 0.0)},
+    {"irs1_pos": (80.0, math.inf, 30.0)},
+    {"irs2_pos": (80.0, 30.0, -math.inf)},
+    {"bob_pos": (100.0, math.nan, 0.0)},
+    {"eve_pos": (math.nan, math.nan, math.nan)},
+    {"pl_ref_db": math.nan},
+    {"pl_ref_db": -math.inf},
+    {"pl_exponent": math.nan},
+    {"pl_exponent": math.inf},
+    {"rician_k_db": math.nan},
+    {"rician_k_db": math.inf},
+    {"rician_k_db": -math.inf},
+])
+def test_scene_config_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SceneConfig(**kwargs)
+
+
 def test_scene_dict_round_trip():
     cfg = SceneConfig(m_bs=4, n_irs=8, n1=3, n2=5, pl_ref_db=-42.0,
                       rician_k_db=5.0, seed=7)
