@@ -42,7 +42,6 @@ __all__ = [
     "ldt_objective",
     "DesignState",
     "Evaluation",
-    "evaluate",
 ]
 
 
@@ -208,19 +207,19 @@ class DesignState:
             power=power)
 
 
-def evaluate(ch: ChannelSet, d: Design, noise: NoiseProfile) -> Evaluation:
+def _evaluate(ch: ChannelSet, d: Design, noise: NoiseProfile) -> Evaluation:
     """Everything the rates, the surrogate and the power need at one design."""
     return DesignState(ch, d).evaluate(noise)
 
 
 def snr_pair(ch: ChannelSet, d: Design, noise: NoiseProfile) -> tuple[float, float]:
     """(snr_b, snr_e): Bob's and Eve's SINR on the confidential beam."""
-    return evaluate(ch, d, noise).snr_pair()
+    return _evaluate(ch, d, noise).snr_pair()
 
 
 def secrecy_rate(ch: ChannelSet, d: Design, noise: NoiseProfile) -> float:
     """Achievable secrecy rate in bits: log2(1+snr_b) - log2(1+snr_e)."""
-    return evaluate(ch, d, noise).secrecy_rate()
+    return _evaluate(ch, d, noise).secrecy_rate()
 
 
 def total_power(ch: ChannelSet, d: Design, noise: NoiseProfile) -> float:
@@ -231,7 +230,7 @@ def total_power(ch: ChannelSet, d: Design, noise: NoiseProfile) -> float:
     amplified IRS noise sigma2_irs * ||theta||^2 (cross terms between the
     two beams vanish under independent unit-power symbols).
     """
-    return evaluate(ch, d, noise).power
+    return _evaluate(ch, d, noise).power
 
 
 def virtual_rate(ch: ChannelSet, d: Design, noise: NoiseProfile,
@@ -241,7 +240,7 @@ def virtual_rate(ch: ChannelSet, d: Design, noise: NoiseProfile,
     ``base`` selects the logarithm (e for nats, 2 for bits); the surrogate
     ``ldt_objective`` is tight against the nats version.
     """
-    snr_b, snr_ev = evaluate(ch, d, noise).virtual_snrs()
+    snr_b, snr_ev = _evaluate(ch, d, noise).virtual_snrs()
     return (math.log(1.0 + snr_b) + math.log(1.0 + snr_ev)) / math.log(base)
 
 
@@ -252,4 +251,4 @@ def ldt_objective(ch: ChannelSet, d: Design, noise: NoiseProfile,
     Concave in each variable block; equals ``virtual_rate`` (nats) when the
     auxiliaries solve their stationarity conditions at the given design.
     """
-    return evaluate(ch, d, noise).surrogate(aux)
+    return _evaluate(ch, d, noise).surrogate(aux)
