@@ -33,7 +33,6 @@ from .ldt_cffp import (
     update_mu,
     optimal_aux,
     run_ldt_cffp,
-    LdtOptions,
     BudgetExhausted,
 )
 from .nsp_mrr import (
@@ -47,7 +46,6 @@ from .nsp_mrr import (
     blocked_secrecy_rate,
     PaScalarContext,
     run_nsp_mrr_pa,
-    NspOptions,
 )
 from .pa_search import (
     SearchResult,

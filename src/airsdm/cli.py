@@ -36,12 +36,10 @@ from .ldt_cffp import (
     assemble_ve,
     kkt_residuals,
     optimal_aux,
-    run_ldt_cffp,
     solve_qcqp,
 )
 from .nsp_mrr import (
     BlockDesign,
-    NspOptions,
     PaFactors,
     PaScalarContext,
     amplification_rho,
@@ -51,11 +49,11 @@ from .nsp_mrr import (
 from .pa_search import fixed_point_search
 from .harness import (
     METHODS,
-    _SEARCHERS,
     ExperimentSpec,
     SweepSpec,
     emit_results,
     run_experiment,
+    run_point,
 )
 
 __all__ = ["main", "build_parser"]
@@ -251,7 +249,7 @@ def _check_assembly(checks: int, seed: int) -> tuple[bool, str]:
 def _one_block_pass(bch, noise: NoiseProfile, p_s: float) -> BlockDesign:
     """The blocked pipeline's first pass at the pinned split (0.5, 0.5)."""
     return run_nsp_mrr_pa(bch, noise, p_s, searcher=fixed_point_search,
-                          options=NspOptions(max_iters=1))[0]
+                          max_iters=1)[0]
 
 
 def _check_nsp(checks: int, seed: int) -> tuple[bool, str]:
@@ -340,21 +338,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.method not in METHODS or args.method == "zero-reflection":
+    if args.method == "zero-reflection":
         raise ValueError(f"trace supports iterative methods, not {args.method!r}")
-    if args.n % 2:
-        raise ValueError("--n must be even")
-    scene = benchmark_scene(n_irs=args.n, n1=args.n // 2, n2=args.n // 2)
-    scene = replace(scene, seed=scene.seed + args.seed)
-    ch, bch = build_channels(scene)
-    w = dbm_to_watts(args.noise_dbm)
-    noise = NoiseProfile(sigma2_irs=w, sigma2_b=w, sigma2_e=w)
-    p = dbm_to_watts(args.power_dbm)
-    if args.method == "ldt-cffp":
-        _, trace = run_ldt_cffp(ch, noise, p, seed=args.seed)
-    else:
-        _, trace = run_nsp_mrr_pa(bch, noise, p, searcher=_SEARCHERS[args.method],
-                                  seed=args.seed)
+    # one cell of the default scene, checked and run as `run` would
+    spec = ExperimentSpec(sweep=SweepSpec("n_elements", [args.n]), methods=[args.method],
+                          power_dbm=args.power_dbm, noise_dbm=args.noise_dbm,
+                          seeds=[args.seed])
+    _, trace = run_point(spec, spec.sweep.values[0], args.method, args.seed)
     lines = [json.dumps(row) for row in trace.rows]
     summary = json.dumps({"converged": trace.converged,
                           "iterations": trace.iterations,

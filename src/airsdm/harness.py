@@ -32,6 +32,7 @@ from .pa_search import (
     fixed_point_search,
     pso_search,
 )
+from .trace import RunTrace
 
 __all__ = [
     "METHODS",
@@ -39,6 +40,7 @@ __all__ = [
     "SweepSpec",
     "ExperimentSpec",
     "ResultRow",
+    "run_point",
     "run_experiment",
     "emit_results",
     "read_results_csv",
@@ -62,9 +64,16 @@ METHODS = (
 
 SWEEP_KINDS = ("n_elements", "total_power_dbm", "n1", "n2", "pa_grid")
 
-# Methods whose final design carries a power split the pa_grid sweep can map.
-_NSP_METHODS = ("nsp-mrr-pa/ES", "nsp-mrr-pa/PSO", "nsp-mrr-pa/SA",
-                "fixed-eta", "fixed-beta", "fixed-both")
+# The blocked methods, whose final design carries a power split the pa_grid
+# sweep can map, and the power-split searcher each one runs.
+_SEARCHERS = {
+    "nsp-mrr-pa/ES": exhaustive_search,
+    "nsp-mrr-pa/PSO": pso_search,
+    "nsp-mrr-pa/SA": annealing_search,
+    "fixed-eta": fixed_eta_search,
+    "fixed-beta": fixed_beta_search,
+    "fixed-both": fixed_point_search,
+}
 
 
 def _integer(v, what: str) -> int:
@@ -180,7 +189,7 @@ class ExperimentSpec:
         if len(set(self.formats)) != len(self.formats):
             raise ValueError("formats must be distinct")
         if self.sweep.kind == "pa_grid":
-            bad = [m for m in self.methods if m not in _NSP_METHODS]
+            bad = [m for m in self.methods if m not in _SEARCHERS]
             if bad:
                 raise ValueError(f"pa_grid sweeps need power-split methods, not {bad}")
 
@@ -263,16 +272,6 @@ def _scene_at(spec: ExperimentSpec, value, seed: int) -> tuple[SceneConfig, floa
     return cfg, dbm_to_watts(power_dbm)
 
 
-_SEARCHERS = {
-    "nsp-mrr-pa/ES": exhaustive_search,
-    "nsp-mrr-pa/PSO": pso_search,
-    "nsp-mrr-pa/SA": annealing_search,
-    "fixed-eta": fixed_eta_search,
-    "fixed-beta": fixed_beta_search,
-    "fixed-both": fixed_point_search,
-}
-
-
 def _zero_reflection_design(ch, p_watts: float) -> tuple[Design, list[str]]:
     """No-IRS baseline: matched CM beam, AN beam nulled at Bob, half power each."""
     flags: list[str] = []
@@ -289,7 +288,13 @@ def _zero_reflection_design(ch, p_watts: float) -> tuple[Design, list[str]]:
     return Design(v_b=v_b, v_e=v_e, theta=theta), flags
 
 
-def _run_point(spec: ExperimentSpec, value, method: str, seed: int) -> ResultRow:
+def run_point(spec: ExperimentSpec, value, method: str, seed: int,
+              ) -> tuple[ResultRow, RunTrace | None]:
+    """Run one (sweep value, method, seed) cell of a non-pa_grid spec.
+
+    Returns its row and the optimizer's per-iteration trace (None for the
+    closed-form ``zero-reflection``).  Errors propagate to the caller.
+    """
     cfg, p_watts = _scene_at(spec, value, seed)
     noise = _noise_profile(spec)
     ch, bch = build_channels(cfg)
@@ -297,19 +302,19 @@ def _run_point(spec: ExperimentSpec, value, method: str, seed: int) -> ResultRow
         design, trace = run_ldt_cffp(ch, noise, p_watts, seed=seed)
         return ResultRow(method, spec.sweep.kind, value, seed,
                          secrecy_rate(ch, design, noise),
-                         trace.iterations, trace.wall_time_s, list(trace.flags))
+                         trace.iterations, trace.wall_time_s, list(trace.flags)), trace
     if method == "zero-reflection":
         t0 = time.perf_counter()
         design, flags = _zero_reflection_design(ch, p_watts)
         sr = secrecy_rate(ch, design, noise)
         return ResultRow(method, spec.sweep.kind, value, seed, sr, 0,
-                         max(time.perf_counter() - t0, 1e-9), flags)
+                         max(time.perf_counter() - t0, 1e-9), flags), None
     design, trace = run_nsp_mrr_pa(bch, noise, p_watts,
                                    searcher=_SEARCHERS[method], seed=seed)
     return ResultRow(method, spec.sweep.kind, value, seed,
                      blocked_secrecy_rate(bch, design, noise),
                      trace.iterations, trace.wall_time_s, list(trace.flags),
-                     eta=design.pa.eta, beta=design.pa.beta)
+                     eta=design.pa.eta, beta=design.pa.beta), trace
 
 
 def _run_pa_grid(spec: ExperimentSpec, method: str, seed: int) -> list[ResultRow]:
@@ -364,7 +369,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             if spec.sweep.kind == "pa_grid":
                 rows.extend(_run_pa_grid(spec, method, seed))
             else:
-                rows.append(_run_point(spec, value, method, seed))
+                rows.append(run_point(spec, value, method, seed)[0])
         except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
             flag = f"error:{type(exc).__name__}: {exc}"
             rows.append(ResultRow(method, spec.sweep.kind, value, seed,

@@ -43,7 +43,6 @@ __all__ = [
     "assemble_ve",
     "assemble_theta",
     "BudgetExhausted",
-    "LdtOptions",
     "run_ldt_cffp",
     "initial_design",
 ]
@@ -161,7 +160,10 @@ class QcqpSolution:
         return float(np.vdot(self.x, self.prob.F @ self.x).real)
 
 
-def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
+QCQP_TOL = 1e-10   # the multiplier search stops at |g - p| <= QCQP_TOL * p
+
+
+def solve_qcqp(prob: QcqpProblem) -> QcqpSolution:
     """Exact solution of the single-constraint concave QCQP.
 
     Works in the problem's cached whitened eigenbasis: with b = U^H L^-1 a,
@@ -173,7 +175,8 @@ def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
     1/sqrt(p), which is nearly linear in nu: safeguarded Newton steps start
     at the lower end of a bracket, a step that leaves the bracket (or a
     non-finite g) falls back to bisection, and the search stops when
-    |g - p| <= tol * p (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983).
+    |g - p| <= QCQP_TOL * p (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
+    1983).
     """
     n = prob.a.size
     p = prob.p_budget
@@ -215,7 +218,7 @@ def solve_qcqp(prob: QcqpProblem, tol: float = 1e-10) -> QcqpSolution:
             r = 1.0 / (dk + nu)
             wr2 = wk * r * r
             g = float(wr2.sum())
-            if abs(g - p) <= tol * p:
+            if abs(g - p) <= QCQP_TOL * p:
                 break
             if g > p or not math.isfinite(g):
                 lo = nu
@@ -368,10 +371,8 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
 
 # -- runner ------------------------------------------------------------------
 
-@dataclass
-class LdtOptions:
-    eps: float = 1e-4          # stop when the surrogate improves by less than this
-    max_iters: int = 500
+EPS = 1e-4         # stop when the surrogate improves by at most this
+MAX_ITERS = 500
 
 
 def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
@@ -414,26 +415,25 @@ def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
 
 
 def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
-                 seed: int = 1, options: LdtOptions | None = None,
-                 ) -> tuple[Design, RunTrace]:
+                 seed: int = 1) -> tuple[Design, RunTrace]:
     """Run the alternating surrogate ascent to convergence.
 
     Per iteration: joint auxiliary update (tight surrogate), then exact
     QCQP steps over the confidential beam, the AN beam and the reflect
-    vector.  Stops when the surrogate improves by at most ``eps`` or at the
-    iteration cap (flagged).  Deterministic for a fixed (channels, seed).
+    vector.  Stops when the surrogate improves by at most ``EPS`` or after
+    ``MAX_ITERS`` iterations (flagged).  Deterministic for a fixed
+    (channels, seed).
 
     Each design is evaluated once: the evaluation that closes an iteration
     gives its trace row and the next iteration's auxiliaries, and the
     blocks share the effective channels and H_si v kept in the state.
     """
-    opt = options or LdtOptions()
     trace = RunTrace()
     t0 = time.perf_counter()
     state = DesignState(ch, initial_design(ch, noise, p_max, seed))
     ev = state.evaluate(noise)
     prev = -math.inf
-    for it in range(1, opt.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         aux = _aux_at(ev)
 
         prob = _assemble_block(assemble_vb, ch, state, noise, aux, p_max, trace,
@@ -460,7 +460,7 @@ def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
             "wall_time_s": time.perf_counter() - t0,
         })
         trace.iterations = it
-        if abs(vr - prev) <= opt.eps:
+        if abs(vr - prev) <= EPS:
             trace.converged = True
             break
         prev = vr

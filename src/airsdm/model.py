@@ -12,8 +12,8 @@ Receiver SNRs (x in {b, e} denotes Bob / Eve):
 
     snr_x = |t_x^H v_b|^2 / (|t_x^H v_e|^2 + sigma2_irs*||g_x^H diag(theta)||^2 + sigma2_x)
 
-Secrecy rate:  log2(1+snr_b) - log2(1+snr_e), clamped at reporting level
-never here (callers decide).
+Secrecy rate:  log2(1+snr_b) - log2(1+snr_e), not clamped at zero here;
+callers decide whether to clamp.
 
 The "virtual" rate used by the alternating optimizer replaces Eve's
 decoding role: snr_e_virtual treats the AN beam as Eve's useful signal.

@@ -42,7 +42,6 @@ __all__ = [
     "pa_sinrs",
     "blocked_secrecy_rate",
     "PaScalarContext",
-    "NspOptions",
     "run_nsp_mrr_pa",
 ]
 
@@ -317,22 +316,19 @@ class PaScalarContext:
         return np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)
 
 
-@dataclass
-class NspOptions:
-    eps: float = 1e-4        # stop when both beamformer updates move less than this
-    max_iters: int = 100
+EPS = 1e-4   # stop when both unit beamformers move by at most this
 
 
 def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
                    searcher: Callable[..., SearchResult] = exhaustive_search,
-                   seed: int = 0, options: NspOptions | None = None,
+                   seed: int = 0, max_iters: int = 100,
                    ) -> tuple[BlockDesign, RunTrace]:
     """Alternate beamformers, reflect vectors, amplification and PA search.
 
-    Stops once both unit beamformers move by at most ``eps`` between
-    consecutive iterations (or at the cap, flagged).  The returned design
-    carries amplification gains recomputed at the searched (eta, beta), so
-    its BS + IRS power spend equals p_s exactly.  Deterministic for fixed
+    Stops once both unit beamformers move by at most ``EPS`` between
+    consecutive iterations (or after ``max_iters``, flagged).  The returned
+    design carries amplification gains computed at the searched (eta, beta),
+    so its BS + IRS power spend equals p_s exactly.  Deterministic for fixed
     inputs; ``seed`` only feeds stochastic searchers.
 
     Pass ``it`` calls ``searcher(ctx, seed + it - 1, start=...)`` with no
@@ -340,7 +336,6 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     warm-started searcher (annealing) settles with the beamformers instead
     of jittering around a fresh random start on every pass.
     """
-    opt = options or NspOptions()
     trace = RunTrace()
     t0 = time.perf_counter()
     m = bch.h_b.size
@@ -356,13 +351,12 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     )
 
     start = None
-    for it in range(1, opt.max_iters + 1):
+    for it in range(1, max_iters + 1):
         prev_vb, prev_ve = d.v_b, d.v_e
         v_b, v_e, fl = nsp_beamformers(bch, d)
         d.v_b, d.v_e = v_b, v_e
         theta1, theta2, fl2 = mrr_reflect(bch, d)
         d.theta1, d.theta2 = theta1, theta2
-        d.rho1, d.rho2 = amplification_rho(bch, d, noise)
         for flag in fl + fl2:
             trace.add_flag(flag)
 
@@ -388,7 +382,7 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
             "wall_time_s": time.perf_counter() - t0,
         })
         trace.iterations = it
-        if delta_b <= opt.eps and delta_e <= opt.eps:
+        if delta_b <= EPS and delta_e <= EPS:
             trace.converged = True
             break
     if not trace.converged:

@@ -3,9 +3,10 @@
 eta splits total power between the BS and the active IRS; beta splits the
 BS share between the confidential beam and artificial noise.  The
 searchers maximize a scalar objective f(eta, beta) over a closed box
-strictly inside (0,1)^2 and report a cumulative-best trace:
+strictly inside (0,1)^2 and report the best point, its value and the
+number of evaluations:
 
-* exhaustive_search - full grid scan (one trace entry per grid row),
+* exhaustive_search - full grid scan,
 * pso_search        - particle swarm (inertia + cognitive/social pulls),
 * annealing_search  - simulated annealing with Gaussian proposals
                       reflected at the box boundary and geometric cooling,
@@ -20,12 +21,16 @@ begins there instead of at a uniform draw), the others check it and
 ignore it.  The box, grid, swarm and annealing settings are the module
 constants below; all searchers are deterministic for a fixed objective,
 seed and start.
+
+One pick rule holds everywhere: a NaN value counts as -inf, so it never
+wins a comparison (a best, a personal or global best, a Metropolis test).
+A result's value is -inf only when every candidate scored NaN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,9 +66,8 @@ STEP = 0.05                         # Gaussian proposal std
 @dataclass
 class SearchResult:
     point: tuple[float, float]   # (eta, beta) of the best value found
-    value: float
+    value: float                 # -inf when every candidate scored NaN
     evaluations: int
-    trace: list[float] = field(default_factory=list)  # cumulative best
 
 
 def _check_start(start: tuple[float, float] | None) -> tuple[float, float] | None:
@@ -80,30 +84,33 @@ def _check_start(start: tuple[float, float] | None) -> tuple[float, float] | Non
 
 
 def _values(objective: Callable, etas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    return np.asarray(objective(etas, betas), dtype=float)
+    """Objective values at the candidate arrays, NaN counted as -inf."""
+    values = np.asarray(objective(etas, betas), dtype=float)
+    return np.where(np.isnan(values), -np.inf, values)
+
+
+def _value(objective: Callable, eta: float, beta: float) -> float:
+    """Objective value at one float candidate, NaN counted as -inf."""
+    value = float(objective(eta, beta))
+    return -math.inf if math.isnan(value) else value
+
+
+def _scan(objective: Callable, etas: np.ndarray, betas: np.ndarray) -> SearchResult:
+    """Evaluate every candidate in one objective call; the first best one wins."""
+    values = _values(objective, etas, betas)
+    j = int(np.argmax(values))
+    return SearchResult((float(etas[j]), float(betas[j])), float(values[j]), values.size)
 
 
 def exhaustive_search(objective: Callable, seed: int = 0,
                       start: tuple[float, float] | None = None) -> SearchResult:
     """Full scan of the (eta, beta) grid; ties go to the smallest (eta, beta).
 
-    All grid points are evaluated row-major in one objective call, then
-    reduced row by row (one trace entry per row).  ``seed`` and ``start``
-    are unused.
+    The grid is evaluated row-major (eta outer) in one objective call.
+    ``seed`` and ``start`` are unused.
     """
     _check_start(start)
-    n = GRID.size
-    values = _values(objective, np.repeat(GRID, n), np.tile(GRID, n))
-    best_val = -math.inf
-    best_pt = (float(GRID[0]), float(GRID[0]))
-    trace: list[float] = []
-    for i, row in enumerate(values.reshape(n, n)):
-        j = int(np.argmax(row))          # first index wins -> smallest beta
-        if row[j] > best_val:            # strict -> smallest eta on ties
-            best_val = float(row[j])
-            best_pt = (float(GRID[i]), float(GRID[j]))
-        trace.append(best_val)
-    return SearchResult(best_pt, best_val, n * n, trace)
+    return _scan(objective, np.repeat(GRID, GRID.size), np.tile(GRID, GRID.size))
 
 
 def pso_search(objective: Callable, seed: int = 0,
@@ -124,7 +131,6 @@ def pso_search(objective: Callable, seed: int = 0,
     g = int(np.argmax(vals))
     gbest = pos[g].copy()
     gbest_val = float(vals[g])
-    trace = [gbest_val]
 
     for _ in range(SWEEPS):
         r1 = rng.uniform(size=(SWARM, 2))
@@ -142,9 +148,8 @@ def pso_search(objective: Callable, seed: int = 0,
         if pbest_val[g] > gbest_val:
             gbest_val = float(pbest_val[g])
             gbest = pbest[g].copy()
-        trace.append(gbest_val)
     return SearchResult((float(gbest[0]), float(gbest[1])), gbest_val,
-                        SWARM * (SWEEPS + 1), trace)
+                        SWARM * (SWEEPS + 1))
 
 
 def _reflect(x: float) -> float:
@@ -169,10 +174,9 @@ def annealing_search(objective: Callable, seed: int = 0,
     rng = np.random.default_rng(seed)
     z = _check_start(start)
     z_eta, z_beta = rng.uniform(LO, HI, size=2).tolist() if z is None else z
-    fz = float(objective(z_eta, z_beta))
+    fz = _value(objective, z_eta, z_beta)
     best = (z_eta, z_beta)
     best_val = fz
-    trace: list[float] = []
     temp = T0
 
     for _ in range(LEVELS):
@@ -180,41 +184,34 @@ def annealing_search(objective: Callable, seed: int = 0,
             step_eta, step_beta = rng.normal(0.0, STEP, size=2).tolist()
             eta = _reflect(z_eta + step_eta)
             beta = _reflect(z_beta + step_beta)
-            fc = float(objective(eta, beta))
-            loss = fz - fc               # energy increase of the move
+            fc = _value(objective, eta, beta)
+            loss = fz - fc               # energy increase; NaN (rejected) if both -inf
             if loss <= 0.0 or rng.uniform() < math.exp(-loss / temp):
                 z_eta, z_beta, fz = eta, beta, fc
             if fc > best_val:
                 best_val = fc
                 best = (eta, beta)
-        trace.append(best_val)
         temp *= COOLING
-    return SearchResult(best, best_val, LEVELS * PROPOSALS + 1, trace)
+    return SearchResult(best, best_val, LEVELS * PROPOSALS + 1)
 
 
 def fixed_point_search(objective: Callable, seed: int = 0,
                        start: tuple[float, float] | None = None) -> SearchResult:
     """Baseline: no search, evaluate the pinned (eta, beta) only."""
     _check_start(start)
-    val = float(objective(PIN, PIN))
-    return SearchResult((PIN, PIN), val, 1, [val])
+    # one candidate: the float path is an order of magnitude cheaper than _scan
+    return SearchResult((PIN, PIN), _value(objective, PIN, PIN), 1)
 
 
 def fixed_eta_search(objective: Callable, seed: int = 0,
                      start: tuple[float, float] | None = None) -> SearchResult:
     """Baseline: eta pinned, beta scanned on the grid axis."""
     _check_start(start)
-    row = _values(objective, np.full(GRID.size, PIN), GRID)
-    j = int(np.argmax(row))
-    return SearchResult((PIN, float(GRID[j])), float(row[j]), GRID.size,
-                        list(np.maximum.accumulate(row)))
+    return _scan(objective, np.full(GRID.size, PIN), GRID)
 
 
 def fixed_beta_search(objective: Callable, seed: int = 0,
                       start: tuple[float, float] | None = None) -> SearchResult:
     """Baseline: beta pinned, eta scanned on the grid axis."""
     _check_start(start)
-    col = _values(objective, GRID, np.full(GRID.size, PIN))
-    j = int(np.argmax(col))
-    return SearchResult((float(GRID[j]), PIN), float(col[j]), GRID.size,
-                        list(np.maximum.accumulate(col)))
+    return _scan(objective, GRID, np.full(GRID.size, PIN))

@@ -195,3 +195,12 @@ def test_trace_rejects_the_closed_form_baseline(capsys):
 def test_trace_rejects_an_odd_element_count(capsys):
     assert main(["trace", "--n", "7"]) == 2
     assert "even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--power-dbm", "nan"), ("--power-dbm", "inf"),
+                                         ("--noise-dbm", "nan"), ("--seed", "-1")])
+def test_trace_rejects_what_run_rejects(capsys, flag, value):
+    assert main(["trace", "--n", "8", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("airsdm:")
+    assert captured.out == ""

@@ -18,7 +18,6 @@ from conftest import crandn, random_channelset, random_design
 from airsdm import ldt_cffp
 from airsdm.ldt_cffp import (
     BudgetExhausted,
-    LdtOptions,
     _assemble_block,
     assemble_theta,
     assemble_vb,
@@ -370,9 +369,9 @@ def test_run_builds_and_solves_every_block_through_the_module_globals(monkeypatc
 
     counted("QcqpProblem")
     counted("solve_qcqp")
+    monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 20)
     ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
-    _, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1,
-                            options=LdtOptions(max_iters=20))
+    _, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1)
     assert not any(f.startswith("budget-") for f in trace.flags)
     assert counts == {"QcqpProblem": 2 * trace.iterations,
                       "solve_qcqp": 3 * trace.iterations}
@@ -402,7 +401,7 @@ def test_run_ldt_cffp_trace_and_convergence():
     d, trace = run_ldt_cffp(ch, noise, p_max=1.0, seed=1)
 
     assert trace.converged
-    assert trace.iterations == len(trace.rows) <= LdtOptions().max_iters
+    assert trace.iterations == len(trace.rows) <= ldt_cffp.MAX_ITERS
     assert trace.flags == []
     row = trace.rows[0]
     assert set(row) == {"iteration", "vr_prime", "sr_bits", "power_slack",
@@ -430,11 +429,11 @@ def test_run_ldt_cffp_is_deterministic():
     assert t1.objective_values("vr_prime") == t2.objective_values("vr_prime")
 
 
-def test_run_ldt_cffp_flags_the_iteration_cap():
+def test_run_ldt_cffp_flags_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 3)
     cfg = benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0)
     ch, _ = build_channels(cfg)
-    d, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1,
-                            options=LdtOptions(max_iters=3))
+    d, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1)
     assert not trace.converged
     assert trace.iterations == 3
     assert "iteration-cap" in trace.flags
