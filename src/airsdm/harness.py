@@ -2,7 +2,8 @@
 
 An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
-seed) cell and returns sorted :class:`ResultRow` records.  Per-cell
+seed) cell and returns sorted :class:`ResultRow` records.  The
+``ldt-cffp`` seeds of one sweep value run as one lockstep stack.  Per-cell
 failures become flagged rows instead of aborting the batch.  Tables are
 emitted as CSV (schema versioned in a header comment) and/or JSON, both
 of which round-trip losslessly through the matching readers.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .scene import SceneConfig, build_channels, dbm_to_watts
 from .model import Design, NoiseProfile, secrecy_rate
-from .ldt_cffp import run_ldt_cffp
+from .ldt_cffp import run_ldt_cffp, run_ldt_cffp_seeds
 from .nsp_mrr import PaScalarContext, blocked_secrecy_rate, run_nsp_mrr_pa
 from .pa_search import (
     annealing_search,
@@ -350,31 +351,51 @@ def _row_key(row: ResultRow) -> tuple:
     return (row.method, row.sweep_name, _value_key(row.sweep_value), row.seed)
 
 
+def _run_cell(spec: ExperimentSpec, value, method: str, seed: int) -> list[ResultRow]:
+    """The rows of one cell; a failure becomes one flagged row."""
+    t0 = time.perf_counter()
+    try:
+        if spec.sweep.kind == "pa_grid":
+            return _run_pa_grid(spec, method, seed)
+        return [run_point(spec, value, method, seed)[0]]
+    except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
+        flag = f"error:{type(exc).__name__}: {exc}"
+        return [ResultRow(method, spec.sweep.kind, value, seed, float("nan"), 0,
+                          max(time.perf_counter() - t0, 1e-9), [flag])]
+
+
+def _run_ldt_stack(spec: ExperimentSpec, value) -> list[ResultRow]:
+    """The ``ldt-cffp`` rows of every seed at one sweep value, run as one
+    lockstep stack.  If the stack raises, each seed runs as its own cell,
+    so a failure stays the row of the seed that fails."""
+    try:
+        noise = _noise_profile(spec)
+        scenes = [_scene_at(spec, value, seed) for seed in spec.seeds]
+        chs = [build_channels(cfg)[0] for cfg, _ in scenes]
+        runs = run_ldt_cffp_seeds(chs, noise, scenes[0][1], spec.seeds, keep_rows=False)
+        return [ResultRow("ldt-cffp", spec.sweep.kind, value, seed,
+                          secrecy_rate(ch, design, noise), trace.iterations,
+                          trace.wall_time_s, list(trace.flags))
+                for seed, ch, (design, trace) in zip(spec.seeds, chs, runs)]
+    except Exception:  # noqa: BLE001 - the cells below report it, seed by seed
+        return [row for seed in spec.seeds for row in _run_cell(spec, value, "ldt-cffp", seed)]
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (sweep value, method, seed) cell; failures become flagged rows.
 
     Rows come back sorted by (method, sweep, value, seed), so the table is
     independent of execution order.
     """
-    if spec.sweep.kind == "pa_grid":
-        jobs = [(None, m, s) for m in spec.methods for s in spec.seeds]
-    else:
-        jobs = [(v, m, s) for v in spec.sweep.values
-                for m in spec.methods for s in spec.seeds]
-
+    values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
     rows: list[ResultRow] = []
-    for value, method, seed in jobs:
-        t0 = time.perf_counter()
-        try:
-            if spec.sweep.kind == "pa_grid":
-                rows.extend(_run_pa_grid(spec, method, seed))
-            else:
-                rows.append(run_point(spec, value, method, seed)[0])
-        except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
-            flag = f"error:{type(exc).__name__}: {exc}"
-            rows.append(ResultRow(method, spec.sweep.kind, value, seed,
-                                  float("nan"), 0,
-                                  max(time.perf_counter() - t0, 1e-9), [flag]))
+    for value in values:
+        for method in spec.methods:
+            if method == "ldt-cffp":
+                rows.extend(_run_ldt_stack(spec, value))
+                continue
+            for seed in spec.seeds:
+                rows.extend(_run_cell(spec, value, method, seed))
     rows.sort(key=_row_key)
     return rows
 

@@ -5,15 +5,22 @@ closed-form auxiliary updates with three single-constraint QCQP blocks
 (confidential beam, AN beam, IRS reflect vector), each solved exactly
 through a KKT multiplier search.  Every block step is a global maximizer
 of the surrogate in that block, so the recorded objective never decreases.
+
+The runner advances the runs of several seeds in lockstep: designs, block
+problems and their factorizations carry a leading seed axis, and a seed
+leaves the stack when it converges.  One seed, one design and one problem
+are the same code without that axis.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from .model import (
     Evaluation,
     NoiseProfile,
     AuxVars,
-    _sq_norm,
+    _columns,
     # not called here; kept as module globals that traced runs wrap
     secrecy_rate,
     total_power,
@@ -36,6 +43,7 @@ __all__ = [
     "QcqpProblem",
     "QcqpSolution",
     "solve_qcqp",
+    "solve_qcqp_stack",
     "kkt_residuals",
     "update_mu",
     "optimal_aux",
@@ -44,48 +52,94 @@ __all__ = [
     "assemble_theta",
     "BudgetExhausted",
     "run_ldt_cffp",
+    "run_ldt_cffp_seeds",
     "initial_design",
 ]
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when a block subproblem is left with a non-positive power budget."""
+    """Raised when a block subproblem is left with a non-positive power budget.
+
+    ``low`` marks which designs are exhausted, one bool per design.
+    """
+
+    def __init__(self, message: str, low: list[bool]):
+        super().__init__(message)
+        self.low = low
 
 
-def _hermitian_part(name: str, M: np.ndarray) -> tuple[np.ndarray, bool]:
-    """M symmetrized against rounding, and whether it is diagonal; raises
-    unless M is Hermitian to 1e-8, max|M - M^H| <= 1e-8 max|M|.
+def _block_budget(state: DesignState, budget: list[float], block: str) -> float | list[float]:
+    """The budget of each design, one float for a single design; raises
+    BudgetExhausted when some are not positive."""
+    low = [x <= 0 for x in budget]
+    if any(low):
+        raise BudgetExhausted(f"{block} budget {budget[0] if state.one else budget} <= 0", low)
+    return budget[0] if state.one else budget
 
-    A diagonal M costs O(n): M - M^H is 2i Im(diag M) and the Hermitian
+
+def _diagonal(M: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix of a C-contiguous stack."""
+    n = M.shape[-1]
+    return M.reshape(*M.shape[:-2], n * n)[..., ::n + 1]
+
+
+def _hermitian_part(name: str, M: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Each matrix of the stack M symmetrized against rounding; raises
+    unless each is Hermitian to 1e-8, max|M - M^H| <= 1e-8 max|M|.  A
+    stack already Hermitian to the last bit, as the assemblers build them,
+    is its own Hermitian part and is returned as given.
+
+    A ``diagonal`` M costs O(n): M - M^H is 2i Im(diag M) and the Hermitian
     part is diag(Re M).  Otherwise max|M| >= max|M_ii|, so every entry is
     scanned for the scale only when the diagonal's does not pass the skew.
     """
-    m = M.diagonal()
-    diagonal = np.count_nonzero(M) == np.count_nonzero(m)
+    m = M.diagonal(axis1=-2, axis2=-1)
     if diagonal:
-        skew = 2.0 * float(np.abs(m.imag).max())
-        scale = float(np.abs(m).max())
-        H = np.zeros(M.shape, dtype=M.dtype)
-        H.flat[::M.shape[0] + 1] = m.real
+        if not m.imag.any():                  # M is diag(Re M) already: kept as is
+            return M
+        skew = 2.0 * np.abs(m.imag).max(-1)
+        H = np.zeros(M.shape, dtype=complex)
+        _diagonal(H)[...] = m.real
     else:
-        Mh = M.conj().T
-        skew = float(np.abs(M - Mh).max())
-        scale = float(np.abs(m).max())
-        if skew > 1e-8 * scale:
-            scale = float(np.abs(M).max())
+        Mh = M.conj().swapaxes(-1, -2)
+        if (M == Mh).all():                   # Hermitian to the last bit: kept as is
+            return M
+        skew = np.abs(M - Mh).max((-2, -1))
         H = M + Mh
         H *= 0.5
-    if skew > 1e-8 * (scale or 1.0):
-        raise ValueError(f"{name} is not Hermitian")
-    return H, diagonal
+    if (skew > 1e-8 * np.abs(m).max(-1)).any():
+        scale = np.abs(M).max((-2, -1))
+        if (skew > 1e-8 * np.where(scale > 0, scale, 1.0)).any():
+            raise ValueError(f"{name} is not Hermitian")
+    return H
+
+
+def _budgets(p_budget: float | list[float] | np.ndarray) -> tuple[list[float], tuple]:
+    """The budgets as a list of floats, and the shape of the stack (() for
+    one problem); raises unless each budget is positive."""
+    if isinstance(p_budget, list):            # the assemblers' per-design budgets
+        budgets, lead = p_budget, (len(p_budget),)
+    else:
+        p = np.asarray(p_budget, dtype=float)
+        budgets, lead = p.reshape(-1).tolist(), p.shape
+    if any(x <= 0 for x in budgets):
+        raise ValueError(f"power budget must be positive, got {p_budget}")
+    return budgets, lead
 
 
 @dataclass
 class QcqpProblem:
     """maximize Re{2 a^H x} - x^H A x  subject to  x^H F x <= p_budget.
 
+    A stack of S such problems has a leading axis on every field: ``a`` is
+    (S, n), ``A`` and ``F`` are (S, n, n) and ``p_budget`` holds S budgets.
+    Each check and each factorization below applies to every problem of
+    the stack; numpy's stacked LAPACK calls give each problem the bits of
+    its own call.
+
     A must be Hermitian PSD and F Hermitian PD; both are checked (and
-    symmetrized against rounding) at construction, which also factors the
+    symmetrized against rounding; one already Hermitian to the last bit is
+    kept as given) at construction, which also factors the
     problem once for ``solve_qcqp``: with F = L L^H, the whitened matrix
     L^-1 A L^-H = U diag(d) U^H.  A diagonal F (the reflect block's) is
     whitened by an elementwise scale, any other F through its Cholesky
@@ -98,44 +152,55 @@ class QcqpProblem:
     a: np.ndarray
     A: np.ndarray
     F: np.ndarray
-    p_budget: float
+    p_budget: float | list[float] | np.ndarray
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=complex).ravel()
-        n = self.a.size
-        if self.p_budget <= 0:
-            raise ValueError(f"power budget must be positive, got {self.p_budget}")
-        self.A, _ = _hermitian_part("A", np.asarray(self.A, dtype=complex).reshape(n, n))
-        self.F, diagonal = _hermitian_part("F", np.asarray(self.F, dtype=complex).reshape(n, n))
+        self._p, lead = _budgets(self.p_budget)
+        self.a = np.asarray(self.a, dtype=complex).reshape(*lead, -1)
+        n = self.a.shape[-1]
+        A = np.asarray(self.A, dtype=complex).reshape(-1, n, n)
+        F = np.asarray(self.F, dtype=complex).reshape(-1, n, n)
+        diagonal = np.count_nonzero(F) == np.count_nonzero(F.diagonal(axis1=-2, axis2=-1))
+        A, F = _hermitian_part("A", A, False), _hermitian_part("F", F, diagonal)
+        self.A, self.F = (A, F) if lead else (A[0], F[0])
 
+        # the factorization keeps a leading stack axis, one problem included
         if diagonal:
-            f = self.F.diagonal().real
+            f = F.diagonal(axis1=-2, axis2=-1).real
             if not (f > 0.0).all():
                 raise ValueError("F must be positive definite")
             w = 1.0 / np.sqrt(f)                  # L^-1 = diag(w)
-            d, U = np.linalg.eigh(w[:, None] * self.A * w)
-            T = U.conj().T * w
+            d, U = np.linalg.eigh(A * (w[:, :, None] * w[:, None, :]))
+            U *= w[:, :, None]                    # in place: a stack of N x N can be large
+            T = np.conjugate(U, out=U).swapaxes(-1, -2)
         else:
             try:
-                Linv = np.linalg.inv(np.linalg.cholesky(self.F))
+                Linv = np.linalg.inv(np.linalg.cholesky(F))
             except np.linalg.LinAlgError as exc:
                 raise ValueError("F must be positive definite") from exc
-            d, U = np.linalg.eigh(Linv @ self.A @ Linv.conj().T)   # lower triangle
-            T = U.conj().T @ Linv
-        if d[0] < -1e-8 * max(float(d[-1]), 0.0):
+            # lower triangle
+            d, U = np.linalg.eigh(Linv @ A @ Linv.conj().swapaxes(-1, -2))
+            T = U.conj().swapaxes(-1, -2) @ Linv
+        spectra = d.tolist()
+        if any(x[0] < -1e-8 * max(x[-1], 0.0) for x in spectra):
             raise ValueError("A must be positive semidefinite")
         self._d = np.maximum(d, 0.0)              # ascending
         self._T = T                               # U^H L^-1: b = T a, x = T^H z
-        # d[:k] are the flat directions of the objective
-        flat = 1e-12 * (float(d[-1]) if d[-1] > 0 else 1.0)
-        self._k = int(self._d.searchsorted(flat, side="right"))
+        # d[:, :k] are the flat directions of the objective; _flat marks
+        # them (None when there are none), _keep the others, and _dk is d
+        # with them set to 1
+        self._k = [bisect.bisect_right(x, 1e-12 * max(x[-1], 0.0)) for x in spectra]
+        self._flat, self._dk = None, self._d
+        if any(self._k):
+            self._flat = np.arange(n) < np.array(self._k)[:, None]
+            self._dk = np.where(self._flat, 1.0, self._d)
+            self._keep = ~self._flat
 
-    def retarget(self, a: np.ndarray, p_budget: float) -> QcqpProblem:
+    def retarget(self, a: np.ndarray, p_budget: float | list[float] | np.ndarray) -> QcqpProblem:
         """The same A and F, and their factorization, with a new linear term
         and budget."""
-        if p_budget <= 0:
-            raise ValueError(f"power budget must be positive, got {p_budget}")
         new = copy.copy(self)
+        new._p, _ = _budgets(p_budget)
         new.a = np.asarray(a, dtype=complex).reshape(self.a.shape)
         new.p_budget = p_budget
         return new
@@ -143,28 +208,31 @@ class QcqpProblem:
 
 @dataclass
 class QcqpSolution:
+    """The maximizer of one problem, or of each problem of a stack (then
+    ``x`` is (S, n) and ``nu`` and ``bisect_steps`` are arrays)."""
+
     x: np.ndarray
-    nu: float            # KKT multiplier of the power constraint
-    bisect_steps: int    # multiplier evaluations (Newton or bisection steps)
+    nu: float | np.ndarray            # KKT multiplier of the power constraint
+    bisect_steps: int | np.ndarray    # multiplier evaluations (Newton or bisection steps)
     prob: QcqpProblem = field(repr=False)
 
     @functools.cached_property
-    def objective(self) -> float:
+    def objective(self) -> float | np.ndarray:
         """Re{2 a^H x} - x^H A x, computed on first use."""
-        x = self.x
-        return float(2.0 * np.vdot(self.prob.a, x).real - np.vdot(x, self.prob.A @ x).real)
+        x, prob = self.x, self.prob
+        return 2.0 * np.vecdot(prob.a, x).real - np.vecdot(x, np.matvec(prob.A, x)).real
 
     @functools.cached_property
-    def constraint(self) -> float:
+    def constraint(self) -> float | np.ndarray:
         """x^H F x, computed on first use."""
-        return float(np.vdot(self.x, self.prob.F @ self.x).real)
+        return np.vecdot(self.x, np.matvec(self.prob.F, self.x)).real
 
 
 QCQP_TOL = 1e-10   # the multiplier search stops at |g - p| <= QCQP_TOL * p
 
 
 def solve_qcqp(prob: QcqpProblem) -> QcqpSolution:
-    """Exact solution of the single-constraint concave QCQP.
+    """Exact solution of one single-constraint concave QCQP.
 
     Works in the problem's cached whitened eigenbasis: with b = U^H L^-1 a,
     the stationary point is z(nu) = b / (d + nu), x = L^-H U z, whose
@@ -178,64 +246,143 @@ def solve_qcqp(prob: QcqpProblem) -> QcqpSolution:
     |g - p| <= QCQP_TOL * p (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
     1983).
     """
-    n = prob.a.size
-    p = prob.p_budget
+    x, nu, steps = _solve(prob)
+    return QcqpSolution(x, float(nu), int(steps), prob)
 
-    if not prob.a.any():
-        return QcqpSolution(np.zeros(n, dtype=complex), 0.0, 0, prob)
 
-    d, k = prob._d, prob._k
-    b = prob._T @ prob.a
+def solve_qcqp_stack(prob: QcqpProblem) -> QcqpSolution:
+    """``solve_qcqp`` for every problem of a stack at once; each problem
+    gets the bits of its own ``solve_qcqp``."""
+    return QcqpSolution(*_solve(prob), prob)
+
+
+def _solve(prob: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, nu and the step counts of every problem, shaped like the stack.
+
+    The O(n) work runs over the whole stack at once; each problem's range
+    and interior tests and its multiplier bracket are taken in floats.
+    """
+    lead, n = prob.a.shape[:-1], prob.a.shape[-1]
+    d, dk, flat = prob._d, prob._dk, prob._flat
+    p = prob._p
+    b = np.matvec(prob._T, prob.a.reshape(-1, n))
     babs2 = np.abs(b) ** 2
-    norm_b = math.sqrt(float(babs2.sum()))
-    # in range(A), b has no flat components beyond rounding
-    in_range = k == 0 or float(np.abs(b[:k]).max()) <= 1e-9 * norm_b
-
-    nu = 0.0
-    steps = 0
-    if in_range:
-        z = np.zeros(n, dtype=complex)
-        z[k:] = b[k:] / d[k:]
-        interior = float(np.vdot(z, z).real) <= p * (1.0 + 1e-9)
-    else:
-        interior = False
-
-    if not interior:
-        # sandwich g between ||b||^2/(d_max+nu)^2 and ||b||^2/(d_min+nu)^2
-        root = norm_b / math.sqrt(p)
-        if in_range:
-            # the flat components are rounding: drop them
-            dk, wk = d[k:], babs2[k:]
-            lo = max(0.0, root - float(dk[-1]))
+    wk = babs2 if flat is None else babs2 * prob._keep
+    nu = [0.0] * len(p)
+    steps = [0] * len(p)
+    edge = []                                 # (row, bracket) of the boundary problems
+    out = set()                               # rows with a outside range(A)
+    for i, (nb2, flat2, g0, pi, k) in enumerate(zip(
+            babs2.sum(-1).tolist(),
+            [0.0] * len(p) if flat is None else (babs2 * flat).max(-1).tolist(),
+            (wk / (dk * dk)).sum(-1).tolist(), p, prob._k)):
+        norm_b = math.sqrt(nb2)
+        root = norm_b / math.sqrt(pi)
+        # in range(A), b has no flat components beyond rounding: they are
+        # dropped, and g(0) is the sum over the others, g0
+        if math.sqrt(flat2) <= 1e-9 * norm_b:
+            if g0 <= pi * (1.0 + 1e-9):
+                continue                      # interior: nu = 0
+            # sandwich g between ||b||^2/(d_max+nu)^2 and ||b||^2/(d_min+nu)^2
+            edge.append((i, max(0.0, root - float(d[i, -1])),
+                         max(root - float(d[i, k]), 1e-300)))
         else:
             # the flat components alone give g >= |b_flat|^2/(d[k-1]+nu)^2
-            dk, wk = d, babs2
-            lo = max(root - float(dk[-1]),
-                     math.sqrt(float(babs2[:k].sum()) / p) - float(d[k - 1]))
-        hi = max(root - float(dk[0]), 1e-300)
-        nu = lo
-        for steps in range(1, 201):
-            r = 1.0 / (dk + nu)
-            wr2 = wk * r * r
-            g = float(wr2.sum())
-            if abs(g - p) <= QCQP_TOL * p:
-                break
-            if g > p or not math.isfinite(g):
-                lo = nu
-            else:
-                hi = nu
-            step = nu + g * (math.sqrt(g / p) - 1.0) / float(np.dot(wr2, r))
-            nu = step if lo < step < hi else 0.5 * (lo + hi)
-        z = b / (d + nu)
-        if in_range:
-            z[:k] = 0.0
+            out.add(i)
+            edge.append((i, max(root - float(d[i, -1]),
+                                math.sqrt(float(babs2[i, :k].sum()) / pi) - float(d[i, k - 1])),
+                         max(root - float(d[i, 0]), 1e-300)))
+    if len(edge) == 1:
+        i, lo, hi = edge[0]
+        nu[i], steps[i] = _newton_tail(*((d[i], babs2[i]) if i in out else (dk[i], wk[i])),
+                                       p[i], lo, hi, lo, 1)
+    elif edge:
+        rows = [e[0] for e in edge]
+        DK, WK = dk[rows], wk[rows]
+        for j, i in enumerate(rows):
+            if i in out:
+                DK[j], WK[j] = d[i], babs2[i]
+        for i, nu_i, steps_i in zip(rows, *_multipliers(
+                DK, WK, np.array([p[i] for i in rows]),
+                np.array([e[1] for e in edge]), np.array([e[2] for e in edge]))):
+            nu[i], steps[i] = nu_i, steps_i
 
-    x = (z.conj() @ prob._T).conj()
-    return QcqpSolution(x, float(nu), steps, prob)
+    nu_a = np.array(nu)
+    z = b / (dk + nu_a[:, None])
+    if flat is not None:
+        z *= prob._keep
+    for i in out:
+        z[i] = b[i] / (d[i] + nu[i])
+    x = np.vecmat(z, prob._T).conj()          # T^H z
+    return (x, nu_a, np.array(steps)) if lead else (x[0], nu_a[0], steps[0])
+
+
+def _multipliers(dk: np.ndarray, wk: np.ndarray, p: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[list[float], list[int]]:
+    """Roots of g(nu) = sum wk / (dk + nu)^2 = p, one per row, in [lo, hi].
+
+    The rows take their Newton steps together and leave as they converge;
+    the last one left finishes in ``_newton_tail``, whose float steps give
+    the same bits.
+    """
+    out_nu = np.empty(p.size)
+    out_steps = np.full(p.size, 200)
+    live = np.arange(p.size)
+    nu = lo
+    tol = QCQP_TOL * p
+    for step in range(1, 201):
+        if live.size == 1:
+            out_nu[live], out_steps[live] = _newton_tail(
+                dk[0], wk[0], float(p[0]), float(lo[0]), float(hi[0]), float(nu[0]), step)
+            break
+        r = 1.0 / (dk + nu[:, None])
+        wr2 = wk * r * r
+        g = wr2.sum(-1)
+        done = np.abs(g - p) <= tol
+        if done.any():
+            out_nu[live[done]] = nu[done]
+            out_steps[live[done]] = step
+            keep = ~done
+            if not keep.any():
+                break
+            live, dk, wk, p, tol, lo, hi, nu, r, wr2, g = (
+                v[keep] for v in (live, dk, wk, p, tol, lo, hi, nu, r, wr2, g))
+        over = ~(g <= p)                          # g > p, or g is not finite
+        lo = np.where(over, nu, lo)
+        hi = np.where(over, hi, nu)
+        new = nu + g * (np.sqrt(g / p) - 1.0) / np.vecdot(wr2, r)
+        nu = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+    else:
+        out_nu[live] = nu
+    return out_nu.tolist(), out_steps.tolist()
+
+
+def _newton_tail(dk: np.ndarray, wk: np.ndarray, p: float, lo: float, hi: float,
+                 nu: float, first: int) -> tuple[float, int]:
+    """The Newton steps of ``_multipliers`` for one row, from step ``first``.
+
+    Solves the secular equation 1/sqrt(g(nu)) = 1/sqrt(p), which is nearly
+    linear in nu: a step that leaves the bracket [lo, hi] (or a non-finite
+    g) falls back to bisection.
+    """
+    for step in range(first, 201):
+        r = 1.0 / (dk + nu)
+        wr2 = wk * r * r
+        g = float(np.add.reduce(wr2))
+        if abs(g - p) <= QCQP_TOL * p:
+            return nu, step
+        if not g <= p:
+            lo = nu
+        else:
+            hi = nu
+        new = nu + g * (math.sqrt(g / p) - 1.0) / float(np.dot(wr2, r))
+        nu = new if lo < new < hi else 0.5 * (lo + hi)
+    return nu, 200
 
 
 def kkt_residuals(prob: QcqpProblem, sol: QcqpSolution) -> dict:
-    """Stationarity / feasibility / complementary-slackness residuals."""
+    """Stationarity / feasibility / complementary-slackness residuals of
+    one problem."""
     r = (prob.A + sol.nu * prob.F) @ sol.x - prob.a
     return {
         "stationarity": float(np.linalg.norm(r)),
@@ -274,7 +421,8 @@ def _aux_at(ev: Evaluation) -> AuxVars:
 #
 # Each assembler takes an optional ``state``, the DesignState of ``d``; the
 # runner passes its own so that the effective channels and H_si v are not
-# rebuilt.  Without one, the assembler builds it.
+# rebuilt.  Without one, the assembler builds it.  A stacked state (with
+# ``aux`` a list, one AuxVars per design) gives a stack of problems.
 
 def _state_of(ch: ChannelSet, d: Design, state: DesignState | None) -> DesignState:
     if state is None:
@@ -282,6 +430,33 @@ def _state_of(ch: ChannelSet, d: Design, state: DesignState | None) -> DesignSta
     if state.d is not d:
         raise ValueError("state belongs to another design")
     return state
+
+
+class _AuxTerms(NamedTuple):
+    """What the assemblers take from the auxiliaries, per design (last axis)."""
+
+    a: np.ndarray        # sqrt(1+lam_b) mu_b, sqrt(1+lam_e) mu_e
+    mags: np.ndarray     # |mu_b|, |mu_e|
+    cols: np.ndarray     # |mu_b|, |mu_b|, |mu_e|, |mu_e|
+    sq: np.ndarray       # |mu_b|^2, |mu_b|^2, |mu_e|^2, |mu_e|^2
+    lin: np.ndarray      # conj(sqrt(1+lam_b) mu_b), 0, 0, conj(sqrt(1+lam_e) mu_e)
+
+
+def _aux_terms(aux: AuxVars | list[AuxVars] | _AuxTerms) -> _AuxTerms:
+    """The terms of one AuxVars, or of a list with one per design."""
+    if isinstance(aux, _AuxTerms):
+        return aux
+    rows = []
+    for x in [aux] if isinstance(aux, AuxVars) else aux:
+        cb = math.sqrt(1.0 + x.lam_b) * x.mu_b
+        ce = math.sqrt(1.0 + x.lam_e) * x.mu_e
+        mb, me = abs(x.mu_b), abs(x.mu_e)
+        mb2, me2 = mb ** 2, me ** 2
+        rows.append((cb, ce, mb, me, mb, mb, me, me, mb2, mb2, me2, me2,
+                     cb.conjugate(), 0.0, 0.0, ce.conjugate()))
+    t = np.array(rows[0] if isinstance(aux, AuxVars) else rows, dtype=complex)
+    return _AuxTerms(t[..., 0:2], t[..., 2:4].real, t[..., 4:8].real, t[..., 8:12].real,
+                     t[..., 12:16])
 
 
 def _assemble_beam(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
@@ -294,21 +469,20 @@ def _assemble_beam(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
     lends them with their factorization.
     """
     state = _state_of(ch, d, state)
-    budget = p_max - (state.beam_power(not bob) + state.irs_noise_power(noise))
-    if budget <= 0:
-        raise BudgetExhausted(f"{'confidential' if bob else 'AN'}-beam budget {budget} <= 0")
-    t = state.rows.conj()                    # rows t_b, t_e
-    if bob:
-        a = math.sqrt(1.0 + aux.lam_b) * aux.mu_b * t[0]
-    else:
-        a = math.sqrt(1.0 + aux.lam_e) * aux.mu_e * t[1]
+    other = "v_e" if bob else "v_b"
+    budget = _block_budget(state, [p_max - x for x in state.spent(noise, other, "irs")],
+                           "confidential-beam" if bob else "AN-beam")
+    terms = _aux_terms(aux)
+    t = state.rows_h                         # rows t_b, t_e
+    x = 0 if bob else 1
+    a = terms.a[..., x, None] * t[..., x, :]
     if shared is not None:
         return shared.retarget(a, budget)
     # A = |mu_b|^2 t_b t_b^H + |mu_e|^2 t_e t_e^H
-    X = t.T * [abs(aux.mu_b), abs(aux.mu_e)]
-    W = d.theta[:, None] * ch.H_si          # diag(theta) H_si
-    F = state.eye_m + W.conj().T @ W
-    return QcqpProblem(a=a, A=X @ X.conj().T, F=F, p_budget=budget)
+    X = t.swapaxes(-1, -2) * terms.mags[..., None, :]
+    W = d.theta[..., :, None] * state.H_si   # diag(theta) H_si
+    F = state.eye_m + W.conj().swapaxes(-1, -2) @ W
+    return QcqpProblem(a=a, A=X @ X.conj().swapaxes(-1, -2), F=F, p_budget=budget)
 
 
 def assemble_vb(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
@@ -340,32 +514,21 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
     total-power expression.
     """
     state = _state_of(ch, d, state)
-    V = np.array([d.v_b, d.v_e]).T
-    p_be = p_max - _sq_norm(V)
-    if p_be <= 0:
-        raise BudgetExhausted(f"reflect budget {p_be} <= 0")
-    # columns c_bb, c_be, c_ee, c_eb, where c_xy = conj(g_x) * H_si v_y
-    HV = np.array([state.hv_b, state.hv_e, state.hv_e, state.hv_b]).T
+    p_be = _block_budget(state, [p_max - x for x in state.spent(noise, "bs")], "reflect")
+    terms = _aux_terms(aux)
+    # columns c_bb, c_be, c_eb, c_ee, where c_xy = conj(g_x) * H_si v_y
+    HV = _columns(state.hv_b, state.hv_e, state.hv_b, state.hv_e)
     C = state.g_cols * HV
-    # d_xy = h_x^H v_y
-    (d_bb, d_be), (d_eb, d_ee) = (state.h_rows @ V).tolist()
+    # conj(d_bb), conj(d_be), conj(d_eb), conj(d_ee), where d_xy = h_x^H v_y
+    D = (state.h_rows @ _columns(d.v_b, d.v_e)).conj().reshape(*C.shape[:-2], 4)
+    chi = np.matvec(C, terms.lin - terms.sq * D)
 
-    mb2 = abs(aux.mu_b) ** 2
-    me2 = abs(aux.mu_e) ** 2
-    chi = C @ np.array([
-        math.sqrt(1.0 + aux.lam_b) * aux.mu_b.conjugate() - mb2 * d_bb.conjugate(),
-        -mb2 * d_be.conjugate(),
-        math.sqrt(1.0 + aux.lam_e) * aux.mu_e.conjugate() - me2 * d_ee.conjugate(),
-        -me2 * d_eb.conjugate(),
-    ])
+    C *= terms.cols[..., None, :]
+    ups = C @ C.conj().swapaxes(-1, -2)
+    _diagonal(ups)[...] += noise.sigma2_irs * (terms.sq[..., ::2, None] * state.g_abs2).sum(-2)
 
-    C *= [abs(aux.mu_b), abs(aux.mu_b), abs(aux.mu_e), abs(aux.mu_e)]
-    ups = C @ C.conj().T
-    n = ups.shape[0]
-    ups.flat[::n + 1] += noise.sigma2_irs * (mb2 * state.g_abs2[0] + me2 * state.g_abs2[1])
-
-    omega = np.zeros((n, n), dtype=complex)
-    omega.flat[::n + 1] = (np.abs(HV[:, :2]) ** 2).sum(axis=1) + noise.sigma2_irs
+    omega = np.zeros(ups.shape, dtype=complex)
+    _diagonal(omega)[...] = (np.abs(HV[..., :2]) ** 2).sum(-1) + noise.sigma2_irs
     return QcqpProblem(a=chi, A=ups, F=omega, p_budget=p_be)
 
 
@@ -393,25 +556,43 @@ def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     return Design(v_b=v_b, v_e=v_e, theta=scale * theta_hat)
 
 
+class _SplitStack(Exception):
+    """A block is skipped for some designs of a stack and not for others."""
+
+
 def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
-                    trace: RunTrace, block: str, rescale: tuple[str, ...],
+                    trace: RunTrace | list[RunTrace], block: str, rescale: tuple[str, ...],
                     **reuse) -> QcqpProblem | None:
-    """Assemble one block; on an exhausted budget, shrink the other blocks
-    by 5% once and retry, flagging the event.  The retry refreshes ``state``
-    and drops ``reuse``: the rescue rescaled what they were built at."""
+    """Assemble one block for the design of ``state``, or for each design of
+    a stack (``aux`` and ``trace`` are then lists, one per design).
+
+    A design whose budget is exhausted has its other blocks shrunk by 5%
+    once, flagged, and the block is assembled again.  The retry refreshes
+    ``state`` and drops ``reuse``: the rescue rescaled what they were built
+    at (for the other designs of a stack the fresh problem is the same).
+    A design still exhausted is flagged and its block skipped, which gives
+    None; if only some designs of a stack are, ``_SplitStack`` is raised.
+    """
     d = state.d
+    traces = trace if isinstance(trace, list) else [trace]
     try:
         return assemble(ch, d, noise, aux, p_max, state=state, **reuse)
-    except BudgetExhausted:
-        trace.add_flag(f"budget-rescue:{block}")
-        for name in rescale:
-            setattr(d, name, getattr(d, name) * 0.95)
-        state.refresh()
-        try:
-            return assemble(ch, d, noise, aux, p_max, state=state)
-        except BudgetExhausted:
-            trace.add_flag(f"budget-skip:{block}")
-            return None
+    except BudgetExhausted as exc:
+        low = exc.low
+    for i in np.flatnonzero(low):
+        traces[i].add_flag(f"budget-rescue:{block}")
+    scale = np.where(low, 0.95, 1.0).reshape(*d.theta.shape[:-1], 1)
+    for name in rescale:
+        setattr(d, name, getattr(d, name) * scale)
+    state.refresh()
+    try:
+        return assemble(ch, d, noise, aux, p_max, state=state)
+    except BudgetExhausted as exc:
+        if not all(exc.low):
+            raise _SplitStack from exc
+    for t in traces:
+        t.add_flag(f"budget-skip:{block}")
+    return None
 
 
 def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
@@ -422,49 +603,110 @@ def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     QCQP steps over the confidential beam, the AN beam and the reflect
     vector.  Stops when the surrogate improves by at most ``EPS`` or after
     ``MAX_ITERS`` iterations (flagged).  Deterministic for a fixed
-    (channels, seed).
+    (channels, seed).  This is the one-seed case of ``run_ldt_cffp_seeds``.
+    """
+    return run_ldt_cffp_seeds([ch], noise, p_max, [seed])[0]
+
+
+def run_ldt_cffp_seeds(chs: list[ChannelSet], noise: NoiseProfile, p_max: float,
+                       seeds: list[int], keep_rows: bool = True
+                       ) -> list[tuple[Design, RunTrace]]:
+    """``run_ldt_cffp`` for each (channels, seed) pair, run in lockstep.
+
+    The designs of all seeds still running form one stack (see
+    ``DesignState``): each iteration makes one stacked evaluation, one
+    stacked factorization shared by the two beam blocks, one for the
+    reflect block and three stacked multiplier searches.  A seed leaves the
+    stack when it converges.  Each seed's design, trace rows, iterations
+    and flags are those of its own ``run_ldt_cffp``; its ``wall_time_s`` is
+    its share of each lockstep iteration it ran, the iteration's time split
+    evenly among the seeds in it.  A budget rescue applies to its seed
+    alone; should a seed's block be skipped while others' are not, every
+    seed is run on its own instead.
 
     Each design is evaluated once: the evaluation that closes an iteration
-    gives its trace row and the next iteration's auxiliaries, and the
+    gives its trace rows and the next iteration's auxiliaries, and the
     blocks share the effective channels and H_si v kept in the state.
+    With ``keep_rows=False`` the traces keep no rows, only iterations,
+    convergence, flags and wall time: the rows of twenty 500-iteration runs
+    held at once take about 3 MB.
     """
-    trace = RunTrace()
+    if not seeds or len(chs) != len(seeds):
+        raise ValueError(f"need one channel set per seed and at least one seed, "
+                         f"got {len(chs)} for {len(seeds)}")
     t0 = time.perf_counter()
-    state = DesignState(ch, initial_design(ch, noise, p_max, seed))
-    ev = state.evaluate(noise)
-    prev = -math.inf
-    for it in range(1, MAX_ITERS + 1):
-        aux = _aux_at(ev)
+    traces = [RunTrace() for _ in seeds]
+    starts = [initial_design(ch, noise, p_max, seed) for ch, seed in zip(chs, seeds)]
+    state = DesignState(chs, Design(*(np.stack([getattr(x, f) for x in starts])
+                                      for f in ("v_b", "v_e", "theta"))))
+    evs = state.evaluate(noise)
+    live = list(range(len(seeds)))            # the seed of each design in the stack
+    designs: list[Design | None] = [None] * len(seeds)
+    prev = [-math.inf] * len(seeds)
+    mark = time.perf_counter()
+    spent = [(mark - t0) / len(seeds)] * len(seeds)
+    try:
+        for it in range(1, MAX_ITERS + 1):
+            aux = [_aux_at(ev) for ev in evs]
+            terms = _aux_terms(aux)
+            run = [traces[i] for i in live]
+            live_chs = [chs[i] for i in live]
 
-        prob = _assemble_block(assemble_vb, ch, state, noise, aux, p_max, trace,
-                               "v_b", ("v_e", "theta"))
-        if prob is not None:
-            state.set_v_b(solve_qcqp(prob).x)
-        # theta is unchanged since the v_b problem, so v_e shares its A and F
-        prob = _assemble_block(assemble_ve, ch, state, noise, aux, p_max, trace,
-                               "v_e", ("v_b", "theta"), shared=prob)
-        if prob is not None:
-            state.set_v_e(solve_qcqp(prob).x)
-        prob = _assemble_block(assemble_theta, ch, state, noise, aux, p_max, trace,
-                               "theta", ("v_b", "v_e"))
-        if prob is not None:
-            state.set_theta(solve_qcqp(prob).x.conj())
+            prob = _assemble_block(assemble_vb, live_chs, state, noise, terms, p_max, run,
+                                   "v_b", ("v_e", "theta"))
+            if prob is not None:
+                state.set_v_b(solve_qcqp_stack(prob).x)
+            # theta is unchanged since the v_b problem, so v_e shares its A and F
+            prob = _assemble_block(assemble_ve, live_chs, state, noise, terms, p_max, run,
+                                   "v_e", ("v_b", "theta"), shared=prob)
+            if prob is not None:
+                state.set_v_e(solve_qcqp_stack(prob).x)
+            prob = _assemble_block(assemble_theta, live_chs, state, noise, terms, p_max, run,
+                                   "theta", ("v_b", "v_e"))
+            if prob is not None:
+                state.set_theta(solve_qcqp_stack(prob).x.conj())
 
-        ev = state.evaluate(noise)
-        vr = ev.surrogate(aux)
-        trace.rows.append({
-            "iteration": it,
-            "vr_prime": vr,
-            "sr_bits": ev.secrecy_rate(),
-            "power_slack": p_max - ev.power,
-            "wall_time_s": time.perf_counter() - t0,
-        })
-        trace.iterations = it
-        if abs(vr - prev) <= EPS:
-            trace.converged = True
-            break
-        prev = vr
-    if not trace.converged:
-        trace.add_flag("iteration-cap")
-    trace.wall_time_s = time.perf_counter() - t0
-    return state.d, trace
+            evs = state.evaluate(noise)
+            now = time.perf_counter()
+            share, mark = (now - mark) / len(live), now
+            keep = []
+            for row, (i, ev, a) in enumerate(zip(live, evs, aux)):
+                spent[i] += share
+                vr = ev.surrogate(a)
+                trace = traces[i]
+                if keep_rows:
+                    trace.rows.append({
+                        "iteration": it,
+                        "vr_prime": vr,
+                        "sr_bits": ev.secrecy_rate(),
+                        "power_slack": p_max - ev.power,
+                        "wall_time_s": spent[i],
+                    })
+                trace.iterations = it
+                if abs(vr - prev[i]) <= EPS:
+                    trace.converged = True
+                    designs[i] = _design_at(state, row)
+                else:
+                    prev[i] = vr
+                    keep.append(row)
+            if len(keep) < len(live):
+                if not keep:
+                    break
+                state = state.take(keep)
+                evs = [evs[row] for row in keep]
+                live = [live[row] for row in keep]
+    except _SplitStack:
+        return [run_ldt_cffp_seeds([ch], noise, p_max, [seed], keep_rows)[0]
+                for ch, seed in zip(chs, seeds)]
+    for row, i in enumerate(live):
+        if not traces[i].converged:
+            traces[i].add_flag("iteration-cap")
+            designs[i] = _design_at(state, row)
+    for i, trace in enumerate(traces):
+        trace.wall_time_s = spent[i]
+    return list(zip(designs, traces))
+
+
+def _design_at(state: DesignState, row: int) -> Design:
+    d = state.d
+    return Design(d.v_b[row].copy(), d.v_e[row].copy(), d.theta[row].copy())

@@ -23,7 +23,9 @@ tight at the optimal auxiliary variables.
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,8 @@ __all__ = [
 
 @dataclass
 class Design:
-    """One candidate transmit design for the monolithic system."""
+    """One candidate transmit design for the monolithic system, or a stack
+    of them: each array then has a leading axis with one row per design."""
 
     v_b: np.ndarray   # (M,) confidential-message beamformer
     v_e: np.ndarray   # (M,) artificial-noise beamformer
@@ -88,18 +91,20 @@ class AuxVars:
 def effective_channel(h: np.ndarray, g: np.ndarray, H_si: np.ndarray,
                       theta: np.ndarray) -> np.ndarray:
     """Column vector t with t^H = h^H + g^H diag(theta) H_si."""
-    return _effective_rows(h.conj(), g.conj(), H_si, theta).conj()
+    return _effective_rows(h.conj()[None], g.conj()[None], H_si, theta)[0].conj()
 
 
 def _effective_rows(h_rows: np.ndarray, g_rows: np.ndarray, H_si: np.ndarray,
                     theta: np.ndarray) -> np.ndarray:
     """Row channels t^H = h^H + g^H diag(theta) H_si from conjugated h and g
-    (one receiver per row when stacked)."""
-    return h_rows + (g_rows * theta) @ H_si
+    (one receiver per row when stacked; leading axes index designs)."""
+    return h_rows + (g_rows * theta[..., None, :]) @ H_si
 
 
-def _sq_norm(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real)
+def _columns(*vs: np.ndarray) -> np.ndarray:
+    """The vectors as the columns of one matrix per design: (..., m, len(vs))."""
+    V = np.array(vs)
+    return V.transpose(1, 2, 0) if V.ndim == 3 else V.T
 
 
 def _sinr(signal: complex, den: float) -> float:
@@ -147,26 +152,55 @@ class Evaluation:
         return float(val)
 
 
-class DesignState:
-    """A design plus the products of it that every expression shares.
+def _sq_norms(v: np.ndarray) -> list[float]:
+    """||v||^2 of each row of v (one row for a 1-D v)."""
+    norms = np.vecdot(v, v).real.tolist()
+    return norms if isinstance(norms, list) else [norms]
 
-    ``rows`` holds t_b^H and t_e^H (one row each) and depends only on theta;
-    ``hv_b`` and ``hv_e`` are H_si v_b and H_si v_e.  Change the design
-    through the setters, which refresh the products of the block they
-    change, or call ``refresh`` after changing ``d`` in place.  The
-    design-independent arrays of the channels are built once, here.
+
+class DesignState:
+    """Designs plus the products of them that every expression shares.
+
+    Holds one design (``ch`` a ChannelSet, ``d`` with 1-D arrays) or a stack
+    of them (``ch`` a sequence of ChannelSets, one per design, and ``d``
+    whose arrays carry a leading axis: row s is design s); ``one`` tells
+    them apart.  ``rows`` holds t_b^H and t_e^H (one row each) and depends
+    only on theta; ``hv_b`` and ``hv_e`` are H_si v_b and H_si v_e.  Change
+    the designs through the setters, which refresh the products of the
+    block they change, or call ``refresh`` after changing ``d`` in place.
+    The design-independent arrays of the channels are built once, here.
     """
 
-    def __init__(self, ch: ChannelSet, d: Design):
-        self.H_si = ch.H_si                                  # (N, M)
-        self.h_rows = np.stack([ch.h_b, ch.h_e]).conj()      # (2, M) h_b^H, h_e^H
-        self.g_rows = np.stack([ch.g_b, ch.g_e]).conj()      # (2, N) g_b^H, g_e^H
-        # (N, 4) columns conj(g_b), conj(g_b), conj(g_e), conj(g_e)
-        self.g_cols = self.g_rows[[0, 0, 1, 1]].T.copy()
-        self.g_abs2 = np.abs(self.g_rows) ** 2               # (2, N)
-        self.eye_m = np.eye(ch.H_si.shape[1])
+    def __init__(self, ch: ChannelSet | Sequence[ChannelSet], d: Design):
+        self.one = isinstance(ch, ChannelSet)
+        chs = [ch] if self.one else list(ch)
+
+        def stack(arrays):
+            return arrays[0] if self.one else np.stack(arrays)
+
+        self.H_si = stack([c.H_si for c in chs])                             # (..., N, M)
+        self.h_rows = stack([np.stack([c.h_b, c.h_e]) for c in chs]).conj()  # (..., 2, M) h^H
+        self.g_rows = stack([np.stack([c.g_b, c.g_e]) for c in chs]).conj()  # (..., 2, N) g^H
+        # (..., N, 4) columns conj(g_b), conj(g_b), conj(g_e), conj(g_e)
+        self.g_cols = self.g_rows[..., [0, 0, 1, 1], :].swapaxes(-1, -2).copy()
+        self.g_abs2 = np.abs(self.g_rows) ** 2                               # (..., 2, N)
+        # (..., 3, N) rows |g_b|^2, |g_e|^2, 1: against |theta|^2 they give the
+        # amplified IRS noise at Bob and Eve (over sigma2_irs) and ||theta||^2
+        self.g_weights = np.concatenate(
+            [self.g_abs2, np.ones(self.g_abs2[..., :1, :].shape)], axis=-2)
+        self.eye_m = np.eye(self.H_si.shape[-1])
         self.d = d
         self.refresh()
+
+    def take(self, rows: list[int]) -> DesignState:
+        """The stack of the designs at ``rows``, with their products."""
+        new = copy.copy(self)
+        for name in ("H_si", "h_rows", "g_rows", "g_cols", "g_abs2", "g_weights"):
+            setattr(new, name, getattr(self, name)[rows])
+        d = self.d
+        new.d = Design(d.v_b[rows], d.v_e[rows], d.theta[rows])
+        new.refresh()
+        return new
 
     def refresh(self) -> None:
         self.set_v_b(self.d.v_b)
@@ -175,36 +209,54 @@ class DesignState:
 
     def set_v_b(self, v_b: np.ndarray) -> None:
         self.d.v_b = v_b
-        self.hv_b = self.H_si @ v_b
+        self.hv_b = np.matvec(self.H_si, v_b)
 
     def set_v_e(self, v_e: np.ndarray) -> None:
         self.d.v_e = v_e
-        self.hv_e = self.H_si @ v_e
+        self.hv_e = np.matvec(self.H_si, v_e)
 
     def set_theta(self, theta: np.ndarray) -> None:
         self.d.theta = theta
         self.rows = _effective_rows(self.h_rows, self.g_rows, self.H_si, theta)
+        self.rows_h = self.rows.conj()                     # t_b, t_e, one row each
+        self._theta_terms = np.matvec(self.g_weights, np.abs(theta) ** 2).reshape(-1, 3).tolist()
 
-    def beam_power(self, bob: bool) -> float:
-        """Power one beam costs at the BS and through the IRS:
-        ||v||^2 + ||diag(theta) H_si v||^2."""
-        v, hv = (self.d.v_b, self.hv_b) if bob else (self.d.v_e, self.hv_e)
-        return _sq_norm(v) + _sq_norm(self.d.theta * hv)
+    def spent(self, noise: NoiseProfile, *parts: str) -> list[float]:
+        """Power the named parts spend, one float per design.
 
-    def irs_noise_power(self, noise: NoiseProfile) -> float:
-        """Amplified IRS noise power sigma2_irs * ||theta||^2."""
-        return noise.sigma2_irs * _sq_norm(self.d.theta)
-
-    def evaluate(self, noise: NoiseProfile) -> Evaluation:
-        """The per-receiver gains, received powers and total power of ``d``."""
+        "v_b" and "v_e" name a beam at the BS and through the IRS,
+        ||v||^2 + ||diag(theta) H_si v||^2; "bs" both beams at the BS only;
+        "irs" the amplified IRS noise sigma2_irs ||theta||^2.  The beam
+        parts are summed as one norm.
+        """
         d = self.d
-        (s_b, i_b), (s_e, i_e) = (self.rows @ np.array([d.v_b, d.v_e]).T).tolist()
-        amp_b, amp_e = (noise.sigma2_irs * (self.g_abs2 @ np.abs(d.theta) ** 2)).tolist()
-        power = self.beam_power(True) + self.beam_power(False) + self.irs_noise_power(noise)
-        return Evaluation(
-            s_b=s_b, i_b=i_b, den_b=abs(s_b) ** 2 + abs(i_b) ** 2 + amp_b + noise.sigma2_b,
-            s_e=s_e, i_e=i_e, den_e=abs(s_e) ** 2 + abs(i_e) ** 2 + amp_e + noise.sigma2_e,
-            power=power)
+        vs = []
+        for part in parts:
+            if part == "bs":
+                vs += [d.v_b, d.v_e]
+            elif part != "irs":
+                v, hv = (d.v_b, self.hv_b) if part == "v_b" else (d.v_e, self.hv_e)
+                vs += [v, d.theta * hv]
+        norms = _sq_norms(np.concatenate(vs, axis=-1))
+        if "irs" in parts:
+            norms = [x + noise.sigma2_irs * t[2] for x, t in zip(norms, self._theta_terms)]
+        return norms
+
+    def evaluate(self, noise: NoiseProfile) -> Evaluation | list[Evaluation]:
+        """The per-receiver gains, received powers and total power of the
+        design, or of each design of a stack (a list, one per row)."""
+        d = self.d
+        V = _columns(d.v_b, d.v_e)
+        gains = (self.rows @ V).reshape(-1, 4).tolist()                    # s_b, i_b, s_e, i_e
+        power = self.spent(noise, "v_b", "v_e", "irs")
+        s2 = noise.sigma2_irs
+        evs = [Evaluation(
+            s_b=s_b, i_b=i_b, den_b=abs(s_b) ** 2 + abs(i_b) ** 2 + s2 * g_b + noise.sigma2_b,
+            s_e=s_e, i_e=i_e, den_e=abs(s_e) ** 2 + abs(i_e) ** 2 + s2 * g_e + noise.sigma2_e,
+            power=p)
+            for (s_b, i_b, s_e, i_e), (g_b, g_e, _), p
+            in zip(gains, self._theta_terms, power)]
+        return evs if V.ndim == 3 else evs[0]
 
 
 def _evaluate(ch: ChannelSet, d: Design, noise: NoiseProfile) -> Evaluation:

@@ -254,6 +254,8 @@ def test_run_experiment_turns_failures_into_flagged_rows(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
+    # the stack fails, and so does each seed's own run after it
+    monkeypatch.setattr("airsdm.harness.run_ldt_cffp_seeds", boom)
     monkeypatch.setattr("airsdm.harness.run_ldt_cffp", boom)
     spec = _spec(methods=["ldt-cffp", "zero-reflection"], seeds=[1])
     rows = run_experiment(spec)
@@ -266,6 +268,67 @@ def test_run_experiment_turns_failures_into_flagged_rows(monkeypatch):
     for r in rows:
         if r.method == "zero-reflection":
             assert math.isfinite(r.sr_bits)
+
+
+def _without_wall_time(rows):
+    return [(r.method, r.sweep_value, r.seed, r.sr_bits, r.iterations, r.flags) for r in rows]
+
+
+def test_one_failing_seed_keeps_the_other_rows_of_its_stack(monkeypatch):
+    from airsdm import ldt_cffp
+
+    spec = _spec(sweep=SweepSpec("n_elements", [4, 8]), methods=["ldt-cffp"], seeds=[1, 2, 3])
+    clean = run_experiment(spec)
+    initial_design = ldt_cffp.initial_design
+
+    def fails_for_seed_2(ch, noise, p_max, seed):
+        if seed == 2:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return initial_design(ch, noise, p_max, seed)
+
+    monkeypatch.setattr(ldt_cffp, "initial_design", fails_for_seed_2)
+    rows = run_experiment(spec)
+    broken = [r for r in rows if r.seed == 2]
+    assert [r.flags for r in broken] == [["error:LinAlgError: synthetic failure"]] * 2
+    assert all(math.isnan(r.sr_bits) and r.iterations == 0 for r in broken)
+    assert _without_wall_time([r for r in rows if r.seed != 2]) == \
+        _without_wall_time([r for r in clean if r.seed != 2])
+
+
+def test_a_stack_that_fails_midway_reruns_each_seed_alone(monkeypatch):
+    from airsdm import ldt_cffp
+
+    spec = _spec(sweep=SweepSpec("n_elements", [8]), methods=["ldt-cffp"], seeds=[1, 2, 3])
+    clean = run_experiment(spec)
+    solve_stack = ldt_cffp.solve_qcqp_stack
+    calls = {"stacked": 0}
+
+    def fails_in_a_stack(prob):
+        if prob.a.shape[0] > 1:
+            calls["stacked"] += 1
+            if calls["stacked"] == 5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve_stack(prob)
+
+    monkeypatch.setattr(ldt_cffp, "solve_qcqp_stack", fails_in_a_stack)
+    rows = run_experiment(spec)
+    assert calls["stacked"] == 5
+    assert _without_wall_time(rows) == _without_wall_time(clean)
+
+
+def test_stacked_seeds_bypass_the_one_seed_entry_points(monkeypatch):
+    """A stack goes through neither harness.run_ldt_cffp nor solve_qcqp,
+    whose traced wrappers take one (design, trace) and one solution."""
+    from airsdm import ldt_cffp
+
+    def boom(*args, **kwargs):
+        raise AssertionError("one-seed entry point called")
+
+    spec = _spec(sweep=SweepSpec("n_elements", [8]), methods=["ldt-cffp"], seeds=[1, 2])
+    clean = run_experiment(spec)
+    monkeypatch.setattr("airsdm.harness.run_ldt_cffp", boom)
+    monkeypatch.setattr(ldt_cffp, "solve_qcqp", boom)
+    assert _without_wall_time(run_experiment(spec)) == _without_wall_time(clean)
 
 
 def test_run_experiment_ldt_rows_report_iterations():

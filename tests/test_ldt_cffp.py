@@ -25,7 +25,9 @@ from airsdm.ldt_cffp import (
     initial_design,
     optimal_aux,
     run_ldt_cffp,
+    run_ldt_cffp_seeds,
     solve_qcqp,
+    solve_qcqp_stack,
 )
 from airsdm.model import (Design, DesignState, NoiseProfile, effective_channel, ldt_objective,
                           secrecy_rate, snr_pair, total_power, virtual_rate)
@@ -355,9 +357,11 @@ def test_run_reproduces_the_recorded_trajectory():
 
 
 def test_run_builds_and_solves_every_block_through_the_module_globals(monkeypatch):
-    """Two QcqpProblem constructions and three solve_qcqp calls per iteration,
-    looked up on the module at call time, so traced runs see each of them."""
-    counts = {"QcqpProblem": 0, "solve_qcqp": 0}
+    """Two stacked QcqpProblem constructions and three solve_qcqp_stack calls
+    per lockstep iteration, whatever the stack size, looked up on the module
+    at call time, so traced runs see each of them; the one-problem
+    solve_qcqp is not called."""
+    counts = {"QcqpProblem": 0, "solve_qcqp_stack": 0, "solve_qcqp": 0}
 
     def counted(name):
         original = getattr(ldt_cffp, name)
@@ -367,14 +371,137 @@ def test_run_builds_and_solves_every_block_through_the_module_globals(monkeypatc
             return original(*args, **kwargs)
         monkeypatch.setattr(ldt_cffp, name, wrapper)
 
-    counted("QcqpProblem")
-    counted("solve_qcqp")
+    for name in counts:
+        counted(name)
     monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 20)
     ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
-    _, trace = run_ldt_cffp(ch, NoiseProfile(), p_max=1.0, seed=1)
-    assert not any(f.startswith("budget-") for f in trace.flags)
-    assert counts == {"QcqpProblem": 2 * trace.iterations,
-                      "solve_qcqp": 3 * trace.iterations}
+    for seeds in ([1], [1, 2, 3]):
+        counts.update(dict.fromkeys(counts, 0))
+        runs = run_ldt_cffp_seeds([ch] * len(seeds), NoiseProfile(), p_max=1.0, seeds=seeds)
+        assert not any(f.startswith("budget-") for _, trace in runs for f in trace.flags)
+        lockstep = max(trace.iterations for _, trace in runs)
+        assert counts == {"QcqpProblem": 2 * lockstep, "solve_qcqp_stack": 3 * lockstep,
+                          "solve_qcqp": 0}
+
+
+# -- lockstep stacks ------------------------------------------------------------------
+
+def _assert_same_runs(chs, noise, p_max, stacked, alone):
+    """Stacked and one-seed runs: equal iterations, flags and convergence,
+    and every trace row and final rate within 1e-12 relative."""
+    assert len(stacked) == len(alone)
+    for ch, (d_s, t_s), (d_a, t_a) in zip(chs, stacked, alone):
+        assert (t_s.iterations, t_s.converged, t_s.flags) == \
+            (t_a.iterations, t_a.converged, t_a.flags)
+        assert [r["iteration"] for r in t_s.rows] == [r["iteration"] for r in t_a.rows]
+        for key in ("vr_prime", "sr_bits"):
+            assert_allclose(t_s.objective_values(key), t_a.objective_values(key),
+                            rtol=1e-12, atol=0)
+        # the budget is spent to rounding, so the slack is compared against p_max
+        assert_allclose(t_s.objective_values("power_slack"), t_a.objective_values("power_slack"),
+                        rtol=0, atol=1e-12 * p_max)
+        assert_allclose(secrecy_rate(ch, d_s, noise), secrecy_rate(ch, d_a, noise),
+                        rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["staggered", "rician", "m_not_n"])
+def test_lockstep_stack_matches_the_one_seed_runs(monkeypatch, kind):
+    noise = NoiseProfile()
+    if kind == "staggered":
+        # some seeds converge, at different iterations, and some hit a lowered cap
+        monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 150)
+        ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
+        chs, seeds, p_max = [ch] * 5, [2, 4, 5, 6, 1], 1.0
+    elif kind == "rician":
+        # scattered channels: every seed of the stack has its own draw
+        chs = [build_channels(benchmark_scene(m_bs=4, n_irs=8, rician_k_db=5.0,
+                                              pl_ref_db=-60.0, seed=s))[0] for s in (1, 2, 3)]
+        seeds, p_max = [1, 2, 3], 0.1
+    else:
+        ch, _ = build_channels(benchmark_scene(m_bs=3, n_irs=6, pl_ref_db=-55.0))
+        chs, seeds, p_max = [ch] * 3, [4, 5, 6], 1.0
+    stacked = run_ldt_cffp_seeds(chs, noise, p_max, seeds)
+    alone = [run_ldt_cffp(ch, noise, p_max, seed=seed) for ch, seed in zip(chs, seeds)]
+    _assert_same_runs(chs, noise, p_max, stacked, alone)
+    iterations = [trace.iterations for _, trace in stacked]
+    if kind == "staggered":
+        capped = ["iteration-cap" in trace.flags for _, trace in stacked]
+        assert 0 < sum(capped) < len(capped)
+        assert len(set(iterations)) >= 3
+    else:
+        assert all(trace.converged for _, trace in stacked)
+        assert len(set(iterations)) == len(iterations)
+
+
+def test_a_stack_needs_one_channel_set_per_seed():
+    ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8))
+    for chs, seeds in (([], []), ([ch], [1, 2]), ([ch, ch], [1])):
+        with pytest.raises(ValueError, match="one channel set per seed"):
+            run_ldt_cffp_seeds(chs, NoiseProfile(), 1.0, seeds)
+
+
+@pytest.mark.parametrize("overspend, budget_flags", [
+    (1.02, ["budget-rescue:v_b"]),                      # the 5% shrink frees the block
+    (1.5, ["budget-rescue:v_b", "budget-skip:v_b"]),    # it cannot: the stack splits
+])
+def test_a_budget_rescue_stays_with_its_seed_in_a_stack(monkeypatch, overspend, budget_flags):
+    """Seed 5 starts with its AN beam and IRS noise above the budget, so its
+    first v_b step needs a rescue; the other seeds' runs are untouched.  A
+    block skipped for seed 5 alone gives way to one-seed runs, which keep
+    the rows of each seed's own run."""
+    initial = ldt_cffp.initial_design
+
+    def overspent_for_seed_5(ch, noise, p_max, seed):
+        d = initial(ch, noise, p_max, seed)
+        if seed == 5:
+            beam = np.sum(np.abs(d.v_e) ** 2) + np.sum(np.abs(d.theta * (ch.H_si @ d.v_e)) ** 2)
+            irs = noise.sigma2_irs * np.sum(np.abs(d.theta) ** 2)
+            d.v_e = d.v_e * math.sqrt((overspend * p_max - irs) / beam)
+        return d
+
+    monkeypatch.setattr(ldt_cffp, "initial_design", overspent_for_seed_5)
+    monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 30)
+    noise = NoiseProfile()
+    ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
+    chs, seeds = [ch] * 3, [4, 5, 6]
+    stacked = run_ldt_cffp_seeds(chs, noise, 1.0, seeds)
+    alone = [run_ldt_cffp(ch, noise, 1.0, seed=seed) for seed in seeds]
+    _assert_same_runs(chs, noise, 1.0, stacked, alone)
+    assert [[f for f in trace.flags if f.startswith("budget-")] for _, trace in stacked] == \
+        [[], budget_flags, []]
+
+
+def test_a_stacked_rescue_scales_and_refactors_only_its_design():
+    """In a stack sharing the v_b factorization, the design whose v_e budget
+    is exhausted is shrunk and flagged alone, and every design's problem
+    equals its own fresh one-design problem."""
+    rng = np.random.default_rng(14)
+    ch = random_channelset(rng)
+    designs = [random_design(rng, ch, NOISE, p_max=6.0, fill=0.7) for _ in range(3)]
+    designs[1].v_b = 1.5 * designs[1].v_b
+    # what the AN-beam block leaves to the rest: the confidential beam and IRS noise
+    spend = [DesignState(ch, d).spent(NOISE, "v_b", "irs")[0] for d in designs]
+    p_max = 0.99 * spend[1]
+    assert max(spend[0], spend[2]) < 0.9 * p_max
+    auxes = [optimal_aux(ch, d, NOISE) for d in designs]
+    stack = Design(*(np.stack([getattr(d, f) for d in designs]) for f in ("v_b", "v_e", "theta")))
+    state = DesignState([ch] * 3, stack)
+    shared = assemble_vb([ch] * 3, stack, NOISE, auxes, p_max, state=state)
+    traces = [RunTrace() for _ in designs]
+    prob = _assemble_block(assemble_ve, [ch] * 3, state, NOISE, auxes, p_max, traces,
+                           "v_e", ("v_b", "theta"), shared=shared)
+    assert [t.flags for t in traces] == [[], ["budget-rescue:v_e"], []]
+    for f in ("v_b", "theta"):
+        assert_allclose(getattr(stack, f)[1], 0.95 * getattr(designs[1], f), rtol=1e-15)
+        for i in (0, 2):
+            assert np.array_equal(getattr(stack, f)[i], getattr(designs[i], f))
+    sols = solve_qcqp_stack(prob)
+    for i, d in enumerate(designs):
+        mine = Design(stack.v_b[i], stack.v_e[i], stack.theta[i])
+        fresh = assemble_ve(ch, mine, NOISE, auxes[i], p_max)
+        assert_allclose(prob.F[i], fresh.F, rtol=1e-15)
+        assert prob.p_budget[i] == fresh.p_budget
+        assert_allclose(sols.x[i], solve_qcqp(fresh).x, rtol=1e-12)
 
 
 # -- initialization and the runner ------------------------------------------------

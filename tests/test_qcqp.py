@@ -19,6 +19,7 @@ from airsdm.ldt_cffp import (
     QcqpSolution,
     kkt_residuals,
     solve_qcqp,
+    solve_qcqp_stack,
     update_mu,
 )
 
@@ -278,6 +279,74 @@ def test_solution_record_fields():
                                  F=np.eye(1), p_budget=0.01))
     assert isinstance(sol, QcqpSolution)
     assert_allclose(sol.constraint, float(np.vdot(sol.x, sol.x).real), rtol=1e-12)
+
+
+# -- stacks of problems -----------------------------------------------------------
+
+def _family(rng, n, diagonal_f=False):
+    """Problems of size n from every branch of the solver: interior and
+    boundary, rank-deficient A with a in and out of its range, A = 0 and a = 0.
+
+    In a stack whose F are not all diagonal, every F is whitened through its
+    Cholesky factor, so an identity F agrees with its own solve to rounding.
+    """
+    probs = [random_problem(rng, n, singular_a=(k % 5 == 0), aligned_a=(k % 3 == 0))
+             for k in range(12)]
+    probs.append(QcqpProblem(a=np.zeros(n, dtype=complex), A=np.eye(n), F=np.eye(n),
+                             p_budget=1.0))
+    # rank one and stiff, with a orthogonal to it: outside range(A)
+    v, a = crandn(rng, n), crandn(rng, n)
+    if n > 1:
+        a -= v * np.vdot(v, a) / np.vdot(v, v)
+    probs.append(QcqpProblem(a=a, A=1e12 * np.outer(v, v.conj()), F=np.eye(n), p_budget=2.0))
+    # a large budget: the unconstrained maximizer is feasible
+    G = crandn(rng, n, n)
+    probs.append(QcqpProblem(a=crandn(rng, n), A=G.conj().T @ G + np.eye(n), F=np.eye(n),
+                             p_budget=1e6))
+    if diagonal_f:
+        probs = [QcqpProblem(a=q.a, A=q.A, F=np.diag(rng.uniform(0.5, 3.0, n)),
+                             p_budget=q.p_budget) for q in probs]
+    return probs
+
+
+@pytest.mark.parametrize("n, diagonal_f", [(1, False), (2, False), (5, False), (8, False),
+                                           (8, True)])
+def test_a_stack_solves_each_problem_as_alone(n, diagonal_f):
+    rng = np.random.default_rng(200 + n + diagonal_f)
+    probs = _family(rng, n, diagonal_f)
+    stack = QcqpProblem(a=np.stack([q.a for q in probs]), A=np.stack([q.A for q in probs]),
+                        F=np.stack([q.F for q in probs]),
+                        p_budget=np.array([q.p_budget for q in probs]))
+    sols = solve_qcqp_stack(stack)
+    assert sols.x.shape == (len(probs), n) and sols.nu.shape == (len(probs),)
+    alone = [solve_qcqp(q) for q in probs]
+    assert {s.nu == 0.0 for s in alone} == {True, False}        # interior and boundary
+    if n > 1:                       # the boundary rows leave the search at different steps
+        assert len({s.bisect_steps for s in alone if s.nu > 0.0}) > 1
+    for i, (q, s) in enumerate(zip(probs, alone)):
+        scale = max(float(np.linalg.norm(s.x)), 1e-300)
+        assert_allclose(sols.x[i], s.x, rtol=0, atol=1e-12 * scale)
+        assert_allclose(sols.nu[i], s.nu, rtol=1e-12, atol=0)
+        assert sols.bisect_steps[i] == s.bisect_steps
+        assert_allclose(sols.constraint[i], s.constraint, rtol=1e-12, atol=1e-12 * q.p_budget)
+
+
+def test_stack_checks_name_the_failing_matrix():
+    eye = np.stack([np.eye(2, dtype=complex)] * 3)
+    a = np.ones((3, 2), dtype=complex)
+    p = np.ones(3)
+    bad = eye.copy()
+    bad[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="A is not Hermitian"):
+        QcqpProblem(a=a, A=bad, F=eye, p_budget=p)
+    with pytest.raises(ValueError, match="F is not Hermitian"):
+        QcqpProblem(a=a, A=eye, F=bad, p_budget=p)
+    with pytest.raises(ValueError, match="budget"):
+        QcqpProblem(a=a, A=eye, F=eye, p_budget=np.array([1.0, 0.0, 1.0]))
+    neg = eye.copy()
+    neg[2] = -neg[2]
+    with pytest.raises(ValueError, match="semidefinite"):
+        QcqpProblem(a=a, A=neg, F=eye, p_budget=p)
 
 
 # -- auxiliary updates -----------------------------------------------------------
