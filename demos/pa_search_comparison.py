@@ -18,7 +18,6 @@ from airsdm import (
     NoiseProfile,
     PaFactors,
     PaScalarContext,
-    amplification_rho,
     annealing_search,
     benchmark_scene,
     build_channels,
@@ -48,8 +47,7 @@ d = BlockDesign(
 )
 d.v_b, d.v_e, _ = nsp_beamformers(bch, d)
 d.theta1, d.theta2, _ = mrr_reflect(bch, d)
-d.rho1, d.rho2 = amplification_rho(bch, d, noise)
-surface = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2, 0.8, p_s, noise)
+surface = PaScalarContext(bch, d, noise)
 
 print("secrecy rate over the (eta, beta) box, drawn at 30x14 resolution")
 print("(rows: beta 0.99 at the top; columns: eta 0.01 -> 0.99; @ = best)\n")

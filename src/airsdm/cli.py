@@ -302,8 +302,7 @@ def _check_scalar_path(checks: int, seed: int) -> tuple[bool, str]:
         _, bch = build_channels(benchmark_scene(rician_k_db=5.0, seed=seed + 200 + i,
                                                 n_irs=8, n1=4, n2=4))
         d = _one_block_pass(bch, noise, p_s)
-        ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
-                              d.pa.mu, p_s, noise)
+        ctx = PaScalarContext(bch, d, noise)
         for _ in range(5):
             eta = float(rng.uniform(0.05, 0.95))
             beta = float(rng.uniform(0.05, 0.95))

@@ -325,8 +325,7 @@ def _run_pa_grid(spec: ExperimentSpec, method: str, seed: int) -> list[ResultRow
     _, bch = build_channels(cfg)
     design, trace = run_nsp_mrr_pa(bch, noise, p_watts,
                                    searcher=_SEARCHERS[method], seed=seed)
-    ctx = PaScalarContext(bch, design.v_b, design.v_e, design.theta1,
-                          design.theta2, design.pa.mu, p_watts, noise)
+    ctx = PaScalarContext(bch, design, noise)
     pairs = spec.sweep.values
     etas = np.array([p[0] for p in pairs])
     betas = np.array([p[1] for p in pairs])

@@ -16,6 +16,13 @@ with artificial noise (AN).  Each loop pass computes, in closed form:
   mu and block 2 (1-mu) of the IRS budget (1-eta) * p_s;
 * a power-split (eta, beta) search over a closed-form scalarized secrecy
   rate that is O(1) per candidate after precomputation.
+
+A blocked design is a monolithic design on the stacked blocks
+(``BlockDesign.as_design`` on ``BlockedChannelSet.stacked``), and its
+reported rate is the monolithic signal model's.  The closed form keeps
+only the paths that the projection leaves nonzero, so it equals that rate
+once the null-space zeros hold; a run flagged ``nsp-degenerate`` has
+leakage on the dropped paths, which the reported rate includes.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .scene import BlockedChannelSet
-from .model import NoiseProfile
+from .model import Design, NoiseProfile, secrecy_rate
 from .pa_search import SearchResult, exhaustive_search
 from .trace import RunTrace
 
@@ -39,7 +46,6 @@ __all__ = [
     "nsp_beamformers",
     "mrr_reflect",
     "amplification_rho",
-    "pa_sinrs",
     "blocked_secrecy_rate",
     "PaScalarContext",
     "run_nsp_mrr_pa",
@@ -73,6 +79,20 @@ class BlockDesign:
     rho2: float          # block-2 amplification gain
     pa: PaFactors
     p_s: float           # total power budget (BS + IRS), watts
+
+    def as_design(self) -> Design:
+        """The same transmission as a monolithic design on the stacked blocks.
+
+        The beams carry their power shares; block k's reflect vector becomes
+        rho_k * conj(theta_k), since the blocked cascade is
+        theta^H diag(g^H) H v and the monolithic one g^H diag(theta) H v.
+        """
+        eta, beta = self.pa.eta, self.pa.beta
+        return Design(
+            v_b=math.sqrt(eta * beta * self.p_s) * self.v_b,
+            v_e=math.sqrt(eta * (1.0 - beta) * self.p_s) * self.v_e,
+            theta=np.concatenate([self.rho1 * self.theta1.conj(),
+                                  self.rho2 * self.theta2.conj()]))
 
 
 def nsp_projector(Q: np.ndarray) -> np.ndarray:
@@ -191,38 +211,10 @@ def amplification_rho(bch: BlockedChannelSet, d: BlockDesign,
     return rho1, rho2
 
 
-def pa_sinrs(bch: BlockedChannelSet, d: BlockDesign,
-             noise: NoiseProfile) -> tuple[float, float]:
-    """(gamma_b, gamma_e) of the blocked system at a full design.
-
-    Bob's numerator carries the direct plus block-1 CM path; his only AN
-    exposure is the block-2 leakage.  Eve's numerator is the block-1 CM
-    leakage; she receives AN directly and via block 2.  Both denominators
-    include the amplified IRS noise forwarded by each block.
-    """
-    eta, beta = d.pa.eta, d.pa.beta
-    p_cm = eta * beta * d.p_s
-    p_an = eta * (1.0 - beta) * d.p_s
-
-    t_bob = complex(np.vdot(bch.h_b, d.v_b)) + d.rho1 * _cascade_gain(d.theta1, bch.g_b1, bch.H_s1, d.v_b)
-    leak_b = d.rho2 * _cascade_gain(d.theta2, bch.g_b2, bch.H_s2, d.v_e)
-    amp_b1 = noise.sigma2_irs * d.rho1 ** 2 * float(np.sum(np.abs(d.theta1) ** 2 * np.abs(bch.g_b1) ** 2))
-    amp_b2 = noise.sigma2_irs * d.rho2 ** 2 * float(np.sum(np.abs(d.theta2) ** 2 * np.abs(bch.g_b2) ** 2))
-    gamma_b = p_cm * abs(t_bob) ** 2 / (p_an * abs(leak_b) ** 2 + amp_b1 + amp_b2 + noise.sigma2_b)
-
-    leak_e = d.rho1 * _cascade_gain(d.theta1, bch.g_e1, bch.H_s1, d.v_b)
-    t_eve = complex(np.vdot(bch.h_e, d.v_e)) + d.rho2 * _cascade_gain(d.theta2, bch.g_e2, bch.H_s2, d.v_e)
-    amp_e1 = noise.sigma2_irs * d.rho1 ** 2 * float(np.sum(np.abs(d.theta1) ** 2 * np.abs(bch.g_e1) ** 2))
-    amp_e2 = noise.sigma2_irs * d.rho2 ** 2 * float(np.sum(np.abs(d.theta2) ** 2 * np.abs(bch.g_e2) ** 2))
-    gamma_e = p_cm * abs(leak_e) ** 2 / (p_an * abs(t_eve) ** 2 + amp_e1 + amp_e2 + noise.sigma2_e)
-    return float(gamma_b), float(gamma_e)
-
-
 def blocked_secrecy_rate(bch: BlockedChannelSet, d: BlockDesign,
                          noise: NoiseProfile) -> float:
-    """Secrecy rate of the blocked system in bits (difference of logs)."""
-    gamma_b, gamma_e = pa_sinrs(bch, d, noise)
-    return math.log2(1.0 + gamma_b) - math.log2(1.0 + gamma_e)
+    """Secrecy rate of the blocked system in bits: the monolithic model's."""
+    return secrecy_rate(bch.stacked(), d.as_design(), noise)
 
 
 _BOX_ERROR = "eta and beta must lie strictly inside (0, 1)"
@@ -231,20 +223,22 @@ _BOX_ERROR = "eta and beta must lie strictly inside (0, 1)"
 class PaScalarContext:
     """O(1)-per-candidate secrecy rate as a function of (eta, beta).
 
-    Precomputes every channel/beam scalar at fixed unit vectors so the
-    power-split search can evaluate thousands of (eta, beta) candidates
-    (scalars or equal-shape arrays) with plain arithmetic.  The embedded
-    amplification gains are the exact closed forms at each candidate.
+    Precomputes every channel/beam scalar at the unit vectors, mu and p_s
+    of ``d`` (its split and gains are not read) so the power-split search
+    can evaluate thousands of (eta, beta) candidates (scalars or
+    equal-shape arrays) with plain arithmetic.  The embedded amplification
+    gains are the exact closed forms at each candidate.  Only the paths
+    that null-space projection leaves nonzero enter, so it equals
+    ``blocked_secrecy_rate`` once the projection's zeros hold.
     A pair of Python floats takes a float-only path that evaluates the
     same expression in the same order, so it matches the array path bit
     for bit at a fraction of its per-call cost.
     """
 
-    def __init__(self, bch: BlockedChannelSet, v_b: np.ndarray, v_e: np.ndarray,
-                 theta1: np.ndarray, theta2: np.ndarray, mu: float, p_s: float,
-                 noise: NoiseProfile):
-        self.mu = float(mu)
-        self.p_s = float(p_s)
+    def __init__(self, bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile):
+        v_b, v_e, theta1, theta2 = d.v_b, d.v_e, d.theta1, d.theta2
+        self.mu = float(d.pa.mu)
+        self.p_s = float(d.p_s)
         self.sigma2_irs = float(noise.sigma2_irs)
         self.sigma2_b = float(noise.sigma2_b)
         self.sigma2_e = float(noise.sigma2_e)
@@ -360,8 +354,7 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
         for flag in fl + fl2:
             trace.add_flag(flag)
 
-        ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
-                              d.pa.mu, p_s, noise)
+        ctx = PaScalarContext(bch, d, noise)
         res = searcher(ctx, seed + it - 1, start=start)
         start = res.point                # the next pass's search begins here
         eta, beta = res.point

@@ -171,6 +171,13 @@ class BlockedChannelSet:
     def n2(self) -> int:
         return self.H_s2.shape[0]
 
+    def stacked(self) -> ChannelSet:
+        """The two blocks as one surface: block 1's elements, then block 2's."""
+        return ChannelSet(h_b=self.h_b, h_e=self.h_e,
+                          g_b=np.concatenate([self.g_b1, self.g_b2]),
+                          g_e=np.concatenate([self.g_e1, self.g_e2]),
+                          H_si=np.vstack([self.H_s1, self.H_s2]))
+
 
 def _direction_sine(src: _Pos, dst: _Pos) -> tuple[float, float]:
     """Direction cosine along the array axis (x) and the link distance."""

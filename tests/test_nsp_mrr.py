@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from conftest import crandn, random_blocked, random_block_design, unit
 
-from airsdm.model import NoiseProfile
+from airsdm.model import NoiseProfile, snr_pair, total_power
 from airsdm.nsp_mrr import (
     EPS,
     BlockDesign,
@@ -20,7 +20,6 @@ from airsdm.nsp_mrr import (
     mrr_reflect,
     nsp_beamformers,
     nsp_projector,
-    pa_sinrs,
     run_nsp_mrr_pa,
 )
 from airsdm.pa_search import annealing_search, pso_search
@@ -208,16 +207,20 @@ def test_rho_hand_value():
 def _context_and_design(rng):
     bch = random_blocked(rng)
     d = random_block_design(rng, bch, NOISE)
-    d.v_b, d.v_e = unit(d.v_b), unit(d.v_e)
-    ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2,
-                          d.pa.mu, d.p_s, NOISE)
-    return bch, d, ctx
+    return bch, d, PaScalarContext(bch, d, NOISE)
 
 
 def test_scalar_context_matches_the_full_model():
+    # The closed form leaves out the paths that null-space projection zeroes,
+    # so it is held to the full model on designs that keep those zeros.
     rng = np.random.default_rng(7)
     for _ in range(10):
-        bch, d, ctx = _context_and_design(rng)
+        bch = random_blocked(rng)
+        d = random_block_design(rng, bch, NOISE)
+        d.v_b, d.v_e, flags = nsp_beamformers(bch, d)
+        d.theta1, d.theta2, flags2 = mrr_reflect(bch, d)
+        assert flags + flags2 == []
+        ctx = PaScalarContext(bch, d, NOISE)
         for eta in (0.1, 0.5, 0.93):
             for beta in (0.07, 0.5, 0.9):
                 d.pa = PaFactors(eta=eta, beta=beta, mu=d.pa.mu)
@@ -225,9 +228,34 @@ def test_scalar_context_matches_the_full_model():
                 assert_allclose(ctx(eta, beta),
                                 blocked_secrecy_rate(bch, d, NOISE), rtol=1e-10)
                 gb, ge = ctx.sinrs(eta, beta)
-                gb_full, ge_full = pa_sinrs(bch, d, NOISE)
+                gb_full, ge_full = snr_pair(bch.stacked(), d.as_design(), NOISE)
                 assert_allclose(gb, gb_full, rtol=1e-10)
                 assert_allclose(ge, ge_full, rtol=1e-10)
+
+
+def test_blocked_rate_counts_every_path():
+    # Beams outside the null spaces reach both receivers directly and through
+    # both blocks; the rate must count every one of those paths.
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        bch = random_blocked(rng)
+        d = random_block_design(rng, bch, NOISE)
+        eta, beta = d.pa.eta, d.pa.beta
+
+        def sinr(h, g1, g2, sigma2):
+            def gain(v):
+                return (np.vdot(h, v)
+                        + d.rho1 * np.vdot(d.theta1, g1.conj() * (bch.H_s1 @ v))
+                        + d.rho2 * np.vdot(d.theta2, g2.conj() * (bch.H_s2 @ v)))
+            irs = NOISE.sigma2_irs * (d.rho1 ** 2 * np.sum(np.abs(d.theta1 * g1) ** 2)
+                                      + d.rho2 ** 2 * np.sum(np.abs(d.theta2 * g2) ** 2))
+            return (eta * beta * d.p_s * abs(gain(d.v_b)) ** 2
+                    / (eta * (1 - beta) * d.p_s * abs(gain(d.v_e)) ** 2 + irs + sigma2))
+
+        gb = sinr(bch.h_b, bch.g_b1, bch.g_b2, NOISE.sigma2_b)
+        ge = sinr(bch.h_e, bch.g_e1, bch.g_e2, NOISE.sigma2_e)
+        assert_allclose(blocked_secrecy_rate(bch, d, NOISE),
+                        math.log2(1 + gb) - math.log2(1 + ge), rtol=1e-10)
 
 
 def test_scalar_context_broadcasts_like_a_scalar_loop():
@@ -273,7 +301,7 @@ def test_scalar_call_keeps_numpy_semantics_when_the_denominators_underflow():
     bch = random_blocked(rng)
     faint = NoiseProfile(sigma2_irs=1e-200, sigma2_b=1e-200, sigma2_e=1e-200)
     d = random_block_design(rng, bch, faint)
-    ctx = PaScalarContext(bch, d.v_b, d.v_e, d.theta1, d.theta2, d.pa.mu, 1e-300, faint)
+    ctx = PaScalarContext(bch, replace(d, p_s=1e-300), faint)
     with np.errstate(divide="ignore", invalid="ignore"):
         fast = ctx(0.5, 0.5)                 # 0/0 in plain floats would raise
         ref = ctx(np.array([0.5]), np.array([0.5]))[0]
@@ -340,6 +368,17 @@ def test_pipeline_on_the_benchmark_scene():
                                         * np.abs(bch.H_s2 @ d.v_e) ** 2))
                          + noise.sigma2_irs),
         (1 - d.pa.eta) * d.p_s, rtol=1e-10)
+
+
+def test_pipeline_designs_spend_exactly_the_budget_in_the_full_model():
+    noise = NoiseProfile()
+    p_s = dbm_to_watts(20.0)
+    for cfg in (benchmark_scene(),
+                benchmark_scene(eve_pos=(60, -80, 0), irs2_pos=(40, -60, 20)),
+                benchmark_scene(n_irs=8, n1=4, n2=4, rician_k_db=5.0, seed=1)):
+        _, bch = build_channels(cfg)
+        d, _ = run_nsp_mrr_pa(bch, noise, p_s, seed=1)
+        assert_allclose(total_power(bch.stacked(), d.as_design(), noise), p_s, rtol=1e-12)
 
 
 def test_pipeline_is_deterministic():

@@ -1,6 +1,7 @@
 """Power-split searchers on analytically known surfaces."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,8 +120,7 @@ def test_one_call_scan_matches_the_row_by_row_scan_on_a_secrecy_surface():
     for _ in range(3):
         bch = random_blocked(rng)
         d = random_block_design(rng, bch, noise)
-        ctx = PaScalarContext(bch, unit(d.v_b), unit(d.v_e), d.theta1, d.theta2,
-                              d.pa.mu, d.p_s, noise)
+        ctx = PaScalarContext(bch, replace(d, v_b=unit(d.v_b), v_e=unit(d.v_e)), noise)
         assert_same_result(exhaustive_search(ctx), row_by_row_scan(ctx))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -182,6 +183,8 @@ def test_colocated_blocks_partition_the_monolithic_array():
     assert_allclose(np.concatenate([bch.g_b1, bch.g_b2]), ch.g_b, rtol=1e-15)
     assert_allclose(np.concatenate([bch.g_e1, bch.g_e2]), ch.g_e, rtol=1e-15)
     assert_allclose(bch.h_b, ch.h_b, rtol=1e-15)
+    assert all(np.array_equal(getattr(bch.stacked(), f.name), getattr(ch, f.name))
+               for f in fields(ch))
 
 
 def test_distinct_blocks_are_independent_arrays():
