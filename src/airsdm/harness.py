@@ -2,8 +2,8 @@
 
 An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
-seed) cell and returns sorted :class:`ResultRow` records.  The
-``ldt-cffp`` seeds of one sweep value run as one lockstep stack.  Per-cell
+seed) cell and returns sorted :class:`ResultRow` records.  The seeds of
+one optimizer method at one sweep value run as one lockstep stack.  Per-cell
 failures become flagged rows instead of aborting the batch.  Tables are
 emitted as CSV (schema versioned in a header comment) and/or JSON, both
 of which round-trip losslessly through the matching readers.
@@ -24,7 +24,12 @@ import numpy as np
 from .scene import SceneConfig, build_channels, dbm_to_watts
 from .model import Design, NoiseProfile, secrecy_rate
 from .ldt_cffp import run_ldt_cffp, run_ldt_cffp_seeds
-from .nsp_mrr import PaScalarContext, blocked_secrecy_rate, run_nsp_mrr_pa
+from .nsp_mrr import (
+    PaScalarContext,
+    blocked_secrecy_rate,
+    run_nsp_mrr_pa,
+    run_nsp_mrr_pa_seeds,
+)
 from .pa_search import (
     annealing_search,
     exhaustive_search,
@@ -300,22 +305,31 @@ def run_point(spec: ExperimentSpec, value, method: str, seed: int,
     noise = _noise_profile(spec)
     ch, bch = build_channels(cfg)
     if method == "ldt-cffp":
-        design, trace = run_ldt_cffp(ch, noise, p_watts, seed=seed)
-        return ResultRow(method, spec.sweep.kind, value, seed,
-                         secrecy_rate(ch, design, noise),
-                         trace.iterations, trace.wall_time_s, list(trace.flags)), trace
-    if method == "zero-reflection":
+        run = run_ldt_cffp(ch, noise, p_watts, seed=seed)
+    elif method == "zero-reflection":
         t0 = time.perf_counter()
         design, flags = _zero_reflection_design(ch, p_watts)
         sr = secrecy_rate(ch, design, noise)
         return ResultRow(method, spec.sweep.kind, value, seed, sr, 0,
                          max(time.perf_counter() - t0, 1e-9), flags), None
-    design, trace = run_nsp_mrr_pa(bch, noise, p_watts,
-                                   searcher=_SEARCHERS[method], seed=seed)
+    else:
+        run = run_nsp_mrr_pa(bch, noise, p_watts, searcher=_SEARCHERS[method], seed=seed)
+    return _result_row(spec, value, method, seed, (ch, bch), run, noise), run[1]
+
+
+def _result_row(spec: ExperimentSpec, value, method: str, seed: int, channels,
+                run: tuple, noise: NoiseProfile) -> ResultRow:
+    """The row of one optimizer run: ``run`` is its (design, trace) on
+    ``channels``, the (monolithic, blocked) pair of its scene."""
+    (ch, bch), (design, trace) = channels, run
+    if method == "ldt-cffp":
+        return ResultRow(method, spec.sweep.kind, value, seed,
+                         secrecy_rate(ch, design, noise),
+                         trace.iterations, trace.wall_time_s, list(trace.flags))
     return ResultRow(method, spec.sweep.kind, value, seed,
                      blocked_secrecy_rate(bch, design, noise),
                      trace.iterations, trace.wall_time_s, list(trace.flags),
-                     eta=design.pa.eta, beta=design.pa.beta), trace
+                     eta=design.pa.eta, beta=design.pa.beta)
 
 
 def _run_pa_grid(spec: ExperimentSpec, method: str, seed: int) -> list[ResultRow]:
@@ -363,35 +377,42 @@ def _run_cell(spec: ExperimentSpec, value, method: str, seed: int) -> list[Resul
                           max(time.perf_counter() - t0, 1e-9), [flag])]
 
 
-def _run_ldt_stack(spec: ExperimentSpec, value) -> list[ResultRow]:
-    """The ``ldt-cffp`` rows of every seed at one sweep value, run as one
-    lockstep stack.  If the stack raises, each seed runs as its own cell,
-    so a failure stays the row of the seed that fails."""
+def _run_stack(spec: ExperimentSpec, value, method: str) -> list[ResultRow]:
+    """The rows of every seed of one optimizer method at one sweep value,
+    run as one lockstep stack.  If the stack raises, each seed runs as its
+    own cell, so a failure stays the row of the seed that fails."""
     try:
         noise = _noise_profile(spec)
         scenes = [_scene_at(spec, value, seed) for seed in spec.seeds]
-        chs = [build_channels(cfg)[0] for cfg, _ in scenes]
-        runs = run_ldt_cffp_seeds(chs, noise, scenes[0][1], spec.seeds, keep_rows=False)
-        return [ResultRow("ldt-cffp", spec.sweep.kind, value, seed,
-                          secrecy_rate(ch, design, noise), trace.iterations,
-                          trace.wall_time_s, list(trace.flags))
-                for seed, ch, (design, trace) in zip(spec.seeds, chs, runs)]
+        channels = [build_channels(cfg) for cfg, _ in scenes]
+        p_watts = scenes[0][1]
+        if method == "ldt-cffp":
+            runs = run_ldt_cffp_seeds([ch for ch, _ in channels], noise, p_watts,
+                                      spec.seeds, keep_rows=False)
+        else:
+            runs = run_nsp_mrr_pa_seeds([bch for _, bch in channels], noise, p_watts,
+                                        _SEARCHERS[method], spec.seeds)
+        return [_result_row(spec, value, method, seed, chs, run, noise)
+                for seed, chs, run in zip(spec.seeds, channels, runs)]
     except Exception:  # noqa: BLE001 - the cells below report it, seed by seed
-        return [row for seed in spec.seeds for row in _run_cell(spec, value, "ldt-cffp", seed)]
+        return [row for seed in spec.seeds for row in _run_cell(spec, value, method, seed)]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (sweep value, method, seed) cell; failures become flagged rows.
 
-    Rows come back sorted by (method, sweep, value, seed), so the table is
-    independent of execution order.
+    Outside a ``pa_grid`` sweep, the seeds of each optimizer method at one
+    sweep value run as one lockstep stack.  Rows come back sorted by
+    (method, sweep, value, seed), so the table is independent of execution
+    order.
     """
-    values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
+    stacked = spec.sweep.kind != "pa_grid"
+    values = spec.sweep.values if stacked else [None]
     rows: list[ResultRow] = []
     for value in values:
         for method in spec.methods:
-            if method == "ldt-cffp":
-                rows.extend(_run_ldt_stack(spec, value))
+            if stacked and method != "zero-reflection":
+                rows.extend(_run_stack(spec, value, method))
                 continue
             for seed in spec.seeds:
                 rows.extend(_run_cell(spec, value, method, seed))

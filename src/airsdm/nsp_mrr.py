@@ -17,6 +17,13 @@ with artificial noise (AN).  Each loop pass computes, in closed form:
 * a power-split (eta, beta) search over a closed-form scalarized secrecy
   rate that is O(1) per candidate after precomputation.
 
+``run_nsp_mrr_pa_seeds`` runs the loop of several seeds, each on its own
+channels, in lockstep: each pass searches all their splits with one
+``search_stack`` call on their stacked contexts, and a seed leaves the
+stack in the pass it converges.  ``run_nsp_mrr_pa`` is its stack of one.
+The null-space projectors depend only on the channels, so each seed's
+are computed once per run.
+
 A blocked design is a monolithic design on the stacked blocks
 (``BlockDesign.as_design`` on ``BlockedChannelSet.stacked``), and its
 reported rate is the monolithic signal model's.  The closed form keeps
@@ -36,7 +43,7 @@ import numpy as np
 
 from .scene import BlockedChannelSet
 from .model import Design, NoiseProfile, secrecy_rate
-from .pa_search import SearchResult, exhaustive_search
+from .pa_search import SearchResult, exhaustive_search, search_stack
 from .trace import RunTrace
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
     "blocked_secrecy_rate",
     "PaScalarContext",
     "run_nsp_mrr_pa",
+    "run_nsp_mrr_pa_seeds",
 ]
 
 
@@ -132,15 +140,27 @@ def nsp_beamformers(bch: BlockedChannelSet, d: BlockDesign,
     projection of the target is optimal.  A target that falls entirely
     inside the nulled span triggers a deterministic fallback, flagged.
     """
-    flags: list[str] = []
+    return _beams(bch, d, _projectors(bch))
 
-    Q1 = np.vstack([bch.h_b.conj()[None, :], bch.H_s1])
-    T1 = nsp_projector(Q1)
+
+def _projectors(bch: BlockedChannelSet) -> tuple[np.ndarray, np.ndarray]:
+    """(T1, T2): the null-space projectors of the AN and the CM beam.
+
+    They depend on the channels only, so a run computes them once.
+    """
+    T1 = nsp_projector(np.vstack([bch.h_b.conj()[None, :], bch.H_s1]))
+    T2 = nsp_projector(np.vstack([bch.h_e.conj()[None, :], bch.H_s2]))
+    return T1, T2
+
+
+def _beams(bch: BlockedChannelSet, d: BlockDesign,
+           projectors: tuple[np.ndarray, np.ndarray],
+           ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``nsp_beamformers`` with the channels' projectors already at hand."""
+    T1, T2 = projectors
+    flags: list[str] = []
     target_e = bch.h_e + d.rho2 * _cascade_col(d.theta2, bch.g_e2, bch.H_s2)
     v_e = _project_or_fallback(T1, target_e, bch.h_e, "v_e", flags)
-
-    Q2 = np.vstack([bch.h_e.conj()[None, :], bch.H_s2])
-    T2 = nsp_projector(Q2)
     target_b = bch.h_b + d.rho1 * _cascade_col(d.theta1, bch.g_b1, bch.H_s1)
     v_b = _project_or_fallback(T2, target_b, bch.h_b, "v_b", flags)
     return v_b, v_e, flags
@@ -220,6 +240,11 @@ def blocked_secrecy_rate(bch: BlockedChannelSet, d: BlockDesign,
 _BOX_ERROR = "eta and beta must lie strictly inside (0, 1)"
 
 
+_COEFFICIENTS = ("a", "b", "c", "d", "e", "f", "a_hat", "b_hat", "c_hat", "d_hat",
+                 "e_hat", "f_hat", "s1", "s2")
+_SHARED = ("mu", "p_s", "sigma2_irs", "sigma2_b", "sigma2_e")
+
+
 class PaScalarContext:
     """O(1)-per-candidate secrecy rate as a function of (eta, beta).
 
@@ -233,6 +258,11 @@ class PaScalarContext:
     A pair of Python floats takes a float-only path that evaluates the
     same expression in the same order, so it matches the array path bit
     for bit at a fraction of its per-call cost.
+
+    ``PaScalarContext.stack(rows)`` puts the contexts of several seeds on
+    a leading seed axis: its coefficients are (S, 1) arrays, it scores two
+    (S, K) arrays row by row through the same expression, and ``ctx[i]``
+    is row i, that seed's own float context.
     """
 
     def __init__(self, bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile):
@@ -265,6 +295,27 @@ class PaScalarContext:
         self.f_hat = self.sigma2_irs * float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.g_e2) ** 2))
         self.s1 = float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.H_s1 @ v_b) ** 2))
         self.s2 = float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.H_s2 @ v_e) ** 2))
+
+    @classmethod
+    def stack(cls, rows: list["PaScalarContext"]) -> "PaScalarContext":
+        """The contexts of several seeds as one, on a leading seed axis.
+
+        The rows must share mu, p_s and the noise powers.
+        """
+        first = rows[0]
+        if any(getattr(r, k) != getattr(first, k) for r in rows for k in _SHARED):
+            raise ValueError("stacked contexts must share mu, p_s and the noise powers")
+        out = cls.__new__(cls)
+        for k in _SHARED:
+            setattr(out, k, getattr(first, k))
+        for k in _COEFFICIENTS:
+            setattr(out, k, np.array([getattr(r, k) for r in rows])[:, None])
+        out._rows = list(rows)
+        return out
+
+    def __getitem__(self, i: int) -> "PaScalarContext":
+        """Row ``i`` of a stacked context: that seed's float context."""
+        return self._rows[i]
 
     def sinrs(self, eta, beta):
         """(gamma_b, gamma_e) after substituting the amplification gains."""
@@ -328,57 +379,105 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     Pass ``it`` calls ``searcher(ctx, seed + it - 1, start=...)`` with no
     start on the first pass and the previous pass's split afterwards, so a
     warm-started searcher (annealing) settles with the beamformers instead
-    of jittering around a fresh random start on every pass.
+    of jittering around a fresh random start on every pass.  This is the
+    stack of one of ``run_nsp_mrr_pa_seeds``.
     """
-    trace = RunTrace()
-    t0 = time.perf_counter()
-    m = bch.h_b.size
+    return run_nsp_mrr_pa_seeds([bch], noise, p_s, searcher, [seed], max_iters)[0]
 
-    d = BlockDesign(
-        v_b=np.zeros(m, dtype=complex),
-        v_e=np.zeros(m, dtype=complex),
-        theta1=np.ones(bch.n1, dtype=complex) / math.sqrt(bch.n1),
-        theta2=np.ones(bch.n2, dtype=complex) / math.sqrt(bch.n2),
-        rho1=0.0, rho2=0.0,
-        pa=PaFactors(eta=0.5, beta=0.5),
-        p_s=p_s,
-    )
 
-    start = None
+def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile, p_s: float,
+                         searcher: Callable[..., SearchResult], seeds: list[int],
+                         max_iters: int = 100,
+                         ) -> list[tuple[BlockDesign, RunTrace]]:
+    """``run_nsp_mrr_pa`` for each (channels, seed) pair, run in lockstep.
+
+    Each pass computes every running seed's beams, reflect vectors and
+    ``PaScalarContext``, then searches all their splits with one
+    ``pa_search.search_stack`` call on the stacked contexts (one swarm
+    stack for PSO, row by row for the other searchers), then sets each
+    seed's gains.  A seed leaves the stack in the pass its beamformers
+    converge.  Each seed's projectors are computed once, from its
+    channels.  Each seed's design, trace rows, iterations and flags are
+    those of its own run; its ``wall_time_s`` is its share of each pass it
+    ran, the pass's time split evenly among the seeds in it.
+    """
+    if not seeds or len(bchs) != len(seeds):
+        raise ValueError(f"need one channel set per seed and at least one seed, "
+                         f"got {len(bchs)} for {len(seeds)}")
+    mark = time.perf_counter()
+    runs = [_SeedRun(bch, p_s) for bch in bchs]
+    live = list(range(len(runs)))
     for it in range(1, max_iters + 1):
+        stack = PaScalarContext.stack([runs[i].beams(noise) for i in live])
+        results = search_stack(searcher, stack, [seeds[i] + it - 1 for i in live],
+                               [runs[i].start for i in live])
+        for i, res in zip(live, results):
+            runs[i].split(res, noise)
+        now = time.perf_counter()
+        share, mark = (now - mark) / len(live), now
+        for i, res in zip(live, results):
+            runs[i].record(it, res, share)
+        live = [i for i in live if not runs[i].trace.converged]
+        if not live:
+            break
+    for run in runs:
+        if not run.trace.converged:
+            run.trace.add_flag("iteration-cap")
+    return [(run.d, run.trace) for run in runs]
+
+
+class _SeedRun:
+    """One seed's state in ``run_nsp_mrr_pa_seeds``."""
+
+    def __init__(self, bch: BlockedChannelSet, p_s: float):
+        m = bch.h_b.size
+        self.bch = bch
+        self.projectors = _projectors(bch)
+        self.d = BlockDesign(
+            v_b=np.zeros(m, dtype=complex),
+            v_e=np.zeros(m, dtype=complex),
+            theta1=np.ones(bch.n1, dtype=complex) / math.sqrt(bch.n1),
+            theta2=np.ones(bch.n2, dtype=complex) / math.sqrt(bch.n2),
+            rho1=0.0, rho2=0.0,
+            pa=PaFactors(eta=0.5, beta=0.5),
+            p_s=p_s,
+        )
+        self.trace = RunTrace()
+        self.start = None                # the next pass's search begins here
+        self.deltas = (math.inf, math.inf)   # how far v_b and v_e moved
+
+    def beams(self, noise: NoiseProfile) -> PaScalarContext:
+        """New beams and reflect vectors; the context of the split search."""
+        bch, d = self.bch, self.d
         prev_vb, prev_ve = d.v_b, d.v_e
-        v_b, v_e, fl = nsp_beamformers(bch, d)
-        d.v_b, d.v_e = v_b, v_e
-        theta1, theta2, fl2 = mrr_reflect(bch, d)
-        d.theta1, d.theta2 = theta1, theta2
+        d.v_b, d.v_e, fl = _beams(bch, d, self.projectors)
+        d.theta1, d.theta2, fl2 = mrr_reflect(bch, d)
         for flag in fl + fl2:
-            trace.add_flag(flag)
+            self.trace.add_flag(flag)
+        self.deltas = (float(np.linalg.norm(d.v_b - prev_vb)),
+                       float(np.linalg.norm(d.v_e - prev_ve)))
+        return PaScalarContext(bch, d, noise)
 
-        ctx = PaScalarContext(bch, d, noise)
-        res = searcher(ctx, seed + it - 1, start=start)
-        start = res.point                # the next pass's search begins here
-        eta, beta = res.point
-        d.pa = PaFactors(eta, beta)
-        d.rho1, d.rho2 = amplification_rho(bch, d, noise)
+    def split(self, res: SearchResult, noise: NoiseProfile) -> None:
+        """Take the searched split and the gains that spend it."""
+        self.start = res.point
+        self.d.pa = PaFactors(*res.point)
+        self.d.rho1, self.d.rho2 = amplification_rho(self.bch, self.d, noise)
 
-        delta_b = float(np.linalg.norm(d.v_b - prev_vb))
-        delta_e = float(np.linalg.norm(d.v_e - prev_ve))
+    def record(self, it: int, res: SearchResult, share: float) -> None:
+        """The pass's trace row; converged once the beams stopped moving."""
+        trace, d = self.trace, self.d
+        trace.wall_time_s += share
         trace.rows.append({
             "iteration": it,
-            "eta": eta,
-            "beta": beta,
+            "eta": d.pa.eta,
+            "beta": d.pa.beta,
             "rho1": d.rho1,
             "rho2": d.rho2,
             "sr_bits": float(res.value),
-            "beamformer_delta": max(delta_b, delta_e),
+            "beamformer_delta": max(self.deltas),
             "search_evals": res.evaluations,
-            "wall_time_s": time.perf_counter() - t0,
+            "wall_time_s": trace.wall_time_s,
         })
         trace.iterations = it
-        if delta_b <= EPS and delta_e <= EPS:
-            trace.converged = True
-            break
-    if not trace.converged:
-        trace.add_flag("iteration-cap")
-    trace.wall_time_s = time.perf_counter() - t0
-    return d, trace
+        trace.converged = self.deltas[0] <= EPS and self.deltas[1] <= EPS

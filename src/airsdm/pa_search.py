@@ -22,6 +22,12 @@ ignore it.  The box, grid, swarm and annealing settings are the module
 constants below; all searchers are deterministic for a fixed objective,
 seed and start.
 
+``search_stack(searcher, objective, seeds, starts)`` searches every row
+of a stacked objective (``PaScalarContext.stack``: one seed per row) and
+returns what the row-by-row calls return, bit for bit.  PSO runs its
+swarms as one stack, one objective call per sweep for all rows; the other
+searchers run one row at a time.
+
 One pick rule holds everywhere: a NaN value counts as -inf, so it never
 wins a comparison (a best, a personal or global best, a Metropolis test).
 A result's value is -inf only when every candidate scored NaN.
@@ -40,6 +46,7 @@ __all__ = [
     "exhaustive_search",
     "pso_search",
     "annealing_search",
+    "search_stack",
     "fixed_point_search",
     "fixed_eta_search",
     "fixed_beta_search",
@@ -121,35 +128,70 @@ def pso_search(objective: Callable, seed: int = 0,
     +-VMAX; positions are clipped to the box.  ``start`` is unused.
     """
     _check_start(start)
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(LO, HI, size=(SWARM, 2))
-    vel = np.zeros((SWARM, 2))
+    return _swarms(lambda etas, betas: _values(objective, etas[0], betas[0])[None], [seed])[0]
 
-    vals = _values(objective, pos[:, 0], pos[:, 1])
+
+def _swarms(values: Callable, seeds: list[int]) -> list[SearchResult]:
+    """One particle swarm per seed, stacked on a leading axis.
+
+    ``values(etas, betas)`` scores two (S, SWARM) position arrays, NaN
+    already counted as -inf, so every sweep makes one call for all swarms.
+    Each swarm draws its start, then r1 and r2 per sweep, from its own
+    generator, and all updates are elementwise or per row, so swarm i
+    follows the same path as a swarm searched alone with ``seeds[i]``.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.arange(len(rngs))
+    pos = np.stack([rng.uniform(LO, HI, size=(SWARM, 2)) for rng in rngs])
+    vel = np.zeros_like(pos)
+
+    vals = values(pos[..., 0], pos[..., 1])
     pbest = pos.copy()
     pbest_val = vals.copy()
-    g = int(np.argmax(vals))
-    gbest = pos[g].copy()
-    gbest_val = float(vals[g])
+    g = np.argmax(vals, axis=1)
+    gbest = pos[rows, g]
+    gbest_val = vals[rows, g]
 
     for _ in range(SWEEPS):
-        r1 = rng.uniform(size=(SWARM, 2))
-        r2 = rng.uniform(size=(SWARM, 2))
+        # r1 then r2 in one draw: the same stream words as two draws
+        r = np.stack([rng.random((2, SWARM, 2)) for rng in rngs])
         vel = (INERTIA * vel
-               + C1 * r1 * (pbest - pos)
-               + C2 * r2 * (gbest[None, :] - pos))
+               + C1 * r[:, 0] * (pbest - pos)
+               + C2 * r[:, 1] * (gbest[:, None, :] - pos))
         np.clip(vel, -VMAX, VMAX, out=vel)
         pos = np.clip(pos + vel, LO, HI)
-        vals = _values(objective, pos[:, 0], pos[:, 1])
+        vals = values(pos[..., 0], pos[..., 1])
         better = vals > pbest_val
         pbest[better] = pos[better]
         pbest_val[better] = vals[better]
-        g = int(np.argmax(pbest_val))
-        if pbest_val[g] > gbest_val:
-            gbest_val = float(pbest_val[g])
-            gbest = pbest[g].copy()
-    return SearchResult((float(gbest[0]), float(gbest[1])), gbest_val,
-                        SWARM * (SWEEPS + 1))
+        g = np.argmax(pbest_val, axis=1)
+        won = pbest_val[rows, g] > gbest_val
+        gbest_val[won] = pbest_val[rows, g][won]
+        gbest[won] = pbest[rows, g][won]
+    return [SearchResult((float(eta), float(beta)), float(val), SWARM * (SWEEPS + 1))
+            for (eta, beta), val in zip(gbest, gbest_val)]
+
+
+def search_stack(searcher: Callable, objective, seeds: list[int],
+                 starts: list) -> list[SearchResult]:
+    """Run ``searcher`` on every row of a stacked objective.
+
+    ``objective`` scores two (S, K) arrays row by row and ``objective[i]``
+    is its row i, a one-row objective (``PaScalarContext.stack`` gives
+    both).  Result i is bit for bit ``searcher(objective[i], seeds[i],
+    start=starts[i])``.  PSO runs its swarms as one stack, one objective
+    call per sweep for all rows; every other searcher runs row by row, as
+    an annealing chain is cheaper on its row's float path than in a stack
+    and a stacked grid scan holds S times the grid in memory.
+    """
+    if len(starts) != len(seeds):
+        raise ValueError(f"need one start per seed, got {len(starts)} for {len(seeds)}")
+    if searcher is pso_search:
+        for start in starts:
+            _check_start(start)
+        return _swarms(lambda etas, betas: _values(objective, etas, betas), seeds)
+    return [searcher(objective[i], seed, start=start)
+            for i, (seed, start) in enumerate(zip(seeds, starts))]
 
 
 def _reflect(x: float) -> float:
@@ -186,7 +228,7 @@ def annealing_search(objective: Callable, seed: int = 0,
             beta = _reflect(z_beta + step_beta)
             fc = _value(objective, eta, beta)
             loss = fz - fc               # energy increase; NaN (rejected) if both -inf
-            if loss <= 0.0 or rng.uniform() < math.exp(-loss / temp):
+            if loss <= 0.0 or rng.random() < math.exp(-loss / temp):
                 z_eta, z_beta, fz = eta, beta, fc
             if fc > best_val:
                 best_val = fc

@@ -331,6 +331,71 @@ def test_stacked_seeds_bypass_the_one_seed_entry_points(monkeypatch):
     assert _without_wall_time(run_experiment(spec)) == _without_wall_time(clean)
 
 
+BLOCKED = ["nsp-mrr-pa/ES", "nsp-mrr-pa/PSO", "nsp-mrr-pa/SA",
+           "fixed-eta", "fixed-beta", "fixed-both"]
+
+
+def _rows_of(rows):
+    return [(r.method, r.sweep_value, r.seed, r.sr_bits, r.iterations, r.flags, r.eta, r.beta)
+            for r in rows]
+
+
+def test_blocked_stacks_give_the_rows_of_their_cells():
+    from airsdm import harness
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]), methods=BLOCKED,
+                 seeds=[1, 2, 3])
+    cells = [row for value in spec.sweep.values for method in BLOCKED
+             for seed in spec.seeds for row in harness._run_cell(spec, value, method, seed)]
+    assert _rows_of(run_experiment(spec)) == _rows_of(sorted(cells, key=harness._row_key))
+
+
+def test_one_failing_seed_keeps_the_other_rows_of_its_blocked_stack(monkeypatch):
+    from airsdm import harness
+    from airsdm.pa_search import exhaustive_search
+
+    def fails_for_seed_100(objective, seed, start=None):
+        if seed == 100:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return exhaustive_search(objective, seed, start=start)
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
+                 methods=["nsp-mrr-pa/ES"], seeds=[100, 1, 2])
+    clean = run_experiment(spec)
+    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", fails_for_seed_100)
+    rows = run_experiment(spec)
+    broken = [r for r in rows if r.seed == 100]
+    assert [r.flags for r in broken] == [["error:LinAlgError: synthetic failure"]] * 2
+    for r in broken:
+        assert math.isnan(r.sr_bits) and r.iterations == 0
+        alone, = harness._run_cell(spec, r.sweep_value, "nsp-mrr-pa/ES", 100)
+        assert alone.flags == r.flags
+    assert _rows_of([r for r in rows if r.seed != 100]) == \
+        _rows_of([r for r in clean if r.seed != 100])
+
+
+def test_a_failing_swarm_stack_reruns_each_seed_alone(monkeypatch):
+    from airsdm import pa_search
+
+    spec = _spec(sweep=SweepSpec("n_elements", [8]), methods=["nsp-mrr-pa/PSO"],
+                 seeds=[1, 2, 3])
+    clean = run_experiment(spec)
+    swarms = pa_search._swarms
+    calls = {"stacked": 0}
+
+    def fails_in_a_stack(values, seeds):
+        if len(seeds) > 1:
+            calls["stacked"] += 1
+            if calls["stacked"] == 2:
+                raise FloatingPointError("synthetic failure")
+        return swarms(values, seeds)
+
+    monkeypatch.setattr(pa_search, "_swarms", fails_in_a_stack)
+    rows = run_experiment(spec)
+    assert calls["stacked"] == 2
+    assert _rows_of(rows) == _rows_of(clean)
+
+
 def test_run_experiment_ldt_rows_report_iterations():
     spec = _spec(sweep=SweepSpec("n_elements", [8]), methods=["ldt-cffp"],
                  seeds=[1])

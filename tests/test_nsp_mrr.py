@@ -21,8 +21,16 @@ from airsdm.nsp_mrr import (
     nsp_beamformers,
     nsp_projector,
     run_nsp_mrr_pa,
+    run_nsp_mrr_pa_seeds,
 )
-from airsdm.pa_search import annealing_search, pso_search
+from airsdm.pa_search import (
+    annealing_search,
+    exhaustive_search,
+    fixed_beta_search,
+    fixed_eta_search,
+    fixed_point_search,
+    pso_search,
+)
 from airsdm.scene import BlockedChannelSet, benchmark_scene, build_channels, dbm_to_watts
 
 
@@ -296,6 +304,41 @@ def test_scalar_call_equals_the_one_element_array_call_bit_for_bit():
             assert fast.dtype == np.float64
 
 
+def _shared_mu_contexts(rng, count):
+    rows = []
+    for _ in range(count):
+        bch, d, _ = _context_and_design(rng)
+        rows.append(PaScalarContext(bch, replace(d, pa=replace(d.pa, mu=0.8)), NOISE))
+    return rows
+
+
+def test_a_stacked_context_scores_each_row_as_its_own_context():
+    rng = np.random.default_rng(14)
+    rows = _shared_mu_contexts(rng, 3)
+    stack = PaScalarContext.stack(rows)
+    assert stack.a.shape == (3, 1)
+    assert all(stack[i] is row for i, row in enumerate(rows))
+    etas = rng.uniform(0.01, 0.99, (3, 30))
+    betas = rng.uniform(0.01, 0.99, (3, 30))
+    values = stack(etas, betas)
+    gamma_b, gamma_e = stack.sinrs(etas, betas)
+    assert values.shape == gamma_b.shape == (3, 30)
+    for i, row in enumerate(rows):
+        assert np.array_equal(values[i], row(etas[i], betas[i]))
+        assert np.array_equal(gamma_e[i], row.sinrs(etas[i], betas[i])[1])
+        assert values[i, 0] == row(float(etas[i, 0]), float(betas[i, 0]))
+
+
+def test_stacked_contexts_must_share_the_scalars_they_do_not_stack():
+    rng = np.random.default_rng(15)
+    rows = _shared_mu_contexts(rng, 2)
+    bch, d, _ = _context_and_design(rng)
+    with pytest.raises(ValueError, match="share"):
+        PaScalarContext.stack(rows + [PaScalarContext(bch, replace(d, p_s=2.0), NOISE)])
+    with pytest.raises(ValueError):
+        PaScalarContext.stack(rows)(np.full((2, 1), 0.5), np.full((2, 1), 1.0))
+
+
 def test_scalar_call_keeps_numpy_semantics_when_the_denominators_underflow():
     rng = np.random.default_rng(13)
     bch = random_blocked(rng)
@@ -456,3 +499,87 @@ def test_annealing_pipeline_converges_on_scattered_channels():
             assert trace.converged and "iteration-cap" not in trace.flags
             assert trace.iterations <= 20
             assert abs(blocked_secrecy_rate(bch, d, noise) - sr_es) <= 1e-3
+
+
+# -- lockstep stacks of seeds ------------------------------------------------------
+
+ALL_SEARCHERS = [exhaustive_search, pso_search, annealing_search,
+                 fixed_point_search, fixed_eta_search, fixed_beta_search]
+
+
+def _criterion_10_stack():
+    """Criterion 10's Rician channel draws (scene seed 0 + run seeds 1, 2)."""
+    cfg = benchmark_scene(m_bs=8, n_irs=8, n1=4, n2=4, rician_k_db=5.0, pl_ref_db=-60.0)
+    w = dbm_to_watts(-70.0)
+    bchs = [build_channels(replace(cfg, seed=cfg.seed + s))[1] for s in (1, 2)]
+    return bchs, NoiseProfile(sigma2_irs=w, sigma2_b=w, sigma2_e=w), dbm_to_watts(20.0)
+
+
+def _without_wall_time(trace):
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in trace.rows]
+
+
+def assert_same_run(stacked, alone):
+    (d, trace), (d1, trace1) = stacked, alone
+    for f in ("v_b", "v_e", "theta1", "theta2"):
+        assert np.array_equal(getattr(d, f), getattr(d1, f))
+    assert (d.rho1, d.rho2, d.pa, d.p_s) == (d1.rho1, d1.rho2, d1.pa, d1.p_s)
+    assert _without_wall_time(trace) == _without_wall_time(trace1)
+    assert (trace.iterations, trace.converged, trace.flags) == \
+        (trace1.iterations, trace1.converged, trace1.flags)
+    assert trace.wall_time_s > 0.0
+    assert trace.rows[-1]["wall_time_s"] == trace.wall_time_s
+
+
+@pytest.mark.parametrize("searcher", ALL_SEARCHERS)
+def test_a_lockstep_stack_is_the_one_seed_runs_on_criterion_10(searcher):
+    bchs, noise, p_s = _criterion_10_stack()
+    seeds = [1, 2]
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, searcher, seeds)
+    for run, bch, seed in zip(runs, bchs, seeds):
+        assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=searcher, seed=seed))
+    if searcher is exhaustive_search:
+        # the seeds leave the stack in different passes
+        assert [trace.iterations for _, trace in runs] == [7, 10]
+
+
+def test_a_lockstep_stack_runs_each_seed_on_its_own_channels():
+    # the same channels under three seeds, and the scene's other draw in between
+    bchs, noise, p_s = _criterion_10_stack()
+    stack = [bchs[0], bchs[1], bchs[0]]
+    runs = run_nsp_mrr_pa_seeds(stack, noise, p_s, pso_search, [3, 4, 5])
+    for run, bch, seed in zip(runs, stack, [3, 4, 5]):
+        assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=pso_search, seed=seed))
+
+
+def test_degenerate_null_spaces_flag_only_their_own_seed():
+    # M = 4 <= n_k + 1 = 5 leaves both null spaces trivial in the first scene
+    w = dbm_to_watts(-70.0)
+    noise = NoiseProfile(sigma2_irs=w, sigma2_b=w, sigma2_e=w)
+    p_s = dbm_to_watts(20.0)
+    small = build_channels(benchmark_scene(m_bs=4, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                                           pl_ref_db=-60.0, seed=3))[1]
+    wide = _criterion_10_stack()[0][0]
+    bchs = [wide, small, wide]
+    for searcher in (exhaustive_search, pso_search, annealing_search):
+        runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, searcher, [1, 2, 3])
+        for run, bch, seed in zip(runs, bchs, [1, 2, 3]):
+            assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=searcher, seed=seed))
+        flags = [trace.flags for _, trace in runs]
+        assert {"nsp-degenerate:v_b", "nsp-degenerate:v_e"} <= set(flags[1])
+        assert not any(f.startswith("nsp-degenerate") for f in flags[0] + flags[2])
+
+
+def test_a_lockstep_stack_flags_the_seeds_that_hit_the_cap():
+    bchs, noise, p_s = _criterion_10_stack()
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1, 2], max_iters=8)
+    assert [(t.iterations, t.converged, "iteration-cap" in t.flags) for _, t in runs] == \
+        [(7, True, False), (8, False, True)]
+
+
+def test_a_lockstep_stack_needs_one_channel_set_per_seed():
+    bchs, noise, p_s = _criterion_10_stack()
+    with pytest.raises(ValueError, match="one channel set per seed"):
+        run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1])
+    with pytest.raises(ValueError, match="one channel set per seed"):
+        run_nsp_mrr_pa_seeds([], noise, p_s, exhaustive_search, [])

@@ -20,6 +20,7 @@ from airsdm.pa_search import (
     fixed_eta_search,
     fixed_point_search,
     pso_search,
+    search_stack,
 )
 
 
@@ -308,3 +309,81 @@ def test_warm_annealing_golden_run_on_the_bowl():
     assert res.point == (0.2987504627652005, 0.701868680104511)
     assert res.value == -5.053308634145658e-06
     assert res.evaluations == 2001
+
+
+# -- stacked searches -----------------------------------------------------------------
+
+class RowStack:
+    """A stacked objective whose row i is the one-row surface ``surfaces[i]``."""
+
+    def __init__(self, surfaces):
+        self.surfaces = surfaces
+        self.calls = 0
+
+    def __call__(self, eta, beta):
+        self.calls += 1
+        return np.stack([f(e, b) for f, e, b in zip(self.surfaces, eta, beta)])
+
+    def __getitem__(self, i):
+        return self.surfaces[i]
+
+
+def secrecy_contexts(count, rng_seed=31):
+    """Per-seed secrecy surfaces of random blocked channels; noise, p_s and mu shared."""
+    rng = np.random.default_rng(rng_seed)
+    noise = NoiseProfile(sigma2_irs=0.03, sigma2_b=0.05, sigma2_e=0.04)
+    rows = []
+    for _ in range(count):
+        bch = random_blocked(rng)
+        d = random_block_design(rng, bch, noise)
+        d = replace(d, v_b=unit(d.v_b), v_e=unit(d.v_e), pa=replace(d.pa, mu=0.8))
+        rows.append(PaScalarContext(bch, d, noise))
+    return rows
+
+
+def assert_stack_matches_one_by_one(searcher, stack, seeds, starts):
+    stacked = search_stack(searcher, stack, seeds, starts)
+    assert len(stacked) == len(seeds)
+    for i, (seed, start) in enumerate(zip(seeds, starts)):
+        assert_same_result(stacked[i], searcher(stack[i], seed, start=start))
+
+
+@pytest.mark.parametrize("searcher", ALL_SEARCHERS)
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_stacked_search_is_the_one_by_one_search_on_secrecy_surfaces(searcher, size):
+    rows = secrecy_contexts(size)
+    seeds = [4, 9, 2][:size]
+    for starts in ([None] * size, [(0.9, 0.1), (0.3, 0.7), (0.01, 0.99)][:size]):
+        assert_stack_matches_one_by_one(searcher, PaScalarContext.stack(rows), seeds, starts)
+
+
+@pytest.mark.parametrize("searcher", ALL_SEARCHERS)
+@pytest.mark.parametrize("surfaces", [[nan_cross], [nan_cell, all_nan, terraced],
+                                      [bowl, nan_cross, tilted]],
+                         ids=["one", "nan-rows", "mixed"])
+def test_a_stacked_search_keeps_the_nan_rule_of_each_row(searcher, surfaces):
+    starts = [(0.3, 0.3), None, (0.5, 0.2)][:len(surfaces)]
+    assert_stack_matches_one_by_one(searcher, RowStack(surfaces), [5, 6, 7][:len(surfaces)],
+                                    starts)
+
+
+def test_stacked_swarms_make_one_objective_call_per_sweep():
+    stack = RowStack([bowl, tilted, terraced])
+    results = search_stack(pso_search, stack, [1, 2, 3], [None] * 3)
+    assert stack.calls == 1 + 100
+    assert [r.evaluations for r in results] == [30 * 101] * 3
+
+
+def test_stacked_swarms_are_the_golden_run_in_every_row():
+    results = search_stack(pso_search, RowStack([bowl, bowl]), [7, 7], [None, None])
+    for res in results:
+        assert res.point == (0.30000000364585944, 0.7000000168738753)
+        assert res.value == -2.9801995865192557e-16
+
+
+def test_a_stacked_search_checks_every_start_and_its_length():
+    for searcher in ALL_SEARCHERS:
+        with pytest.raises(ValueError, match="start"):
+            search_stack(searcher, RowStack([bowl, bowl]), [1, 2], [None, (0.5, 1.0)])
+        with pytest.raises(ValueError, match="one start per seed"):
+            search_stack(searcher, RowStack([bowl, bowl]), [1, 2], [None])
