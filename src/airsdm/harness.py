@@ -304,30 +304,32 @@ def run_point(spec: ExperimentSpec, value, method: str, seed: int,
     cfg, p_watts = _scene_at(spec, value, seed)
     noise = _noise_profile(spec)
     ch, bch = build_channels(cfg)
-    if method == "ldt-cffp":
-        run = run_ldt_cffp(ch, noise, p_watts, seed=seed)
-    elif method == "zero-reflection":
+    if method == "zero-reflection":
         t0 = time.perf_counter()
         design, flags = _zero_reflection_design(ch, p_watts)
         sr = secrecy_rate(ch, design, noise)
         return ResultRow(method, spec.sweep.kind, value, seed, sr, 0,
                          max(time.perf_counter() - t0, 1e-9), flags), None
+    if method == "ldt-cffp":
+        channels, run = ch, run_ldt_cffp(ch, noise, p_watts, seed=seed)
     else:
-        run = run_nsp_mrr_pa(bch, noise, p_watts, searcher=_SEARCHERS[method], seed=seed)
-    return _result_row(spec, value, method, seed, (ch, bch), run, noise), run[1]
+        channels, run = bch, run_nsp_mrr_pa(bch, noise, p_watts,
+                                            searcher=_SEARCHERS[method], seed=seed)
+    return _result_row(spec, value, method, seed, channels, run, noise), run[1]
 
 
 def _result_row(spec: ExperimentSpec, value, method: str, seed: int, channels,
                 run: tuple, noise: NoiseProfile) -> ResultRow:
     """The row of one optimizer run: ``run`` is its (design, trace) on
-    ``channels``, the (monolithic, blocked) pair of its scene."""
-    (ch, bch), (design, trace) = channels, run
+    ``channels``, the monolithic channel set for ``ldt-cffp`` and the
+    blocked one otherwise."""
+    design, trace = run
     if method == "ldt-cffp":
         return ResultRow(method, spec.sweep.kind, value, seed,
-                         secrecy_rate(ch, design, noise),
+                         secrecy_rate(channels, design, noise),
                          trace.iterations, trace.wall_time_s, list(trace.flags))
     return ResultRow(method, spec.sweep.kind, value, seed,
-                     blocked_secrecy_rate(bch, design, noise),
+                     blocked_secrecy_rate(channels, design, noise),
                      trace.iterations, trace.wall_time_s, list(trace.flags),
                      eta=design.pa.eta, beta=design.pa.beta)
 
@@ -384,16 +386,16 @@ def _run_stack(spec: ExperimentSpec, value, method: str) -> list[ResultRow]:
     try:
         noise = _noise_profile(spec)
         scenes = [_scene_at(spec, value, seed) for seed in spec.seeds]
-        channels = [build_channels(cfg) for cfg, _ in scenes]
         p_watts = scenes[0][1]
         if method == "ldt-cffp":
-            runs = run_ldt_cffp_seeds([ch for ch, _ in channels], noise, p_watts,
-                                      spec.seeds, keep_rows=False)
+            channels = [build_channels(cfg)[0] for cfg, _ in scenes]
+            runs = run_ldt_cffp_seeds(channels, noise, p_watts, spec.seeds, keep_rows=False)
         else:
-            runs = run_nsp_mrr_pa_seeds([bch for _, bch in channels], noise, p_watts,
-                                        _SEARCHERS[method], spec.seeds)
-        return [_result_row(spec, value, method, seed, chs, run, noise)
-                for seed, chs, run in zip(spec.seeds, channels, runs)]
+            channels = [build_channels(cfg)[1] for cfg, _ in scenes]
+            runs = run_nsp_mrr_pa_seeds(channels, noise, p_watts, _SEARCHERS[method],
+                                        spec.seeds)
+        return [_result_row(spec, value, method, seed, ch, run, noise)
+                for seed, ch, run in zip(spec.seeds, channels, runs)]
     except Exception:  # noqa: BLE001 - the cells below report it, seed by seed
         return [row for seed in spec.seeds for row in _run_cell(spec, value, method, seed)]
 
