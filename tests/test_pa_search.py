@@ -328,9 +328,9 @@ class RowStack:
         return self.surfaces[i]
 
 
-def secrecy_contexts(count, rng_seed=31):
+def secrecy_contexts(count):
     """Per-seed secrecy surfaces of random blocked channels; noise, p_s and mu shared."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(31)
     noise = NoiseProfile(sigma2_irs=0.03, sigma2_b=0.05, sigma2_e=0.04)
     rows = []
     for _ in range(count):
