@@ -325,23 +325,28 @@ class PaScalarContext:
         return self._sinrs(eta, beta, np.sqrt)
 
     def _sinrs(self, eta, beta, sqrt):
-        ps, mu = self.p_s, self.mu
+        ps, mu, s2_irs = self.p_s, self.mu, self.sigma2_irs
+        # Hoisted: only the subexpressions every use groups the same way, so
+        # each product keeps its left-to-right order and its bits.
+        ie, ib, im, ps2 = 1.0 - eta, 1.0 - beta, 1.0 - mu, ps ** 2
+        cm_ps = eta * beta * ps          # the BS power of the confidential beam
+        an_ps = eta * ib * ps            # the BS power of the AN beam
         # per-block incident power (signal + IRS noise) at unit gain
-        A = eta * beta * ps * self.s1 + self.sigma2_irs
-        B = eta * (1.0 - beta) * ps * self.s2 + self.sigma2_irs
-        g_b1 = eta * beta * ps * (self.a * (1.0 - eta) * mu * ps * B
-                                  + 2.0 * self.b * B * sqrt((1.0 - eta) * mu * ps * A)
-                                  + self.c * A * B)
-        g_b2 = (self.d * eta * (1.0 - eta) * (1.0 - beta) * (1.0 - mu) * ps ** 2 * A
-                + self.e * (1.0 - eta) * mu * ps * B
-                + self.f * (1.0 - eta) * (1.0 - mu) * ps * A
+        A = cm_ps * self.s1 + s2_irs
+        B = an_ps * self.s2 + s2_irs
+        g_b1 = cm_ps * (self.a * ie * mu * ps * B
+                        + 2.0 * self.b * B * sqrt(ie * mu * ps * A)
+                        + self.c * A * B)
+        g_b2 = (self.d * eta * ie * ib * im * ps2 * A
+                + self.e * ie * mu * ps * B
+                + self.f * ie * im * ps * A
                 + self.sigma2_b * A * B)
-        g_e1 = eta * (1.0 - eta) * beta * mu * ps ** 2 * self.a_hat * B
-        g_e2 = (eta * (1.0 - beta) * ps * (self.b_hat * (1.0 - eta) * (1.0 - mu) * ps * A
-                                           + 2.0 * self.c_hat * A * sqrt((1.0 - eta) * (1.0 - mu) * ps * B)
-                                           + self.d_hat * A * B)
-                + self.e_hat * (1.0 - eta) * mu * ps * B
-                + self.f_hat * (1.0 - eta) * (1.0 - mu) * ps * A
+        g_e1 = eta * ie * beta * mu * ps2 * self.a_hat * B
+        g_e2 = (an_ps * (self.b_hat * ie * im * ps * A
+                         + 2.0 * self.c_hat * A * sqrt(ie * im * ps * B)
+                         + self.d_hat * A * B)
+                + self.e_hat * ie * mu * ps * B
+                + self.f_hat * ie * im * ps * A
                 + self.sigma2_e * A * B)
         return g_b1 / g_b2, g_e1 / g_e2
 
@@ -398,8 +403,10 @@ def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile, p_s
     seed's gains.  A seed leaves the stack in the pass its beamformers
     converge.  Each seed's projectors are computed once, from its
     channels.  Each seed's design, trace rows, iterations and flags are
-    those of its own run; its ``wall_time_s`` is its share of each pass it
-    ran, the pass's time split evenly among the seeds in it.
+    those of its own run.  Its ``wall_time_s`` is the time of its own work
+    (projectors, beams, context, its search's ``seconds``, gains) plus, in
+    each pass it ran, an even share of the rest of the pass, so the seeds'
+    times add up to the stack's.
     """
     if not seeds or len(bchs) != len(seeds):
         raise ValueError(f"need one channel set per seed and at least one seed, "
@@ -414,7 +421,8 @@ def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile, p_s
         for i, res in zip(live, results):
             runs[i].split(res, noise)
         now = time.perf_counter()
-        share, mark = (now - mark) / len(live), now
+        rest = now - mark - sum(runs[i].own_s for i in live)
+        share, mark = rest / len(live), now
         for i, res in zip(live, results):
             runs[i].record(it, res, share)
         live = [i for i in live if not runs[i].trace.converged]
@@ -430,6 +438,7 @@ class _SeedRun:
     """One seed's state in ``run_nsp_mrr_pa_seeds``."""
 
     def __init__(self, bch: BlockedChannelSet, p_s: float):
+        t0 = time.perf_counter()
         m = bch.h_b.size
         self.bch = bch
         self.projectors = _projectors(bch)
@@ -445,9 +454,11 @@ class _SeedRun:
         self.trace = RunTrace()
         self.start = None                # the next pass's search begins here
         self.deltas = (math.inf, math.inf)   # how far v_b and v_e moved
+        self.own_s = time.perf_counter() - t0   # this pass's own work so far
 
     def beams(self, noise: NoiseProfile) -> PaScalarContext:
         """New beams and reflect vectors; the context of the split search."""
+        t0 = time.perf_counter()
         bch, d = self.bch, self.d
         prev_vb, prev_ve = d.v_b, d.v_e
         d.v_b, d.v_e, fl = _beams(bch, d, self.projectors)
@@ -456,18 +467,24 @@ class _SeedRun:
             self.trace.add_flag(flag)
         self.deltas = (float(np.linalg.norm(d.v_b - prev_vb)),
                        float(np.linalg.norm(d.v_e - prev_ve)))
-        return PaScalarContext(bch, d, noise)
+        ctx = PaScalarContext(bch, d, noise)
+        self.own_s += time.perf_counter() - t0
+        return ctx
 
     def split(self, res: SearchResult, noise: NoiseProfile) -> None:
         """Take the searched split and the gains that spend it."""
+        t0 = time.perf_counter()
         self.start = res.point
         self.d.pa = PaFactors(*res.point)
         self.d.rho1, self.d.rho2 = amplification_rho(self.bch, self.d, noise)
+        self.own_s += res.seconds + time.perf_counter() - t0
 
     def record(self, it: int, res: SearchResult, share: float) -> None:
-        """The pass's trace row; converged once the beams stopped moving."""
+        """The pass's trace row, timed with its own work plus ``share`` of
+        the stack's; converged once the beams stopped moving."""
         trace, d = self.trace, self.d
-        trace.wall_time_s += share
+        trace.wall_time_s += self.own_s + share
+        self.own_s = 0.0
         trace.rows.append({
             "iteration": it,
             "eta": d.pa.eta,

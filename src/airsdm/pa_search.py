@@ -10,6 +10,9 @@ number of evaluations:
 * pso_search        - particle swarm (inertia + cognitive/social pulls),
 * annealing_search  - simulated annealing with Gaussian proposals
                       reflected at the box boundary and geometric cooling,
+                      its random numbers drawn up front (one call each
+                      for the cold start, the steps and the Metropolis
+                      uniforms),
 * fixed_*           - pinned-factor baselines.
 
 Every searcher is called as ``searcher(objective, seed, start=None)``.  The
@@ -26,7 +29,8 @@ seed and start.
 of a stacked objective (``PaScalarContext.stack``: one seed per row) and
 returns what the row-by-row calls return, bit for bit.  PSO runs its
 swarms as one stack, one objective call per sweep for all rows; the other
-searchers run one row at a time.
+searchers run one row at a time.  Each result's ``seconds`` is its row's
+own search time, or its even share of the swarm stack's.
 
 One pick rule holds everywhere: a NaN value counts as -inf, so it never
 wins a comparison (a best, a personal or global best, a Metropolis test).
@@ -36,7 +40,8 @@ A result's value is -inf only when every candidate scored NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,6 +80,9 @@ class SearchResult:
     point: tuple[float, float]   # (eta, beta) of the best value found
     value: float                 # -inf when every candidate scored NaN
     evaluations: int
+    # the search's wall time when search_stack ran it: a row's own search,
+    # or its even share of a stacked swarm (0.0 from a direct call)
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _check_start(start: tuple[float, float] | None) -> tuple[float, float] | None:
@@ -182,16 +190,28 @@ def search_stack(searcher: Callable, objective, seeds: list[int],
     start=starts[i])``.  PSO runs its swarms as one stack, one objective
     call per sweep for all rows; every other searcher runs row by row, as
     an annealing chain is cheaper on its row's float path than in a stack
-    and a stacked grid scan holds S times the grid in memory.
+    and a stacked grid scan holds S times the grid in memory.  Each
+    result's ``seconds`` is its row's own search time, or for PSO an even
+    share of the swarm stack's.
     """
     if len(starts) != len(seeds):
         raise ValueError(f"need one start per seed, got {len(starts)} for {len(seeds)}")
     if searcher is pso_search:
         for start in starts:
             _check_start(start)
-        return _swarms(lambda etas, betas: _values(objective, etas, betas), seeds)
-    return [searcher(objective[i], seed, start=start)
-            for i, (seed, start) in enumerate(zip(seeds, starts))]
+        t0 = time.perf_counter()
+        results = _swarms(lambda etas, betas: _values(objective, etas, betas), seeds)
+        share = (time.perf_counter() - t0) / len(seeds)
+        for res in results:
+            res.seconds = share
+        return results
+    results = []
+    for i, (seed, start) in enumerate(zip(seeds, starts)):
+        t0 = time.perf_counter()
+        res = searcher(objective[i], seed, start=start)
+        res.seconds = time.perf_counter() - t0
+        results.append(res)
+    return results
 
 
 def _reflect(x: float) -> float:
@@ -212,23 +232,31 @@ def annealing_search(objective: Callable, seed: int = 0,
     cooling factor after each temperature level.  The chain and the best
     so far begin at ``start``, scored under ``objective``, or at a uniform
     draw from the box when ``start`` is None.
+
+    The stream of ``default_rng(seed)`` is read in this order: the uniform
+    start (cold start only), every Gaussian step as one
+    ``(LEVELS, PROPOSALS, 2)`` normal draw, then every Metropolis uniform
+    as one ``(LEVELS, PROPOSALS)`` draw.  Proposal k's uniform is used only
+    when move k is worse, so each search draws the same amount whatever
+    the objective.
     """
     rng = np.random.default_rng(seed)
     z = _check_start(start)
     z_eta, z_beta = rng.uniform(LO, HI, size=2).tolist() if z is None else z
+    steps = rng.normal(0.0, STEP, (LEVELS, PROPOSALS, 2)).tolist()
+    draws = rng.random((LEVELS, PROPOSALS)).tolist()
     fz = _value(objective, z_eta, z_beta)
     best = (z_eta, z_beta)
     best_val = fz
     temp = T0
 
-    for _ in range(LEVELS):
-        for _ in range(PROPOSALS):
-            step_eta, step_beta = rng.normal(0.0, STEP, size=2).tolist()
+    for level_steps, level_draws in zip(steps, draws):
+        for (step_eta, step_beta), draw in zip(level_steps, level_draws):
             eta = _reflect(z_eta + step_eta)
             beta = _reflect(z_beta + step_beta)
             fc = _value(objective, eta, beta)
             loss = fz - fc               # energy increase; NaN (rejected) if both -inf
-            if loss <= 0.0 or rng.random() < math.exp(-loss / temp):
+            if loss <= 0.0 or draw < math.exp(-loss / temp):
                 z_eta, z_beta, fz = eta, beta, fc
             if fc > best_val:
                 best_val = fc

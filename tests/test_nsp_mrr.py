@@ -1,6 +1,8 @@
 """Blocked pipeline: projectors, closed-form beams, gains, scalar PA path."""
 
+import copy
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -370,6 +372,91 @@ def test_scalar_and_array_calls_reject_the_same_points():
             assert np.isfinite(ctx(np.array([eta]), np.array([beta]))[0])
 
 
+def _frozen_sinrs(self, eta, beta, sqrt):
+    """``PaScalarContext._sinrs`` as written before its common subexpressions
+    were hoisted: the reference the hoisted form must match bit for bit."""
+    ps, mu = self.p_s, self.mu
+    A = eta * beta * ps * self.s1 + self.sigma2_irs
+    B = eta * (1.0 - beta) * ps * self.s2 + self.sigma2_irs
+    g_b1 = eta * beta * ps * (self.a * (1.0 - eta) * mu * ps * B
+                              + 2.0 * self.b * B * sqrt((1.0 - eta) * mu * ps * A)
+                              + self.c * A * B)
+    g_b2 = (self.d * eta * (1.0 - eta) * (1.0 - beta) * (1.0 - mu) * ps ** 2 * A
+            + self.e * (1.0 - eta) * mu * ps * B
+            + self.f * (1.0 - eta) * (1.0 - mu) * ps * A
+            + self.sigma2_b * A * B)
+    g_e1 = eta * (1.0 - eta) * beta * mu * ps ** 2 * self.a_hat * B
+    g_e2 = (eta * (1.0 - beta) * ps * (self.b_hat * (1.0 - eta) * (1.0 - mu) * ps * A
+                                       + 2.0 * self.c_hat * A * sqrt((1.0 - eta) * (1.0 - mu) * ps * B)
+                                       + self.d_hat * A * B)
+            + self.e_hat * (1.0 - eta) * mu * ps * B
+            + self.f_hat * (1.0 - eta) * (1.0 - mu) * ps * A
+            + self.sigma2_e * A * B)
+    return g_b1 / g_b2, g_e1 / g_e2
+
+
+def assert_sinrs_bits(ctx, eta, beta):
+    """``ctx._sinrs`` equals the frozen expression bit for bit (type, shape and
+    bytes, NaN and inf included), or raises what it raises, under both roots."""
+    roots = (math.sqrt, np.sqrt) if isinstance(eta, float) else (np.sqrt,)
+    with np.errstate(all="ignore"):
+        for sqrt in roots:
+            try:
+                want = _frozen_sinrs(ctx, eta, beta, sqrt)
+            except (ZeroDivisionError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    ctx._sinrs(eta, beta, sqrt)
+                continue
+            for got, ref in zip(ctx._sinrs(eta, beta, sqrt), want):
+                assert type(got) is type(ref)
+                assert np.shape(got) == np.shape(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def _bench_scene_contexts():
+    """Converged ES contexts at 20 dBm on the benchmark's three scenes: the
+    default scene of pa-compare, its N=32 form of ldt-n32, and the first
+    Rician draw of rician-n8."""
+    w = dbm_to_watts(-70.0)
+    noise = NoiseProfile(sigma2_irs=w, sigma2_b=w, sigma2_e=w)
+    scenes = [benchmark_scene(), benchmark_scene(n_irs=32, n1=16, n2=16),
+              benchmark_scene(m_bs=8, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                              pl_ref_db=-60.0, seed=1)]
+    contexts = []
+    for cfg in scenes:
+        _, bch = build_channels(cfg)
+        d, _ = run_nsp_mrr_pa(bch, noise, dbm_to_watts(20.0))
+        contexts.append(PaScalarContext(bch, d, noise))
+    return contexts
+
+
+def test_the_hoisted_closed_form_is_the_frozen_expression_bit_for_bit():
+    rng = np.random.default_rng(16)
+    contexts = [_context_and_design(rng)[2] for _ in range(5)] + _bench_scene_contexts()
+    edge = 1e-12
+    etas = np.concatenate([[edge, 0.01, 0.5, 0.99, 1.0 - edge], rng.uniform(edge, 1.0 - edge, 45)])
+    betas = np.concatenate([[0.5, 0.99, edge, 0.01, 1.0 - edge], rng.uniform(edge, 1.0 - edge, 45)])
+    for ctx in contexts:
+        for eta, beta in zip(etas.tolist(), betas.tolist()):
+            assert_sinrs_bits(ctx, eta, beta)
+        assert_sinrs_bits(ctx, etas, betas)
+    stack = PaScalarContext.stack(contexts[-3:])
+    assert_sinrs_bits(stack, np.tile(etas, (3, 1)), rng.uniform(edge, 1.0 - edge, (3, 50)))
+    # the fallbacks: a zero denominator, and a negative root
+    faint = NoiseProfile(sigma2_irs=1e-200, sigma2_b=1e-200, sigma2_e=1e-200)
+    bch = random_blocked(rng)
+    zero = PaScalarContext(bch, replace(random_block_design(rng, bch, faint), p_s=1e-300), faint)
+    negative = copy.copy(contexts[0])
+    negative.sigma2_irs = -1e3
+    for ctx, error in ((zero, ZeroDivisionError), (negative, ValueError)):
+        with pytest.raises(error):
+            ctx._sinrs(0.5, 0.5, math.sqrt)
+        assert_sinrs_bits(ctx, 0.5, 0.5)
+        assert_sinrs_bits(ctx, np.array([0.5, 0.2]), np.array([0.5, 0.7]))
+        with np.errstate(all="ignore"):
+            assert np.isnan(ctx(0.5, 0.5))
+
+
 def test_pa_factors_validate_the_open_interval():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
@@ -541,6 +628,19 @@ def test_a_lockstep_stack_is_the_one_seed_runs_on_criterion_10(searcher):
     if searcher is exhaustive_search:
         # the seeds leave the stack in different passes
         assert [trace.iterations for _, trace in runs] == [7, 10]
+
+
+def test_the_rows_of_a_lockstep_stack_carry_their_own_times():
+    bchs, noise, p_s = _criterion_10_stack()
+    stack = [bchs[0], bchs[1], bchs[0], bchs[1]]
+    t0 = time.perf_counter()
+    runs = run_nsp_mrr_pa_seeds(stack, noise, p_s, exhaustive_search, [1, 2, 3, 4])
+    elapsed = time.perf_counter() - t0
+    times = [trace.wall_time_s for _, trace in runs]
+    assert len(set(times)) == len(times)
+    assert min(times) > 0.0
+    # the seeds' times add up to the stack's
+    assert sum(times) <= elapsed
 
 
 def test_a_lockstep_stack_runs_each_seed_on_its_own_channels():

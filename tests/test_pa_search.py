@@ -20,6 +20,7 @@ from airsdm.pa_search import (
     fixed_eta_search,
     fixed_point_search,
     pso_search,
+    _reflect,
     search_stack,
 )
 
@@ -173,11 +174,58 @@ def test_annealing_nearly_solves_a_smooth_surface():
 
 
 def test_annealing_golden_run_on_the_bowl():
-    # Recorded from the array-state implementation this float loop replaced.
+    # Recorded with the pre-drawn stream: start, then every step, then every draw.
     res = annealing_search(bowl, 3)
-    assert res.point == (0.30108615815685413, 0.7067612073352405)
-    assert res.value == -4.6893664171811393e-05
+    assert res.point == (0.30197104346367887, 0.6985468534949637)
+    assert res.value == -5.9966471008103036e-06
     assert res.evaluations == 2001
+
+
+@pytest.mark.parametrize("surface", [bowl, terraced], ids=["bowl", "terraced"])
+@pytest.mark.parametrize("start", [None, (0.9, 0.1)], ids=["cold", "warm"])
+def test_annealing_reads_one_pre_drawn_stream(monkeypatch, surface, start):
+    """The chain's stream: the uniform start (cold only), all (100, 20, 2)
+    Gaussian steps in one draw, then all (100, 20) Metropolis uniforms in one
+    draw; proposal k is the reflected chain point plus step k, and uniform k
+    is read only when move k is worse."""
+    made = []
+    fresh = np.random.default_rng
+
+    def capturing(seed):
+        made.append(fresh(seed))
+        return made[-1]
+
+    seen = []
+
+    def recording(eta, beta):
+        value = float(surface(eta, beta))
+        seen.append((eta, beta, value))
+        return value
+
+    monkeypatch.setattr(np.random, "default_rng", capturing)
+    res = annealing_search(recording, 8, start=start)
+    monkeypatch.undo()
+
+    ref = np.random.default_rng(8)
+    z = tuple(ref.uniform(0.01, 0.99, size=2).tolist()) if start is None else start
+    steps = ref.normal(0.0, 0.05, (100, 20, 2)).reshape(-1, 2).tolist()
+    draws = ref.random((100, 20)).ravel().tolist()
+    assert len(made) == 1
+    assert made[0].bit_generator.state == ref.bit_generator.state
+    assert len(seen) == res.evaluations == 2001
+    assert seen[0][:2] == z
+
+    def energy(value):
+        return -math.inf if math.isnan(value) else value
+
+    fz, temp = energy(seen[0][2]), 1.0
+    for k, ((eta, beta, value), step, draw) in enumerate(zip(seen[1:], steps, draws)):
+        assert (eta, beta) == (_reflect(z[0] + step[0]), _reflect(z[1] + step[1]))
+        loss = fz - energy(value)
+        if loss <= 0.0 or draw < math.exp(-loss / temp):
+            z, fz = (eta, beta), energy(value)
+        if k % 20 == 19:
+            temp *= 0.95
 
 
 def test_annealing_is_seed_deterministic():
@@ -306,8 +354,8 @@ def test_warm_annealing_begins_at_the_start_and_draws_no_uniform_point():
 
 def test_warm_annealing_golden_run_on_the_bowl():
     res = annealing_search(bowl, 3, start=(0.9, 0.1))
-    assert res.point == (0.2987504627652005, 0.701868680104511)
-    assert res.value == -5.053308634145658e-06
+    assert res.point == (0.2990092268937, 0.6980858156337512)
+    assert res.value == -4.645733136158589e-06
     assert res.evaluations == 2001
 
 
