@@ -125,6 +125,9 @@ def _cmd_sweep(args) -> int:
     powers = _parse_floats(args.power_dbm)
     counts = _parse_ints(args.n) if args.n else []
 
+    if len(counts) > 1 and len(powers) > 1:
+        raise ValueError("a sweep has one axis: give several values to --n "
+                         "(n_elements) or to --power-dbm (total_power_dbm), not both")
     if counts and (len(counts) > 1 or len(powers) <= 1):
         sweep = SweepSpec(kind="n_elements", values=counts)
         power_dbm = powers[0] if powers else 20.0

@@ -3,10 +3,11 @@
 An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
 seed) cell and returns sorted :class:`ResultRow` records.  The seeds of
-one optimizer method at one sweep value run as one lockstep stack.  Per-cell
-failures become flagged rows instead of aborting the batch.  Tables are
-emitted as CSV (schema versioned in a header comment) and/or JSON, both
-of which round-trip losslessly through the matching readers.
+one method at one sweep value run as one stack; if it fails, each seed
+reruns alone, and a seed that still fails becomes flagged rows instead of
+aborting the batch.  Tables are emitted as CSV (schema versioned in a
+header comment) and/or JSON, both of which round-trip losslessly through
+the matching readers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .scene import SceneConfig, build_channels, dbm_to_watts
 from .model import Design, NoiseProfile, secrecy_rate
+# run_ldt_cffp, run_nsp_mrr_pa: not called here; kept as module globals that traced runs wrap
 from .ldt_cffp import run_ldt_cffp, run_ldt_cffp_seeds
 from .nsp_mrr import (
     PaScalarContext,
@@ -301,123 +303,100 @@ def run_point(spec: ExperimentSpec, value, method: str, seed: int,
     Returns its row and the optimizer's per-iteration trace (None for the
     closed-form ``zero-reflection``).  Errors propagate to the caller.
     """
-    cfg, p_watts = _scene_at(spec, value, seed)
+    rows, traces = _run_seeds(spec, value, method, [seed], keep_rows=True)
+    return rows[0], traces[0]
+
+
+def _run_seeds(spec: ExperimentSpec, value, method: str, seeds: list[int],
+               keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace | None]]:
+    """Run the given seeds of one method at one sweep value as one stack.
+
+    Returns the seeds' rows and their optimizers' traces (None for the
+    closed-form ``zero-reflection``); ``keep_rows`` keeps the per-iteration
+    rows of ``ldt-cffp`` traces.  Under ``pa_grid`` (``value`` None) each
+    seed's converged design is scored at every pair, one row per pair.
+    Errors propagate to the caller.
+    """
     noise = _noise_profile(spec)
-    ch, bch = build_channels(cfg)
+    kind = spec.sweep.kind
+    scenes = [_scene_at(spec, value, seed) for seed in seeds]
+    p_watts = scenes[0][1]
     if method == "zero-reflection":
-        t0 = time.perf_counter()
-        design, flags = _zero_reflection_design(ch, p_watts)
-        sr = secrecy_rate(ch, design, noise)
-        return ResultRow(method, spec.sweep.kind, value, seed, sr, 0,
-                         max(time.perf_counter() - t0, 1e-9), flags), None
+        rows = []
+        for (cfg, _), seed in zip(scenes, seeds):
+            ch = build_channels(cfg)[0]
+            t0 = time.perf_counter()
+            design, flags = _zero_reflection_design(ch, p_watts)
+            sr = secrecy_rate(ch, design, noise)
+            rows.append(ResultRow(method, kind, value, seed, sr, 0,
+                                  max(time.perf_counter() - t0, 1e-9), flags))
+        return rows, [None] * len(seeds)
     if method == "ldt-cffp":
-        channels, run = ch, run_ldt_cffp(ch, noise, p_watts, seed=seed)
-    else:
-        channels, run = bch, run_nsp_mrr_pa(bch, noise, p_watts,
-                                            searcher=_SEARCHERS[method], seed=seed)
-    return _result_row(spec, value, method, seed, channels, run, noise), run[1]
+        chs = [build_channels(cfg)[0] for cfg, _ in scenes]
+        runs = run_ldt_cffp_seeds(chs, noise, p_watts, seeds, keep_rows)
+        rows = [ResultRow(method, kind, value, seed, secrecy_rate(ch, design, noise),
+                          trace.iterations, trace.wall_time_s, list(trace.flags))
+                for seed, ch, (design, trace) in zip(seeds, chs, runs)]
+        return rows, [trace for _, trace in runs]
+    bchs = [build_channels(cfg)[1] for cfg, _ in scenes]
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_watts, _SEARCHERS[method], seeds)
+    rows = []
+    for seed, bch, (design, trace) in zip(seeds, bchs, runs):
+        # scored: (sweep value, secrecy rate, (eta, beta)) of each row
+        if kind == "pa_grid":
+            pairs = spec.sweep.values
+            ctx = PaScalarContext(bch, design, noise)
+            surface = ctx(np.array([e for e, _ in pairs]), np.array([b for _, b in pairs]))
+            scored = [(pair, float(sr), pair)
+                      for pair, sr in zip(pairs, np.asarray(surface, dtype=float))]
+        else:
+            scored = [(value, blocked_secrecy_rate(bch, design, noise),
+                       (design.pa.eta, design.pa.beta))]
+        rows.extend(ResultRow(method, kind, v, seed, sr, trace.iterations, trace.wall_time_s,
+                              list(trace.flags), eta=eta, beta=beta)
+                    for v, sr, (eta, beta) in scored)
+    return rows, [trace for _, trace in runs]
 
 
-def _result_row(spec: ExperimentSpec, value, method: str, seed: int, channels,
-                run: tuple, noise: NoiseProfile) -> ResultRow:
-    """The row of one optimizer run: ``run`` is its (design, trace) on
-    ``channels``, the monolithic channel set for ``ldt-cffp`` and the
-    blocked one otherwise."""
-    design, trace = run
-    if method == "ldt-cffp":
-        return ResultRow(method, spec.sweep.kind, value, seed,
-                         secrecy_rate(channels, design, noise),
-                         trace.iterations, trace.wall_time_s, list(trace.flags))
-    return ResultRow(method, spec.sweep.kind, value, seed,
-                     blocked_secrecy_rate(channels, design, noise),
-                     trace.iterations, trace.wall_time_s, list(trace.flags),
-                     eta=design.pa.eta, beta=design.pa.beta)
-
-
-def _run_pa_grid(spec: ExperimentSpec, method: str, seed: int) -> list[ResultRow]:
-    """One pipeline run, then the converged secrecy surface at every pair."""
-    cfg, p_watts = _scene_at(spec, None, seed)
-    noise = _noise_profile(spec)
-    _, bch = build_channels(cfg)
-    design, trace = run_nsp_mrr_pa(bch, noise, p_watts,
-                                   searcher=_SEARCHERS[method], seed=seed)
-    ctx = PaScalarContext(bch, design, noise)
-    pairs = spec.sweep.values
-    etas = np.array([p[0] for p in pairs])
-    betas = np.array([p[1] for p in pairs])
-    surface = np.asarray(ctx(etas, betas), dtype=float)
-    return [
-        ResultRow(method, "pa_grid", pair, seed, float(sr),
-                  trace.iterations, trace.wall_time_s, list(trace.flags),
-                  eta=pair[0], beta=pair[1])
-        for pair, sr in zip(pairs, surface)
-    ]
-
-
-def _value_key(value) -> tuple:
-    if isinstance(value, tuple):
-        return tuple(float(v) for v in value)
-    if value is None:
-        return (0.0,)
-    return (float(value),)
+def _run_alone(spec: ExperimentSpec, value, method: str, seed: int) -> list[ResultRow]:
+    """The rows of one seed run on its own.  A failure becomes one flagged
+    NaN row for each sweep value the run stands for: every pair under
+    ``pa_grid``, else ``value``."""
+    t0 = time.perf_counter()
+    try:
+        return _run_seeds(spec, value, method, [seed])[0]
+    except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
+        flag = f"error:{type(exc).__name__}: {exc}"
+        wall = max(time.perf_counter() - t0, 1e-9)
+        values = spec.sweep.values if value is None else [value]
+        return [ResultRow(method, spec.sweep.kind, v, seed, float("nan"), 0, wall, [flag])
+                for v in values]
 
 
 def _row_key(row: ResultRow) -> tuple:
-    return (row.method, row.sweep_name, _value_key(row.sweep_value), row.seed)
-
-
-def _run_cell(spec: ExperimentSpec, value, method: str, seed: int) -> list[ResultRow]:
-    """The rows of one cell; a failure becomes one flagged row."""
-    t0 = time.perf_counter()
-    try:
-        if spec.sweep.kind == "pa_grid":
-            return _run_pa_grid(spec, method, seed)
-        return [run_point(spec, value, method, seed)[0]]
-    except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
-        flag = f"error:{type(exc).__name__}: {exc}"
-        return [ResultRow(method, spec.sweep.kind, value, seed, float("nan"), 0,
-                          max(time.perf_counter() - t0, 1e-9), [flag])]
-
-
-def _run_stack(spec: ExperimentSpec, value, method: str) -> list[ResultRow]:
-    """The rows of every seed of one optimizer method at one sweep value,
-    run as one lockstep stack.  If the stack raises, each seed runs as its
-    own cell, so a failure stays the row of the seed that fails."""
-    try:
-        noise = _noise_profile(spec)
-        scenes = [_scene_at(spec, value, seed) for seed in spec.seeds]
-        p_watts = scenes[0][1]
-        if method == "ldt-cffp":
-            channels = [build_channels(cfg)[0] for cfg, _ in scenes]
-            runs = run_ldt_cffp_seeds(channels, noise, p_watts, spec.seeds, keep_rows=False)
-        else:
-            channels = [build_channels(cfg)[1] for cfg, _ in scenes]
-            runs = run_nsp_mrr_pa_seeds(channels, noise, p_watts, _SEARCHERS[method],
-                                        spec.seeds)
-        return [_result_row(spec, value, method, seed, ch, run, noise)
-                for seed, ch, run in zip(spec.seeds, channels, runs)]
-    except Exception:  # noqa: BLE001 - the cells below report it, seed by seed
-        return [row for seed in spec.seeds for row in _run_cell(spec, value, method, seed)]
+    value = row.sweep_value
+    value = tuple(float(v) for v in value) if isinstance(value, tuple) else (float(value),)
+    return (row.method, row.sweep_name, value, row.seed)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (sweep value, method, seed) cell; failures become flagged rows.
 
-    Outside a ``pa_grid`` sweep, the seeds of each optimizer method at one
-    sweep value run as one lockstep stack.  Rows come back sorted by
-    (method, sweep, value, seed), so the table is independent of execution
-    order.
+    The seeds of each method at one sweep value (at every pair of a
+    ``pa_grid`` sweep, which one run per seed scores) run as one stack.  If
+    the stack raises, each seed runs alone, so a failure stays the rows of
+    the seed that fails.  Rows come back sorted by (method, sweep, value,
+    seed), so the table is independent of execution order.
     """
-    stacked = spec.sweep.kind != "pa_grid"
-    values = spec.sweep.values if stacked else [None]
+    values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
     rows: list[ResultRow] = []
     for value in values:
         for method in spec.methods:
-            if stacked and method != "zero-reflection":
-                rows.extend(_run_stack(spec, value, method))
-                continue
-            for seed in spec.seeds:
-                rows.extend(_run_cell(spec, value, method, seed))
+            try:
+                rows.extend(_run_seeds(spec, value, method, spec.seeds)[0])
+            except Exception:  # noqa: BLE001 - each seed's own run reports it
+                for seed in spec.seeds:
+                    rows.extend(_run_alone(spec, value, method, seed))
     rows.sort(key=_row_key)
     return rows
 
@@ -536,20 +515,23 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
     header = next(reader, None)
     if header != list(CSV_COLUMNS):
         raise ValueError(f"unexpected results header in {path}: {header}")
-    for rec in reader:
-        (method, sweep_name, value, seed, sr, iters, wall, flags, eta, beta) = rec
-        rows.append(ResultRow(
-            method=method,
-            sweep_name=sweep_name,
-            sweep_value=_parse_value(value),
-            seed=int(seed),
-            sr_bits=float(sr),
-            iterations=int(iters),
-            wall_time_s=float(wall),
-            flags=flags.split(";") if flags else [],
-            eta=None if eta == "" else float(eta),
-            beta=None if beta == "" else float(beta),
-        ))
+    try:
+        for rec in reader:
+            (method, sweep_name, value, seed, sr, iters, wall, flags, eta, beta) = rec
+            rows.append(ResultRow(
+                method=method,
+                sweep_name=sweep_name,
+                sweep_value=_parse_value(value),
+                seed=int(seed),
+                sr_bits=float(sr),
+                iterations=int(iters),
+                wall_time_s=float(wall),
+                flags=flags.split(";") if flags else [],
+                eta=None if eta == "" else float(eta),
+                beta=None if beta == "" else float(beta),
+            ))
+    except ValueError as exc:
+        raise ValueError(f"malformed results row {len(rows) + 1} in {path}: {exc}") from exc
     return rows
 
 
@@ -558,6 +540,12 @@ def read_results_json(path: str | Path) -> list[ResultRow]:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
-    if payload.get("schema") != "airsdm-results v1":
-        raise ValueError(f"unexpected results schema in {path}: {payload.get('schema')!r}")
-    return [_record_to_row(rec) for rec in payload["rows"]]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON in results {path}: {exc}") from exc
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != "airsdm-results v1":
+        raise ValueError(f"unexpected results schema in {path}: {schema!r}")
+    try:
+        return [_record_to_row(rec) for rec in payload["rows"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed results table in {path}: {exc!r}") from exc

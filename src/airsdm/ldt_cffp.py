@@ -556,10 +556,6 @@ def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     return Design(v_b=v_b, v_e=v_e, theta=scale * theta_hat)
 
 
-class _SplitStack(Exception):
-    """A block is skipped for some designs of a stack and not for others."""
-
-
 def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
                     trace: RunTrace | list[RunTrace], block: str, rescale: tuple[str, ...],
                     **reuse) -> QcqpProblem | None:
@@ -571,7 +567,8 @@ def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
     ``state`` and drops ``reuse``: the rescue rescaled what they were built
     at (for the other designs of a stack the fresh problem is the same).
     A design still exhausted is flagged and its block skipped, which gives
-    None; if only some designs of a stack are, ``_SplitStack`` is raised.
+    None; if only some designs of a stack are, their ``BudgetExhausted`` is
+    raised, its ``low`` marking them.
     """
     d = state.d
     traces = trace if isinstance(trace, list) else [trace]
@@ -589,7 +586,7 @@ def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
         return assemble(ch, d, noise, aux, p_max, state=state)
     except BudgetExhausted as exc:
         if not all(exc.low):
-            raise _SplitStack from exc
+            raise
     for t in traces:
         t.add_flag(f"budget-skip:{block}")
     return None
@@ -621,8 +618,9 @@ def run_ldt_cffp_seeds(chs: list[ChannelSet], noise: NoiseProfile, p_max: float,
     and flags are those of its own ``run_ldt_cffp``; its ``wall_time_s`` is
     its share of each lockstep iteration it ran, the iteration's time split
     evenly among the seeds in it.  A budget rescue applies to its seed
-    alone; should a seed's block be skipped while others' are not, every
-    seed is run on its own instead.
+    alone; should a seed's block be skipped while others' are not, the
+    ``BudgetExhausted`` is raised, its ``low`` marking those seeds among the
+    ones still running, and the caller runs each seed on its own.
 
     Each design is evaluated once: the evaluation that closes an iteration
     gives its trace rows and the next iteration's auxiliaries, and the
@@ -645,59 +643,55 @@ def run_ldt_cffp_seeds(chs: list[ChannelSet], noise: NoiseProfile, p_max: float,
     prev = [-math.inf] * len(seeds)
     mark = time.perf_counter()
     spent = [(mark - t0) / len(seeds)] * len(seeds)
-    try:
-        for it in range(1, MAX_ITERS + 1):
-            aux = [_aux_at(ev) for ev in evs]
-            terms = _aux_terms(aux)
-            run = [traces[i] for i in live]
-            live_chs = [chs[i] for i in live]
+    for it in range(1, MAX_ITERS + 1):
+        aux = [_aux_at(ev) for ev in evs]
+        terms = _aux_terms(aux)
+        run = [traces[i] for i in live]
+        live_chs = [chs[i] for i in live]
 
-            prob = _assemble_block(assemble_vb, live_chs, state, noise, terms, p_max, run,
-                                   "v_b", ("v_e", "theta"))
-            if prob is not None:
-                state.set_v_b(solve_qcqp_stack(prob).x)
-            # theta is unchanged since the v_b problem, so v_e shares its A and F
-            prob = _assemble_block(assemble_ve, live_chs, state, noise, terms, p_max, run,
-                                   "v_e", ("v_b", "theta"), shared=prob)
-            if prob is not None:
-                state.set_v_e(solve_qcqp_stack(prob).x)
-            prob = _assemble_block(assemble_theta, live_chs, state, noise, terms, p_max, run,
-                                   "theta", ("v_b", "v_e"))
-            if prob is not None:
-                state.set_theta(solve_qcqp_stack(prob).x.conj())
+        prob = _assemble_block(assemble_vb, live_chs, state, noise, terms, p_max, run,
+                               "v_b", ("v_e", "theta"))
+        if prob is not None:
+            state.set_v_b(solve_qcqp_stack(prob).x)
+        # theta is unchanged since the v_b problem, so v_e shares its A and F
+        prob = _assemble_block(assemble_ve, live_chs, state, noise, terms, p_max, run,
+                               "v_e", ("v_b", "theta"), shared=prob)
+        if prob is not None:
+            state.set_v_e(solve_qcqp_stack(prob).x)
+        prob = _assemble_block(assemble_theta, live_chs, state, noise, terms, p_max, run,
+                               "theta", ("v_b", "v_e"))
+        if prob is not None:
+            state.set_theta(solve_qcqp_stack(prob).x.conj())
 
-            evs = state.evaluate(noise)
-            now = time.perf_counter()
-            share, mark = (now - mark) / len(live), now
-            keep = []
-            for row, (i, ev, a) in enumerate(zip(live, evs, aux)):
-                spent[i] += share
-                vr = ev.surrogate(a)
-                trace = traces[i]
-                if keep_rows:
-                    trace.rows.append({
-                        "iteration": it,
-                        "vr_prime": vr,
-                        "sr_bits": ev.secrecy_rate(),
-                        "power_slack": p_max - ev.power,
-                        "wall_time_s": spent[i],
-                    })
-                trace.iterations = it
-                if abs(vr - prev[i]) <= EPS:
-                    trace.converged = True
-                    designs[i] = _design_at(state, row)
-                else:
-                    prev[i] = vr
-                    keep.append(row)
-            if len(keep) < len(live):
-                if not keep:
-                    break
-                state = state.take(keep)
-                evs = [evs[row] for row in keep]
-                live = [live[row] for row in keep]
-    except _SplitStack:
-        return [run_ldt_cffp_seeds([ch], noise, p_max, [seed], keep_rows)[0]
-                for ch, seed in zip(chs, seeds)]
+        evs = state.evaluate(noise)
+        now = time.perf_counter()
+        share, mark = (now - mark) / len(live), now
+        keep = []
+        for row, (i, ev, a) in enumerate(zip(live, evs, aux)):
+            spent[i] += share
+            vr = ev.surrogate(a)
+            trace = traces[i]
+            if keep_rows:
+                trace.rows.append({
+                    "iteration": it,
+                    "vr_prime": vr,
+                    "sr_bits": ev.secrecy_rate(),
+                    "power_slack": p_max - ev.power,
+                    "wall_time_s": spent[i],
+                })
+            trace.iterations = it
+            if abs(vr - prev[i]) <= EPS:
+                trace.converged = True
+                designs[i] = _design_at(state, row)
+            else:
+                prev[i] = vr
+                keep.append(row)
+        if len(keep) < len(live):
+            if not keep:
+                break
+            state = state.take(keep)
+            evs = [evs[row] for row in keep]
+            live = [live[row] for row in keep]
     for row, i in enumerate(live):
         if not traces[i].converged:
             traces[i].add_flag("iteration-cap")

@@ -1,7 +1,10 @@
 """Shared builders: random channel sets and designs for the test suites."""
 
+import math
+
 import numpy as np
 
+from airsdm import ldt_cffp
 from airsdm.model import Design, NoiseProfile, total_power
 from airsdm.nsp_mrr import BlockDesign, PaFactors, amplification_rho
 from airsdm.scene import BlockedChannelSet, ChannelSet
@@ -80,3 +83,20 @@ def random_block_design(rng: np.random.Generator, bch: BlockedChannelSet,
     )
     d.rho1, d.rho2 = amplification_rho(bch, d, noise)
     return d
+
+
+def overspend_seed(monkeypatch, seed: int, factor: float) -> None:
+    """Make ``ldt_cffp.initial_design`` start ``seed`` with its AN beam and
+    IRS noise spending ``factor`` times the budget, so its first v_b step
+    needs a budget rescue; other seeds start as usual."""
+    initial = ldt_cffp.initial_design
+
+    def overspent(ch, noise, p_max, s):
+        d = initial(ch, noise, p_max, s)
+        if s == seed:
+            beam = np.sum(np.abs(d.v_e) ** 2) + np.sum(np.abs(d.theta * (ch.H_si @ d.v_e)) ** 2)
+            irs = noise.sigma2_irs * np.sum(np.abs(d.theta) ** 2)
+            d.v_e = d.v_e * math.sqrt((factor * p_max - irs) / beam)
+        return d
+
+    monkeypatch.setattr(ldt_cffp, "initial_design", overspent)

@@ -56,6 +56,16 @@ def test_sweep_over_power_uses_the_requested_element_count(tmp_path):
     assert out.with_suffix(".json").exists()
 
 
+def test_sweep_over_both_axes_is_rejected(tmp_path, capsys):
+    out = tmp_path / "res"
+    code = main(["sweep", "--n", "8,16", "--power-dbm", "10,30",
+                 "--method", "zero-reflection", "--seeds", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "--power-dbm" in err
+    assert not out.with_suffix(".csv").exists()
+
+
 def test_sweep_without_an_axis_is_rejected(capsys):
     code = main(["sweep", "--method", "zero-reflection"])
     assert code == 2

@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_channelset
+from conftest import overspend_seed, random_channelset
 
 from airsdm.harness import (
     CSV_COLUMNS,
@@ -340,38 +341,101 @@ def _rows_of(rows):
             for r in rows]
 
 
-def test_blocked_stacks_give_the_rows_of_their_cells():
+def _one_seed_runs(spec):
+    """The rows of ``spec`` with each seed run as a spec of its own."""
     from airsdm import harness
 
+    rows = [row for seed in spec.seeds for row in run_experiment(replace(spec, seeds=[seed]))]
+    return sorted(rows, key=harness._row_key)
+
+
+def test_blocked_stacks_give_the_rows_of_their_cells():
     spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]), methods=BLOCKED,
                  seeds=[1, 2, 3])
-    cells = [row for value in spec.sweep.values for method in BLOCKED
-             for seed in spec.seeds for row in harness._run_cell(spec, value, method, seed)]
-    assert _rows_of(run_experiment(spec)) == _rows_of(sorted(cells, key=harness._row_key))
+    assert _rows_of(run_experiment(spec)) == _rows_of(_one_seed_runs(spec))
+
+
+@pytest.mark.parametrize("sweep, methods", [
+    (SweepSpec("pa_grid", [(0.2, 0.4), (0.6, 0.8), (0.9, 0.1)]), BLOCKED),
+    (SweepSpec("total_power_dbm", [10.0, 30.0]), ["zero-reflection"]),
+])
+def test_pa_grid_and_zero_reflection_stacks_give_the_rows_of_their_seeds(sweep, methods):
+    spec = _spec(sweep=sweep, methods=methods, seeds=[1, 2, 3])
+    rows = run_experiment(spec)
+    assert len(rows) == len(sweep.values) * len(methods) * 3
+    assert _rows_of(rows) == _rows_of(_one_seed_runs(spec))
+
+
+def _fails_for_seed_100(objective, seed, start=None):
+    from airsdm.pa_search import exhaustive_search
+
+    if seed == 100:
+        raise np.linalg.LinAlgError("synthetic failure")
+    return exhaustive_search(objective, seed, start=start)
 
 
 def test_one_failing_seed_keeps_the_other_rows_of_its_blocked_stack(monkeypatch):
     from airsdm import harness
-    from airsdm.pa_search import exhaustive_search
-
-    def fails_for_seed_100(objective, seed, start=None):
-        if seed == 100:
-            raise np.linalg.LinAlgError("synthetic failure")
-        return exhaustive_search(objective, seed, start=start)
 
     spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
                  methods=["nsp-mrr-pa/ES"], seeds=[100, 1, 2])
     clean = run_experiment(spec)
-    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", fails_for_seed_100)
+    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", _fails_for_seed_100)
     rows = run_experiment(spec)
     broken = [r for r in rows if r.seed == 100]
     assert [r.flags for r in broken] == [["error:LinAlgError: synthetic failure"]] * 2
-    for r in broken:
-        assert math.isnan(r.sr_bits) and r.iterations == 0
-        alone, = harness._run_cell(spec, r.sweep_value, "nsp-mrr-pa/ES", 100)
-        assert alone.flags == r.flags
+    assert all(math.isnan(r.sr_bits) and r.iterations == 0 for r in broken)
+    alone = run_experiment(replace(spec, seeds=[100]))
+    assert [(r.sweep_value, r.flags) for r in alone] == [(r.sweep_value, r.flags) for r in broken]
     assert _rows_of([r for r in rows if r.seed != 100]) == \
         _rows_of([r for r in clean if r.seed != 100])
+
+
+def test_a_failing_pa_grid_seed_gives_a_flagged_row_per_pair(monkeypatch, tmp_path):
+    from airsdm import harness
+
+    pairs = [(0.2, 0.4), (0.6, 0.8)]
+    spec = _spec(sweep=SweepSpec("pa_grid", pairs), methods=["nsp-mrr-pa/ES"],
+                 seeds=[100, 1], power_dbm=20.0)
+    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", _fails_for_seed_100)
+    rows = run_experiment(spec)
+    assert [(r.sweep_value, r.seed) for r in rows] == [
+        ((0.2, 0.4), 1), ((0.2, 0.4), 100), ((0.6, 0.8), 1), ((0.6, 0.8), 100)]
+    for r in rows:
+        assert math.isnan(r.sr_bits) == (r.seed == 100)
+        assert (r.flags == ["error:LinAlgError: synthetic failure"]) == (r.seed == 100)
+    csv_path, json_path = emit_results(rows, tmp_path / "grid", ("csv", "json"))
+    assert repr(read_results_csv(csv_path)) == repr(rows)
+    assert repr(read_results_json(json_path)) == repr(rows)
+
+
+def test_a_block_skipped_for_one_seed_reruns_each_seed_alone(monkeypatch):
+    """Seed 5 starts 1.5 times over the budget, so its v_b block is skipped
+    while the others' are not: the stack raises and every seed reruns on
+    its own, which gives the rows of each seed's own run."""
+    from airsdm import harness, ldt_cffp
+    from airsdm.ldt_cffp import BudgetExhausted
+
+    overspend_seed(monkeypatch, 5, 1.5)
+    monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 30)
+    stack = harness.run_ldt_cffp_seeds
+    raised = []
+
+    def recording(chs, noise, p_max, seeds, keep_rows=True):
+        try:
+            return stack(chs, noise, p_max, seeds, keep_rows)
+        except BudgetExhausted as exc:
+            raised.append((seeds, exc.low))
+            raise
+
+    monkeypatch.setattr(harness, "run_ldt_cffp_seeds", recording)
+    spec = _spec(sweep=SweepSpec("n_elements", [8]), methods=["ldt-cffp"], seeds=[4, 5, 6])
+    rows = run_experiment(spec)
+    assert raised == [([4, 5, 6], [False, True, False])]
+    assert [r.flags for r in rows] == [
+        ["iteration-cap"], ["budget-rescue:v_b", "budget-skip:v_b", "iteration-cap"],
+        ["iteration-cap"]]
+    assert _rows_of(rows) == _rows_of(_one_seed_runs(spec))
 
 
 def test_a_failing_swarm_stack_reruns_each_seed_alone(monkeypatch):
@@ -488,6 +552,21 @@ def test_readers_reject_foreign_files(tmp_path):
     with pytest.raises(ValueError, match="schema"):
         read_results_json(badj)
 
+    short = tmp_path / "short.csv"
+    short.write_text(CSV_SCHEMA + "\n" + ",".join(CSV_COLUMNS) + "\nldt-cffp,n_elements,8\n")
+    with pytest.raises(ValueError, match="short.csv"):
+        read_results_csv(short)
+
+    for name, text in (("list", "[]"),
+                       ("truncated", '{"schema": "airsdm-results v1", "rows": ['),
+                       ("no-rows", json.dumps({"schema": "airsdm-results v1"})),
+                       ("no-seed", json.dumps({"schema": "airsdm-results v1",
+                                               "rows": [{"method": "ldt-cffp"}]}))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{name}.json"):
+            read_results_json(path)
+
     with pytest.raises(OSError):
         read_results_csv(tmp_path / "missing.csv")
     with pytest.raises(OSError):
@@ -521,3 +600,23 @@ def test_method_registry_is_complete():
     assert METHODS == ("ldt-cffp", "nsp-mrr-pa/ES", "nsp-mrr-pa/PSO",
                        "nsp-mrr-pa/SA", "fixed-eta", "fixed-beta",
                        "fixed-both", "zero-reflection")
+
+
+def test_the_globals_that_traced_runs_wrap_stay_importable():
+    """bench/spans.py traces a run by replacing these module globals, so each
+    must stay defined even where its module no longer calls it."""
+    import importlib
+
+    wrapped = {
+        "harness": ("build_channels", "run_ldt_cffp", "run_nsp_mrr_pa", "secrecy_rate",
+                    "blocked_secrecy_rate"),
+        "ldt_cffp": ("assemble_vb", "assemble_ve", "assemble_theta", "QcqpProblem",
+                     "optimal_aux", "solve_qcqp", "secrecy_rate", "total_power",
+                     "ldt_objective"),
+        "nsp_mrr": ("nsp_beamformers", "nsp_projector", "mrr_reflect", "amplification_rho",
+                    "PaScalarContext"),
+    }
+    missing = [f"{module}.{name}" for module, names in wrapped.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"airsdm.{module}"), name, None))]
+    assert missing == []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import crandn, random_channelset, random_design
+from conftest import crandn, overspend_seed, random_channelset, random_design
 
 from airsdm import ldt_cffp
 from airsdm.ldt_cffp import (
@@ -440,26 +440,11 @@ def test_a_stack_needs_one_channel_set_per_seed():
             run_ldt_cffp_seeds(chs, NoiseProfile(), 1.0, seeds)
 
 
-@pytest.mark.parametrize("overspend, budget_flags", [
-    (1.02, ["budget-rescue:v_b"]),                      # the 5% shrink frees the block
-    (1.5, ["budget-rescue:v_b", "budget-skip:v_b"]),    # it cannot: the stack splits
-])
-def test_a_budget_rescue_stays_with_its_seed_in_a_stack(monkeypatch, overspend, budget_flags):
-    """Seed 5 starts with its AN beam and IRS noise above the budget, so its
-    first v_b step needs a rescue; the other seeds' runs are untouched.  A
-    block skipped for seed 5 alone gives way to one-seed runs, which keep
-    the rows of each seed's own run."""
-    initial = ldt_cffp.initial_design
-
-    def overspent_for_seed_5(ch, noise, p_max, seed):
-        d = initial(ch, noise, p_max, seed)
-        if seed == 5:
-            beam = np.sum(np.abs(d.v_e) ** 2) + np.sum(np.abs(d.theta * (ch.H_si @ d.v_e)) ** 2)
-            irs = noise.sigma2_irs * np.sum(np.abs(d.theta) ** 2)
-            d.v_e = d.v_e * math.sqrt((overspend * p_max - irs) / beam)
-        return d
-
-    monkeypatch.setattr(ldt_cffp, "initial_design", overspent_for_seed_5)
+def test_a_budget_rescue_stays_with_its_seed_in_a_stack(monkeypatch):
+    """Seed 5 starts with its AN beam and IRS noise 2% above the budget, so
+    its first v_b step needs a rescue, which frees the block; the other
+    seeds' runs are untouched."""
+    overspend_seed(monkeypatch, 5, 1.02)
     monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 30)
     noise = NoiseProfile()
     ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
@@ -468,7 +453,19 @@ def test_a_budget_rescue_stays_with_its_seed_in_a_stack(monkeypatch, overspend, 
     alone = [run_ldt_cffp(ch, noise, 1.0, seed=seed) for seed in seeds]
     _assert_same_runs(chs, noise, 1.0, stacked, alone)
     assert [[f for f in trace.flags if f.startswith("budget-")] for _, trace in stacked] == \
-        [[], budget_flags, []]
+        [[], ["budget-rescue:v_b"], []]
+
+
+def test_a_block_skipped_for_one_seed_of_a_stack_raises(monkeypatch):
+    """At 1.5 times the budget the rescue cannot free seed 5's v_b block,
+    which is skipped for it alone: the stack raises, naming seed 5, and
+    leaves the rerun of each seed to its caller."""
+    overspend_seed(monkeypatch, 5, 1.5)
+    noise = NoiseProfile()
+    ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
+    with pytest.raises(BudgetExhausted) as exc:
+        run_ldt_cffp_seeds([ch] * 3, noise, 1.0, [4, 5, 6])
+    assert exc.value.low == [False, True, False]
 
 
 def test_a_stacked_rescue_scales_and_refactors_only_its_design():
