@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -54,10 +53,6 @@ __all__ = [
     "read_results_csv",
     "read_results_json",
 ]
-
-CSV_SCHEMA = "# airsdm-results v1"
-CSV_COLUMNS = ("method", "sweep_name", "sweep_value", "seed", "sr_bits",
-               "iterations", "wall_time_s", "flags", "eta", "beta")
 
 METHODS = (
     "ldt-cffp",          # monolithic-IRS surrogate ascent
@@ -189,13 +184,7 @@ class ExperimentSpec:
         if self.scene.rician_k_db is not None and self.scene.seed + min(self.seeds) < 0:
             raise ValueError(f"scene.seed + run seed must be non-negative on a Rician "
                              f"scene, got {self.scene.seed} + {min(self.seeds)}")
-        if not self.formats:
-            raise ValueError("formats must be non-empty")
-        for f in self.formats:
-            if f not in ("csv", "json"):
-                raise ValueError(f"unknown format {f!r}; expected 'csv' or 'json'")
-        if len(set(self.formats)) != len(self.formats):
-            raise ValueError("formats must be distinct")
+        _check_formats(self.formats)
         if self.sweep.kind == "pa_grid":
             bad = [m for m in self.methods if m not in _SEARCHERS]
             if bad:
@@ -244,7 +233,7 @@ class ResultRow:
 
     method: str
     sweep_name: str
-    sweep_value: object          # int, float, or (eta, beta) tuple for pa_grid
+    sweep_value: int | float | tuple[float, float]   # a pair for pa_grid
     seed: int
     sr_bits: float
     iterations: int
@@ -402,106 +391,120 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 # --- emission / parsing ---------------------------------------------------
+#
+# A row becomes one record, {column: value}, that JSON writes as it is and
+# CSV writes cell by cell.  Both readers build rows from such records (CSV
+# after decoding its text cells) and reject a value of the wrong type.  How a
+# column is encoded, decoded and checked follows from its ResultRow field type.
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return "|".join(repr(float(v)) for v in value)
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+_SCHEMA = "airsdm-results v1"
+CSV_SCHEMA = "# " + _SCHEMA
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-_INT_RE = re.compile(r"^-?\d+$")
+def _typed(v, kind, what: str):
+    """``v`` if it is a ``kind`` and not a bool; else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ValueError(f"expected {what}, got {v!r}")
+    return v
 
 
-def _parse_value(text: str):
+def _number(v) -> float:
+    return float(_typed(v, (int, float), "a number"))
+
+
+def _value_cell(v) -> str:
+    if isinstance(v, tuple):
+        return "|".join(repr(float(x)) for x in v)
+    return str(v) if isinstance(v, int) else repr(float(v))
+
+
+def _value_of_cell(text: str):
     if "|" in text:
-        return tuple(float(part) for part in text.split("|"))
-    if _INT_RE.match(text):
+        return [float(x) for x in text.split("|")]
+    try:
         return int(text)
-    return float(text)
+    except ValueError:
+        return float(text)
 
 
-def _format_flags(flags: list[str]) -> str:
-    return ";".join(f.replace(";", ",") for f in flags)
+def _sweep_value(v):
+    """A sweep value as rows hold it: an int, a float or an (eta, beta) pair."""
+    if isinstance(v, list):
+        if len(v) != 2:
+            raise ValueError(f"expected an (eta, beta) pair, got {v!r}")
+        return (_number(v[0]), _number(v[1]))
+    _typed(v, (int, float), "a number or an (eta, beta) pair")
+    return v if isinstance(v, int) else float(v)
+
+
+# ResultRow field type, as annotation text -> (CSV cell of a record value,
+# record value of a CSV cell, row value of a record value).  A ';' inside a
+# flag is written as ','.
+_CODECS = {
+    "str": (str, str, lambda v: _typed(v, str, "text")),
+    "int": (str, int, lambda v: _typed(v, int, "an integer")),
+    "float": (lambda v: repr(float(v)), float, _number),
+    "float | None": (lambda v: "" if v is None else repr(float(v)),
+                     lambda text: None if text == "" else float(text),
+                     lambda v: None if v is None else _number(v)),
+    "list[str]": (lambda flags: ";".join(f.replace(";", ",") for f in flags),
+                  lambda text: text.split(";") if text else [],
+                  lambda v: [_typed(f, str, "text") for f in _typed(v, list, "a list")]),
+    "int | float | tuple[float, float]": (_value_cell, _value_of_cell, _sweep_value),
+}
+_ENCODE, _DECODE, _CHECK = zip(*(_CODECS[f.type] for f in fields(ResultRow)))
 
 
 def _row_to_record(row: ResultRow) -> dict:
-    value = list(row.sweep_value) if isinstance(row.sweep_value, tuple) else row.sweep_value
-    return {
-        "method": row.method,
-        "sweep_name": row.sweep_name,
-        "sweep_value": value,
-        "seed": row.seed,
-        "sr_bits": row.sr_bits,
-        "iterations": row.iterations,
-        "wall_time_s": row.wall_time_s,
-        "flags": list(row.flags),
-        "eta": row.eta,
-        "beta": row.beta,
-    }
+    return {name: getattr(row, name) for name in CSV_COLUMNS}
 
 
 def _record_to_row(rec: dict) -> ResultRow:
-    value = rec["sweep_value"]
-    if isinstance(value, list):
-        value = tuple(float(v) for v in value)
-    return ResultRow(
-        method=rec["method"],
-        sweep_name=rec["sweep_name"],
-        sweep_value=value,
-        seed=int(rec["seed"]),
-        sr_bits=float(rec["sr_bits"]),
-        iterations=int(rec["iterations"]),
-        wall_time_s=float(rec["wall_time_s"]),
-        flags=list(rec["flags"]),
-        eta=None if rec["eta"] is None else float(rec["eta"]),
-        beta=None if rec["beta"] is None else float(rec["beta"]),
-    )
+    values = []
+    for name, check in zip(CSV_COLUMNS, _CHECK):
+        try:
+            values.append(check(rec[name]))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return ResultRow(*values)
+
+
+def _check_formats(formats) -> None:
+    if not formats:
+        raise ValueError("formats must be non-empty")
+    for f in formats:
+        if f not in ("csv", "json"):
+            raise ValueError(f"unknown format {f!r}; expected 'csv' or 'json'")
+    if len(set(formats)) != len(formats):
+        raise ValueError("formats must be distinct")
 
 
 def emit_results(rows: list[ResultRow], out: str | Path,
                  formats: tuple[str, ...] = ("csv",)) -> list[Path]:
-    """Write the table as ``<out>.csv`` / ``<out>.json``; returns the paths."""
+    """Write the table as ``<out>.csv`` / ``<out>.json``; returns the paths.
+
+    Every format is checked before any file is written.
+    """
     if not rows:
         raise ValueError("refusing to emit an empty result table")
-    stem = Path(out)
-    written: list[Path] = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = stem.with_suffix(".csv")
-            try:
-                with open(path, "w", newline="") as fh:
+    _check_formats(formats)
+    records = [_row_to_record(r) for r in rows]
+    paths = [Path(out).with_suffix("." + fmt) for fmt in formats]
+    for fmt, path in zip(formats, paths):
+        try:
+            with open(path, "w", newline="") as fh:
+                if fmt == "json":
+                    fh.write(json.dumps({"schema": _SCHEMA, "rows": records}, indent=2) + "\n")
+                else:
                     fh.write(CSV_SCHEMA + "\n")
                     writer = csv.writer(fh, lineterminator="\n")
                     writer.writerow(CSV_COLUMNS)
-                    for row in rows:
-                        writer.writerow([
-                            row.method,
-                            row.sweep_name,
-                            _format_value(row.sweep_value),
-                            row.seed,
-                            repr(float(row.sr_bits)),
-                            row.iterations,
-                            repr(float(row.wall_time_s)),
-                            _format_flags(row.flags),
-                            "" if row.eta is None else repr(float(row.eta)),
-                            "" if row.beta is None else repr(float(row.beta)),
-                        ])
-            except OSError as exc:
-                raise OSError(f"cannot write results to {path}: {exc}") from exc
-        elif fmt == "json":
-            path = stem.with_suffix(".json")
-            payload = {"schema": "airsdm-results v1",
-                       "rows": [_row_to_record(r) for r in rows]}
-            try:
-                path.write_text(json.dumps(payload, indent=2) + "\n")
-            except OSError as exc:
-                raise OSError(f"cannot write results to {path}: {exc}") from exc
-        else:
-            raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-        written.append(path)
-    return written
+                    writer.writerows([enc(v) for enc, v in zip(_ENCODE, rec.values())]
+                                     for rec in records)
+        except OSError as exc:
+            raise OSError(f"cannot write results to {path}: {exc}") from exc
+    return paths
 
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
@@ -516,20 +519,11 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
     if header != list(CSV_COLUMNS):
         raise ValueError(f"unexpected results header in {path}: {header}")
     try:
-        for rec in reader:
-            (method, sweep_name, value, seed, sr, iters, wall, flags, eta, beta) = rec
-            rows.append(ResultRow(
-                method=method,
-                sweep_name=sweep_name,
-                sweep_value=_parse_value(value),
-                seed=int(seed),
-                sr_bits=float(sr),
-                iterations=int(iters),
-                wall_time_s=float(wall),
-                flags=flags.split(";") if flags else [],
-                eta=None if eta == "" else float(eta),
-                beta=None if beta == "" else float(beta),
-            ))
+        for cells in reader:
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+            rows.append(_record_to_row(
+                {name: dec(cell) for name, dec, cell in zip(CSV_COLUMNS, _DECODE, cells)}))
     except ValueError as exc:
         raise ValueError(f"malformed results row {len(rows) + 1} in {path}: {exc}") from exc
     return rows
@@ -543,7 +537,7 @@ def read_results_json(path: str | Path) -> list[ResultRow]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in results {path}: {exc}") from exc
     schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema != "airsdm-results v1":
+    if schema != _SCHEMA:
         raise ValueError(f"unexpected results schema in {path}: {schema!r}")
     try:
         return [_record_to_row(rec) for rec in payload["rows"]]

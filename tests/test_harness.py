@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +572,68 @@ def test_readers_reject_foreign_files(tmp_path):
         read_results_csv(tmp_path / "missing.csv")
     with pytest.raises(OSError):
         read_results_json(tmp_path / "missing.json")
+
+
+DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_v1_fixtures_read_back_and_rewrite_byte_for_byte(tmp_path):
+    """The v1 tables in tests/data were written from _sample_rows(); every
+    later reader must keep reading them, and the writer must keep writing them."""
+    rows = _sample_rows()
+    assert repr(read_results_json(DATA / "results_v1.json")) == repr(rows)
+    rows_in_csv = [replace(r, flags=[f.replace(";", ",") for f in r.flags]) for r in rows]
+    assert repr(read_results_csv(DATA / "results_v1.csv")) == repr(rows_in_csv)
+
+    csv_path, json_path = emit_results(rows, tmp_path / "results_v1", ("csv", "json"))
+    assert csv_path.read_bytes() == (DATA / "results_v1.csv").read_bytes()
+    assert json_path.read_bytes() == (DATA / "results_v1.json").read_bytes()
+
+
+def _edited_fixture(tmp_path, suffix: str, edit) -> Path:
+    path = tmp_path / f"bad.{suffix}"
+    text = (DATA / f"results_v1.{suffix}").read_text()
+    if suffix == "json":
+        payload = json.loads(text)
+        edit(payload["rows"][0])
+        path.write_text(json.dumps(payload))
+    else:
+        path.write_text(edit(text))
+    return path
+
+
+@pytest.mark.parametrize("suffix, edit", [
+    ("json", lambda rec: rec.update(seed=1.5)),
+    ("json", lambda rec: rec.update(iterations=True)),
+    ("json", lambda rec: rec.update(flags="iteration-cap")),
+    ("json", lambda rec: rec.update(sweep_value="abc")),
+    ("json", lambda rec: rec.update(sweep_value=[0.25, 0.75, 0.5])),
+    ("csv", lambda text: text.replace("0.25|0.75", "0.25|0.75|0.5")),
+    ("csv", lambda text: text.replace("iteration-cap,,", "iteration-cap,,,")),
+], ids=["float-seed", "bool-iterations", "text-flags", "text-sweep-value",
+        "json-three-element-pair", "csv-three-element-pair", "csv-extra-cell"])
+def test_readers_reject_wrongly_typed_fields(tmp_path, suffix, edit):
+    path = _edited_fixture(tmp_path, suffix, edit)
+    read = read_results_json if suffix == "json" else read_results_csv
+    with pytest.raises(ValueError, match=f"bad.{suffix}"):
+        read(path)
+
+
+@pytest.mark.parametrize("formats, message", [
+    (("csv", "yaml"), "unknown format 'yaml'"),
+    (("csv", "csv"), "formats must be distinct"),
+], ids=["unknown", "repeated"])
+def test_emit_checks_every_format_before_writing_any_file(tmp_path, formats, message):
+    with pytest.raises(ValueError, match=message):
+        emit_results(_sample_rows(), tmp_path / "out", formats)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_readme_documents_the_results_header():
+    section = README.read_text().split("## Results format", 1)[1]
+    block = section.split("```", 2)[1]
+    assert block.splitlines()[1:3] == [CSV_SCHEMA, ",".join(CSV_COLUMNS)]
 
 
 def _strip_wall(csv_text: str) -> list[str]:
