@@ -14,7 +14,6 @@ are the same code without that axis.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import functools
 import math
@@ -83,29 +82,40 @@ def _diagonal(M: np.ndarray) -> np.ndarray:
     return M.reshape(*M.shape[:-2], n * n)[..., ::n + 1]
 
 
+def _finite(name: str, v: np.ndarray) -> np.ndarray:
+    """v, after checking that each entry is finite."""
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _hermitian_part(name: str, M: np.ndarray, diagonal: bool) -> np.ndarray:
     """Each matrix of the stack M symmetrized against rounding; raises
-    unless each is Hermitian to 1e-8, max|M - M^H| <= 1e-8 max|M|.  A
-    stack already Hermitian to the last bit, as the assemblers build them,
-    is its own Hermitian part and is returned as given.
+    unless each is finite and Hermitian to 1e-8, max|M - M^H| <= 1e-8 max|M|.
+    A stack already Hermitian to the last bit, as the assemblers build them,
+    is its own Hermitian part and is returned as given: M - M^H is then
+    exactly zero, which no non-finite entry gives.
 
     A ``diagonal`` M costs O(n): M - M^H is 2i Im(diag M) and the Hermitian
-    part is diag(Re M).  Otherwise max|M| >= max|M_ii|, so every entry is
-    scanned for the scale only when the diagonal's does not pass the skew.
+    part is diag(Re M); one with a real diagonal is returned as given, and
+    the caller checks that diagonal positive and finite.  Otherwise max|M|
+    >= max|M_ii|, so every entry is scanned for the scale only when the
+    diagonal's does not pass the skew.
     """
     m = M.diagonal(axis1=-2, axis2=-1)
     if diagonal:
         if not m.imag.any():                  # M is diag(Re M) already: kept as is
             return M
-        skew = 2.0 * np.abs(m.imag).max(-1)
+        skew = 2.0 * np.abs(_finite(name, m).imag).max(-1)
         H = np.zeros(M.shape, dtype=complex)
         _diagonal(H)[...] = m.real
     else:
         Mh = M.conj().swapaxes(-1, -2)
-        if (M == Mh).all():                   # Hermitian to the last bit: kept as is
+        D = M - Mh
+        if not D.any():                       # Hermitian to the last bit: kept as is
             return M
-        skew = np.abs(M - Mh).max((-2, -1))
-        H = M + Mh
+        skew = np.abs(D).max((-2, -1))
+        H = _finite(name, M) + Mh
         H *= 0.5
     if (skew > 1e-8 * np.abs(m).max(-1)).any():
         scale = np.abs(M).max((-2, -1))
@@ -114,17 +124,13 @@ def _hermitian_part(name: str, M: np.ndarray, diagonal: bool) -> np.ndarray:
     return H
 
 
-def _budgets(p_budget: float | list[float] | np.ndarray) -> tuple[list[float], tuple]:
-    """The budgets as a list of floats, and the shape of the stack (() for
-    one problem); raises unless each budget is positive."""
-    if isinstance(p_budget, list):            # the assemblers' per-design budgets
-        budgets, lead = p_budget, (len(p_budget),)
-    else:
-        p = np.asarray(p_budget, dtype=float)
-        budgets, lead = p.reshape(-1).tolist(), p.shape
-    if any(x <= 0 for x in budgets):
-        raise ValueError(f"power budget must be positive, got {p_budget}")
-    return budgets, lead
+def _budgets(p_budget: float | list[float] | np.ndarray) -> np.ndarray:
+    """The budgets as an array shaped like the stack (() for one problem);
+    raises unless each budget is positive and finite."""
+    p = np.asarray(p_budget, dtype=float)
+    if not (0.0 < np.minimum.reduce(p, None) and np.maximum.reduce(p, None) < math.inf):
+        raise ValueError(f"power budget must be positive and finite, got {p_budget}")
+    return p
 
 
 @dataclass
@@ -137,9 +143,10 @@ class QcqpProblem:
     the stack; numpy's stacked LAPACK calls give each problem the bits of
     its own call.
 
-    A must be Hermitian PSD and F Hermitian PD; both are checked (and
-    symmetrized against rounding; one already Hermitian to the last bit is
-    kept as given) at construction, which also factors the
+    Every entry of a, A, F and the budgets must be finite and every budget
+    positive.  A must be Hermitian PSD and F Hermitian PD; both are checked
+    (and symmetrized against rounding; one already Hermitian to the last
+    bit is kept as given) at construction, which also factors the
     problem once for ``solve_qcqp``: with F = L L^H, the whitened matrix
     L^-1 A L^-H = U diag(d) U^H.  A diagonal F (the reflect block's) is
     whitened by an elementwise scale, any other F through its Cholesky
@@ -155,8 +162,9 @@ class QcqpProblem:
     p_budget: float | list[float] | np.ndarray
 
     def __post_init__(self) -> None:
-        self._p, lead = _budgets(self.p_budget)
-        self.a = np.asarray(self.a, dtype=complex).reshape(*lead, -1)
+        p = _budgets(self.p_budget)
+        lead, self._p = p.shape, p.reshape(-1)
+        self.a = _finite("a", np.asarray(self.a, dtype=complex).reshape(*lead, -1))
         n = self.a.shape[-1]
         A = np.asarray(self.A, dtype=complex).reshape(-1, n, n)
         F = np.asarray(self.F, dtype=complex).reshape(-1, n, n)
@@ -167,7 +175,8 @@ class QcqpProblem:
         # the factorization keeps a leading stack axis, one problem included
         if diagonal:
             f = F.diagonal(axis1=-2, axis2=-1).real
-            if not (f > 0.0).all():
+            if not (0.0 < np.minimum.reduce(f, None) and np.maximum.reduce(f, None) < math.inf):
+                _finite("F", f)
                 raise ValueError("F must be positive definite")
             w = 1.0 / np.sqrt(f)                  # L^-1 = diag(w)
             d, U = np.linalg.eigh(A * (w[:, :, None] * w[:, None, :]))
@@ -181,27 +190,24 @@ class QcqpProblem:
             # lower triangle
             d, U = np.linalg.eigh(Linv @ A @ Linv.conj().swapaxes(-1, -2))
             T = U.conj().swapaxes(-1, -2) @ Linv
-        spectra = d.tolist()
-        if any(x[0] < -1e-8 * max(x[-1], 0.0) for x in spectra):
+        top = np.maximum(d[:, -1], 0.0)
+        if (d[:, 0] < -1e-8 * top).any():
             raise ValueError("A must be positive semidefinite")
         self._d = np.maximum(d, 0.0)              # ascending
         self._T = T                               # U^H L^-1: b = T a, x = T^H z
-        # d[:, :k] are the flat directions of the objective; _flat marks
-        # them (None when there are none), _keep the others, and _dk is d
-        # with them set to 1
-        self._k = [bisect.bisect_right(x, 1e-12 * max(x[-1], 0.0)) for x in spectra]
-        self._flat, self._dk = None, self._d
-        if any(self._k):
-            self._flat = np.arange(n) < np.array(self._k)[:, None]
-            self._dk = np.where(self._flat, 1.0, self._d)
-            self._keep = ~self._flat
+        # d[:, :k] are the flat directions of the objective, marked by _flat;
+        # _dk is d with them set to inf, so that they drop out of g and z,
+        # and _d_kept is d[k], the smallest of the others (inf if none)
+        self._flat = d <= 1e-12 * top[:, None]
+        self._dk = np.where(self._flat, np.inf, self._d)
+        self._d_kept = self._dk.min(-1)
 
     def retarget(self, a: np.ndarray, p_budget: float | list[float] | np.ndarray) -> QcqpProblem:
         """The same A and F, and their factorization, with a new linear term
         and budget."""
         new = copy.copy(self)
-        new._p, _ = _budgets(p_budget)
-        new.a = np.asarray(a, dtype=complex).reshape(self.a.shape)
+        new._p = _budgets(p_budget).reshape(-1)
+        new.a = _finite("a", np.asarray(a, dtype=complex).reshape(self.a.shape))
         new.p_budget = p_budget
         return new
 
@@ -259,102 +265,74 @@ def solve_qcqp_stack(prob: QcqpProblem) -> QcqpSolution:
 def _solve(prob: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x, nu and the step counts of every problem, shaped like the stack.
 
-    The O(n) work runs over the whole stack at once; each problem's range
-    and interior tests and its multiplier bracket are taken in floats.
+    Every problem is classified and bracketed by array expressions over the
+    stack; the boundary problems then share one multiplier search.
     """
     lead, n = prob.a.shape[:-1], prob.a.shape[-1]
-    d, dk, flat = prob._d, prob._dk, prob._flat
-    p = prob._p
+    d, dk, flat, p = prob._d, prob._dk, prob._flat, prob._p
     b = np.matvec(prob._T, prob.a.reshape(-1, n))
     babs2 = np.abs(b) ** 2
-    wk = babs2 if flat is None else babs2 * prob._keep
-    nu = [0.0] * len(p)
-    steps = [0] * len(p)
-    edge = []                                 # (row, bracket) of the boundary problems
-    out = set()                               # rows with a outside range(A)
-    for i, (nb2, flat2, g0, pi, k) in enumerate(zip(
-            babs2.sum(-1).tolist(),
-            [0.0] * len(p) if flat is None else (babs2 * flat).max(-1).tolist(),
-            (wk / (dk * dk)).sum(-1).tolist(), p, prob._k)):
-        norm_b = math.sqrt(nb2)
-        root = norm_b / math.sqrt(pi)
-        # in range(A), b has no flat components beyond rounding: they are
-        # dropped, and g(0) is the sum over the others, g0
-        if math.sqrt(flat2) <= 1e-9 * norm_b:
-            if g0 <= pi * (1.0 + 1e-9):
-                continue                      # interior: nu = 0
-            # sandwich g between ||b||^2/(d_max+nu)^2 and ||b||^2/(d_min+nu)^2
-            edge.append((i, max(0.0, root - float(d[i, -1])),
-                         max(root - float(d[i, k]), 1e-300)))
-        else:
-            # the flat components alone give g >= |b_flat|^2/(d[k-1]+nu)^2
-            out.add(i)
-            edge.append((i, max(root - float(d[i, -1]),
-                                math.sqrt(float(babs2[i, :k].sum()) / pi) - float(d[i, k - 1])),
-                         max(root - float(d[i, 0]), 1e-300)))
-    if len(edge) == 1:
-        i, lo, hi = edge[0]
-        nu[i], steps[i] = _newton_tail(*((d[i], babs2[i]) if i in out else (dk[i], wk[i])),
-                                       p[i], lo, hi, lo, 1)
-    elif edge:
-        rows = [e[0] for e in edge]
-        DK, WK = dk[rows], wk[rows]
-        for j, i in enumerate(rows):
-            if i in out:
-                DK[j], WK[j] = d[i], babs2[i]
-        for i, nu_i, steps_i in zip(rows, *_multipliers(
-                DK, WK, np.array([p[i] for i in rows]),
-                np.array([e[1] for e in edge]), np.array([e[2] for e in edge]))):
-            nu[i], steps[i] = nu_i, steps_i
-
-    nu_a = np.array(nu)
-    z = b / (dk + nu_a[:, None])
-    if flat is not None:
-        z *= prob._keep
-    for i in out:
-        z[i] = b[i] / (d[i] + nu[i])
-    x = np.vecmat(z, prob._T).conj()          # T^H z
-    return (x, nu_a, np.array(steps)) if lead else (x[0], nu_a[0], steps[0])
+    norm_b = np.sqrt(babs2.sum(-1))
+    root = norm_b / np.sqrt(p)
+    # in range(A), b has no flat components beyond rounding: they are
+    # dropped (dk is inf there), and g(0) is the sum over the others; out of
+    # it, they are kept and g(0) is infinite
+    out = np.sqrt(babs2.max(-1, where=flat, initial=0.0)) > 1e-9 * norm_b
+    edge = out | ((babs2 / (dk * dk)).sum(-1) > p * (1.0 + 1e-9))
+    # in range, g lies between ||b||^2/(d_max+nu)^2 and ||b||^2/(d[k]+nu)^2
+    lo = np.maximum(root - d[:, -1], 0.0)
+    hi = np.maximum(root - prob._d_kept, 1e-300)
+    DK = dk
+    if out.any():
+        # the flat components alone give g >= |b_flat|^2/(d[k-1]+nu)^2
+        b_flat, d_flat = babs2.sum(-1, where=flat), d.max(-1, where=flat, initial=0.0)
+        lo = np.where(out, np.maximum(lo, np.sqrt(b_flat / p) - d_flat), lo)
+        hi = np.where(out, np.maximum(root - d[:, 0], 1e-300), hi)
+        DK = np.where(out[:, None], d, dk)
+    nu, steps = _multipliers(DK, babs2, p, lo, hi, edge.nonzero()[0])
+    x = np.vecmat(b / (DK + nu[:, None]), prob._T).conj()          # T^H z
+    return (x, nu, steps) if lead else (x[0], nu[0], steps[0])
 
 
 def _multipliers(dk: np.ndarray, wk: np.ndarray, p: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> tuple[list[float], list[int]]:
-    """Roots of g(nu) = sum wk / (dk + nu)^2 = p, one per row, in [lo, hi].
+                 hi: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of g(nu) = sum wk / (dk + nu)^2 = p in [lo, hi] for the rows
+    ``live``, and the steps each took; the other rows get nu = 0 and no step.
 
     The rows take their Newton steps together and leave as they converge;
     the last one left finishes in ``_newton_tail``, whose float steps give
-    the same bits.
+    the same bits: a stack of one takes no array step.
     """
-    out_nu = np.empty(p.size)
-    out_steps = np.full(p.size, 200)
-    live = np.arange(p.size)
+    out_nu = np.zeros(p.size)
+    out_steps = np.zeros(p.size, dtype=int)
+    if live.size < p.size:                    # leave the interior rows out
+        dk, wk, p, lo, hi = dk[live], wk[live], p[live], lo[live], hi[live]
     nu = lo
-    tol = QCQP_TOL * p
     for step in range(1, 201):
-        if live.size == 1:
-            out_nu[live], out_steps[live] = _newton_tail(
-                dk[0], wk[0], float(p[0]), float(lo[0]), float(hi[0]), float(nu[0]), step)
+        if live.size < 2:
+            if live.size:
+                i = live[0]
+                out_nu[i], out_steps[i] = _newton_tail(
+                    dk[0], wk[0], float(p[0]), float(lo[0]), float(hi[0]), float(nu[0]), step)
             break
         r = 1.0 / (dk + nu[:, None])
         wr2 = wk * r * r
         g = wr2.sum(-1)
-        done = np.abs(g - p) <= tol
+        done = np.abs(g - p) <= QCQP_TOL * p
         if done.any():
             out_nu[live[done]] = nu[done]
             out_steps[live[done]] = step
             keep = ~done
-            if not keep.any():
-                break
-            live, dk, wk, p, tol, lo, hi, nu, r, wr2, g = (
-                v[keep] for v in (live, dk, wk, p, tol, lo, hi, nu, r, wr2, g))
+            live, dk, wk, p, lo, hi, nu, r, wr2, g = (
+                v[keep] for v in (live, dk, wk, p, lo, hi, nu, r, wr2, g))
         over = ~(g <= p)                          # g > p, or g is not finite
         lo = np.where(over, nu, lo)
         hi = np.where(over, hi, nu)
         new = nu + g * (np.sqrt(g / p) - 1.0) / np.vecdot(wr2, r)
         nu = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
     else:
-        out_nu[live] = nu
-    return out_nu.tolist(), out_steps.tolist()
+        out_nu[live], out_steps[live] = nu, 200
+    return out_nu, out_steps
 
 
 def _newton_tail(dk: np.ndarray, wk: np.ndarray, p: float, lo: float, hi: float,
@@ -382,13 +360,13 @@ def _newton_tail(dk: np.ndarray, wk: np.ndarray, p: float, lo: float, hi: float,
 
 def kkt_residuals(prob: QcqpProblem, sol: QcqpSolution) -> dict:
     """Stationarity / feasibility / complementary-slackness residuals of
-    one problem."""
-    r = (prob.A + sol.nu * prob.F) @ sol.x - prob.a
-    return {
-        "stationarity": float(np.linalg.norm(r)),
-        "feasibility": sol.constraint - prob.p_budget,
-        "comp_slack": sol.nu * (sol.constraint - prob.p_budget),
-    }
+    one problem (floats), or of each problem of a stack (arrays)."""
+    nu = np.asarray(sol.nu)
+    r = np.matvec(prob.A + nu[..., None, None] * prob.F, sol.x) - prob.a
+    slack = sol.constraint - prob._p.reshape(nu.shape)
+    res = {"stationarity": np.linalg.norm(r, axis=-1), "feasibility": slack,
+           "comp_slack": nu * slack}
+    return {key: float(v) for key, v in res.items()} if nu.ndim == 0 else res
 
 
 # -- auxiliary-variable updates ---------------------------------------------

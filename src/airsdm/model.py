@@ -70,8 +70,8 @@ class NoiseProfile:
 
     def __post_init__(self) -> None:
         for name in ("sigma2_irs", "sigma2_b", "sigma2_e"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -84,8 +84,9 @@ class AuxVars:
     mu_e: complex
 
     def __post_init__(self) -> None:
-        if self.lam_b < 0 or self.lam_e < 0:
-            raise ValueError("lambda auxiliaries must be non-negative")
+        if not (0 <= self.lam_b < math.inf and 0 <= self.lam_e < math.inf):
+            raise ValueError(f"lambda auxiliaries must be non-negative and finite, "
+                             f"got {self.lam_b}, {self.lam_e}")
 
 
 def effective_channel(h: np.ndarray, g: np.ndarray, H_si: np.ndarray,

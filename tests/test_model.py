@@ -136,6 +136,19 @@ def test_noise_profile_rejects_nonpositive():
         NoiseProfile(sigma2_b=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["sigma2_irs", "sigma2_b", "sigma2_e"])
+def test_noise_profile_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        NoiseProfile(**{name: value})
+
+
+@pytest.mark.parametrize("lam_b, lam_e", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)])
+def test_aux_vars_reject_non_finite_lambda(lam_b, lam_e):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        AuxVars(lam_b=lam_b, lam_e=lam_e, mu_b=0j, mu_e=0j)
+
+
 def test_design_copy_is_deep():
     rng = np.random.default_rng(6)
     d = Design(v_b=crandn(rng, 2), v_e=crandn(rng, 2), theta=crandn(rng, 2))

@@ -21,6 +21,7 @@ from airsdm.ldt_cffp import (
     solve_qcqp,
     solve_qcqp_stack,
     update_mu,
+    _newton_tail,
 )
 
 
@@ -329,6 +330,106 @@ def test_a_stack_solves_each_problem_as_alone(n, diagonal_f):
         assert_allclose(sols.nu[i], s.nu, rtol=1e-12, atol=0)
         assert sols.bisect_steps[i] == s.bisect_steps
         assert_allclose(sols.constraint[i], s.constraint, rtol=1e-12, atol=1e-12 * q.p_budget)
+
+
+def _stack_of(probs):
+    return QcqpProblem(a=np.stack([q.a for q in probs]), A=np.stack([q.A for q in probs]),
+                       F=np.stack([q.F for q in probs]),
+                       p_budget=np.array([q.p_budget for q in probs]))
+
+
+def _reference_solve(prob):
+    """x, nu and steps of each problem of a stack, classified and bracketed
+    one problem at a time in floats, with every multiplier search taken by
+    ``_newton_tail`` alone.
+
+    It reads the problem's own factorization (_d, _dk, _T and the flat
+    directions d[:k]), so the stacked solver must match it to the bit
+    whatever the LAPACK and BLAS.
+    """
+    n = prob.a.shape[-1]
+    b = np.matvec(prob._T, prob.a.reshape(-1, n))
+    xs, nus, steps = [], [], []
+    for bi, d, dk, flat, p, T in zip(b, prob._d, prob._dk, prob._flat, prob._p, prob._T):
+        k = int(flat.sum())
+        babs2 = np.abs(bi) ** 2
+        keep = np.arange(n) >= k
+        norm_b = math.sqrt(float(babs2.sum()))
+        root = norm_b / math.sqrt(p)
+        nu, step = 0.0, 0
+        if math.sqrt(float(babs2[:k].max(initial=0.0))) <= 1e-9 * norm_b:   # a in range(A)
+            wk = babs2 * keep
+            if not float((wk / (dk * dk)).sum()) <= p * (1.0 + 1e-9):
+                lo, hi = max(0.0, root - float(d[-1])), max(root - float(d[k]), 1e-300)
+                nu, step = _newton_tail(dk, wk, float(p), lo, hi, lo, 1)
+            z = bi / (dk + nu) * keep
+        else:
+            lo = max(root - float(d[-1]),
+                     math.sqrt(float(babs2[:k].sum()) / p) - float(d[k - 1]))
+            hi = max(root - float(d[0]), 1e-300)
+            nu, step = _newton_tail(d, babs2, float(p), lo, hi, lo, 1)
+            z = bi / (d + nu)
+        xs.append(np.vecmat(z, T).conj())
+        nus.append(nu)
+        steps.append(step)
+    return np.array(xs), np.array(nus), np.array(steps)
+
+
+@pytest.mark.parametrize("n, diagonal_f", [(1, False), (2, False), (5, False), (8, False),
+                                           (8, True)])
+def test_the_array_route_matches_a_per_problem_reference_exactly(n, diagonal_f):
+    rng = np.random.default_rng(300 + n + diagonal_f)
+    probs = _family(rng, n, diagonal_f)
+    for prob in [_stack_of(probs)] + probs:
+        sol = solve_qcqp_stack(prob) if prob.a.ndim == 2 else solve_qcqp(prob)
+        x, nu, steps = _reference_solve(prob)
+        assert np.array_equal(np.atleast_2d(sol.x), x)
+        assert np.array_equal(np.atleast_1d(sol.nu), nu)
+        assert np.array_equal(np.atleast_1d(sol.bisect_steps), steps)
+    # the family reaches every branch: interior, boundary, and a out of range(A)
+    assert {s.nu == 0.0 for s in map(solve_qcqp, probs)} == {True, False}
+    assert any(not q.A.any() and q.a.any() for q in probs)
+
+
+def test_kkt_residuals_of_a_stack_are_those_of_each_problem():
+    # S == n: a multiplier broadcast along the wrong axis would still run
+    rng = np.random.default_rng(43)
+    probs = [random_problem(rng, 3) for _ in range(3)]
+    stack = _stack_of(probs)
+    res = kkt_residuals(stack, solve_qcqp_stack(stack))
+    assert all(v.shape == (3,) for v in res.values())
+    for i, q in enumerate(probs):
+        alone = kkt_residuals(q, solve_qcqp(q))
+        assert all(isinstance(v, float) for v in alone.values())
+        assert alone["stationarity"] <= 1e-9 * np.linalg.norm(q.a)
+        assert res["stationarity"][i] <= 1e-9 * np.linalg.norm(q.a)
+        for key in ("feasibility", "comp_slack"):
+            assert_allclose(res[key][i], alone[key], rtol=0, atol=1e-9 * q.p_budget)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("field, where, value", [
+    ("a", 0, np.nan), ("a", 1, np.inf), ("A", (0, 0), np.inf), ("A", (0, 1), np.nan),
+    ("F", (0, 0), np.inf), ("F", (1, 1), np.nan),     # a diagonal F, whitened by a scale
+    ("F", (1, 1), complex(1.0, np.inf)),              # ... and one that is not real
+    ("F", (0, 1), np.nan),                            # a dense F, through its Cholesky factor
+    ("p_budget", (), np.nan), ("p_budget", (), np.inf)])
+def test_non_finite_inputs_are_rejected_by_name(field, where, value):
+    def fields():
+        return {"a": np.ones(2, dtype=complex), "A": np.eye(2, dtype=complex),
+                "F": np.eye(2, dtype=complex), "p_budget": np.array(1.0)}
+    bad = fields()
+    bad[field][where] = value
+    message = ("power budget must be positive and finite" if field == "p_budget"
+               else f"{field} must be finite")
+    with pytest.raises(ValueError, match=message):
+        QcqpProblem(**bad)
+    ok = fields()
+    with pytest.raises(ValueError, match=message):     # one bad problem in a stack
+        QcqpProblem(**{key: np.stack([ok[key], bad[key]]) for key in ok})
+    if field in ("a", "p_budget"):
+        with pytest.raises(ValueError, match=message):
+            QcqpProblem(**ok).retarget(bad["a"], bad["p_budget"])
 
 
 def test_stack_checks_name_the_failing_matrix():
