@@ -42,6 +42,7 @@ from .nsp_mrr import (
     nsp_beamformers,
     mrr_reflect,
     amplification_rho,
+    at_split,
     blocked_secrecy_rate,
     PaScalarContext,
     run_nsp_mrr_pa,

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,9 +39,8 @@ from .ldt_cffp import (
 )
 from .nsp_mrr import (
     BlockDesign,
-    PaFactors,
     PaScalarContext,
-    amplification_rho,
+    at_split,
     blocked_secrecy_rate,
     run_nsp_mrr_pa,
 )
@@ -309,9 +307,7 @@ def _check_scalar_path(checks: int, seed: int) -> tuple[bool, str]:
         for _ in range(5):
             eta = float(rng.uniform(0.05, 0.95))
             beta = float(rng.uniform(0.05, 0.95))
-            alt = replace(d, pa=PaFactors(eta, beta))
-            alt.rho1, alt.rho2 = amplification_rho(bch, alt, noise)
-            direct = blocked_secrecy_rate(bch, alt, noise)
+            direct = blocked_secrecy_rate(bch, at_split(bch, d, noise, eta, beta), noise)
             fast = float(ctx(eta, beta))
             worst = max(worst, abs(fast - direct) / max(abs(direct), 1e-30))
     return worst <= 1e-8, f"worst relative mismatch {worst:.2e}"

@@ -26,7 +26,7 @@ from .model import Design, NoiseProfile, secrecy_rate
 # run_ldt_cffp, run_nsp_mrr_pa: not called here; kept as module globals that traced runs wrap
 from .ldt_cffp import run_ldt_cffp, run_ldt_cffp_seeds
 from .nsp_mrr import (
-    PaScalarContext,
+    at_split,
     blocked_secrecy_rate,
     run_nsp_mrr_pa,
     run_nsp_mrr_pa_seeds,
@@ -107,8 +107,8 @@ class SweepSpec:
 
     ``n_elements`` varies the monolithic element count N (blocked methods
     get N1 = N2 = N/2); ``n1``/``n2`` vary one block; ``total_power_dbm``
-    varies the power budget; ``pa_grid`` evaluates the converged secrecy
-    surface at explicit (eta, beta) pairs.
+    varies the power budget; ``pa_grid`` scores the converged design moved
+    to each of explicit (eta, beta) pairs.
     """
 
     kind: str
@@ -303,7 +303,8 @@ def _run_seeds(spec: ExperimentSpec, value, method: str, seeds: list[int],
     Returns the seeds' rows and their optimizers' traces (None for the
     closed-form ``zero-reflection``); ``keep_rows`` keeps the per-iteration
     rows of ``ldt-cffp`` traces.  Under ``pa_grid`` (``value`` None) each
-    seed's converged design is scored at every pair, one row per pair.
+    seed's converged design is moved to every pair (``at_split``) and
+    scored there, one row per pair.
     Errors propagate to the caller.
     """
     noise = _noise_profile(spec)
@@ -331,19 +332,16 @@ def _run_seeds(spec: ExperimentSpec, value, method: str, seeds: list[int],
     runs = run_nsp_mrr_pa_seeds(bchs, noise, p_watts, _SEARCHERS[method], seeds)
     rows = []
     for seed, bch, (design, trace) in zip(seeds, bchs, runs):
-        # scored: (sweep value, secrecy rate, (eta, beta)) of each row
+        # (sweep value, design) of each row: the converged design, or under
+        # pa_grid that design moved to each pair
         if kind == "pa_grid":
-            pairs = spec.sweep.values
-            ctx = PaScalarContext(bch, design, noise)
-            surface = ctx(np.array([e for e, _ in pairs]), np.array([b for _, b in pairs]))
-            scored = [(pair, float(sr), pair)
-                      for pair, sr in zip(pairs, np.asarray(surface, dtype=float))]
+            scored = [(pair, at_split(bch, design, noise, *pair)) for pair in spec.sweep.values]
         else:
-            scored = [(value, blocked_secrecy_rate(bch, design, noise),
-                       (design.pa.eta, design.pa.beta))]
-        rows.extend(ResultRow(method, kind, v, seed, sr, trace.iterations, trace.wall_time_s,
-                              list(trace.flags), eta=eta, beta=beta)
-                    for v, sr, (eta, beta) in scored)
+            scored = [(value, design)]
+        rows.extend(ResultRow(method, kind, v, seed, blocked_secrecy_rate(bch, d, noise),
+                              trace.iterations, trace.wall_time_s, list(trace.flags),
+                              eta=d.pa.eta, beta=d.pa.beta)
+                    for v, d in scored)
     return rows, [trace for _, trace in runs]
 
 

@@ -111,7 +111,8 @@ def _hermitian_part(name: str, M: np.ndarray, diagonal: bool) -> np.ndarray:
         _diagonal(H)[...] = m.real
     else:
         Mh = M.conj().swapaxes(-1, -2)
-        D = M - Mh
+        with np.errstate(invalid="ignore"):   # inf - inf: rejected by _finite below
+            D = M - Mh
         if not D.any():                       # Hermitian to the last bit: kept as is
             return M
         skew = np.abs(D).max((-2, -1))
@@ -534,11 +535,12 @@ def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     return Design(v_b=v_b, v_e=v_e, theta=scale * theta_hat)
 
 
-def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
-                    trace: RunTrace | list[RunTrace], block: str, rescale: tuple[str, ...],
+def _assemble_block(assemble, state: DesignState, noise, aux, p_max,
+                    traces: list[RunTrace], block: str, rescale: tuple[str, ...],
                     **reuse) -> QcqpProblem | None:
     """Assemble one block for the design of ``state``, or for each design of
-    a stack (``aux`` and ``trace`` are then lists, one per design).
+    a stack (``aux`` is then a list), with one trace per design.  The
+    assembler reads the channels from ``state``, so it is given none.
 
     A design whose budget is exhausted has its other blocks shrunk by 5%
     once, flagged, and the block is assembled again.  The retry refreshes
@@ -549,9 +551,8 @@ def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
     raised, its ``low`` marking them.
     """
     d = state.d
-    traces = trace if isinstance(trace, list) else [trace]
     try:
-        return assemble(ch, d, noise, aux, p_max, state=state, **reuse)
+        return assemble(None, d, noise, aux, p_max, state=state, **reuse)
     except BudgetExhausted as exc:
         low = exc.low
     for i in np.flatnonzero(low):
@@ -561,7 +562,7 @@ def _assemble_block(assemble, ch, state: DesignState, noise, aux, p_max,
         setattr(d, name, getattr(d, name) * scale)
     state.refresh()
     try:
-        return assemble(ch, d, noise, aux, p_max, state=state)
+        return assemble(None, d, noise, aux, p_max, state=state)
     except BudgetExhausted as exc:
         if not all(exc.low):
             raise
@@ -625,18 +626,17 @@ def run_ldt_cffp_seeds(chs: list[ChannelSet], noise: NoiseProfile, p_max: float,
         aux = [_aux_at(ev) for ev in evs]
         terms = _aux_terms(aux)
         run = [traces[i] for i in live]
-        live_chs = [chs[i] for i in live]
 
-        prob = _assemble_block(assemble_vb, live_chs, state, noise, terms, p_max, run,
+        prob = _assemble_block(assemble_vb, state, noise, terms, p_max, run,
                                "v_b", ("v_e", "theta"))
         if prob is not None:
             state.set_v_b(solve_qcqp_stack(prob).x)
         # theta is unchanged since the v_b problem, so v_e shares its A and F
-        prob = _assemble_block(assemble_ve, live_chs, state, noise, terms, p_max, run,
+        prob = _assemble_block(assemble_ve, state, noise, terms, p_max, run,
                                "v_e", ("v_b", "theta"), shared=prob)
         if prob is not None:
             state.set_v_e(solve_qcqp_stack(prob).x)
-        prob = _assemble_block(assemble_theta, live_chs, state, noise, terms, p_max, run,
+        prob = _assemble_block(assemble_theta, state, noise, terms, p_max, run,
                                "theta", ("v_b", "v_e"))
         if prob is not None:
             state.set_theta(solve_qcqp_stack(prob).x.conj())

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
     "nsp_beamformers",
     "mrr_reflect",
     "amplification_rho",
+    "at_split",
     "blocked_secrecy_rate",
     "PaScalarContext",
     "run_nsp_mrr_pa",
@@ -229,6 +230,15 @@ def amplification_rho(bch: BlockedChannelSet, d: BlockDesign,
     rho2 = math.sqrt((1.0 - eta) * (1.0 - mu) * d.p_s
                      / (eta * (1.0 - beta) * d.p_s * s2 + noise.sigma2_irs))
     return rho1, rho2
+
+
+def at_split(bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile,
+             eta: float, beta: float) -> BlockDesign:
+    """``d`` moved to the split (eta, beta): the same beams, reflect vectors
+    and mu, with the amplification gains that spend that split's IRS share."""
+    out = replace(d, pa=PaFactors(eta, beta, d.pa.mu))
+    out.rho1, out.rho2 = amplification_rho(bch, out, noise)
+    return out
 
 
 def blocked_secrecy_rate(bch: BlockedChannelSet, d: BlockDesign,
@@ -475,8 +485,7 @@ class _SeedRun:
         """Take the searched split and the gains that spend it."""
         t0 = time.perf_counter()
         self.start = res.point
-        self.d.pa = PaFactors(*res.point)
-        self.d.rho1, self.d.rho2 = amplification_rho(self.bch, self.d, noise)
+        self.d = at_split(self.bch, self.d, noise, *res.point)
         self.own_s += res.seconds + time.perf_counter() - t0
 
     def record(self, it: int, res: SearchResult, share: float) -> None:

@@ -1,6 +1,10 @@
 """Command-line front end: exit codes, axis rules, output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,15 @@ def test_validate_reports_five_passing_suites(capsys):
     assert "5/5 invariant suites passed" in out
     assert out.count("ok  ") == 5
     assert "FAIL" not in out
+
+
+def test_the_module_runs_as_the_airsdm_command(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "airsdm.cli", "validate", "--checks", "1"],
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "5/5 invariant suites passed" in out.stdout
 
 
 def test_validate_exits_1_when_a_suite_fails(monkeypatch, capsys):

@@ -18,6 +18,7 @@ from airsdm.harness import (
     ExperimentSpec,
     ResultRow,
     SweepSpec,
+    _noise_profile,
     _scene_at,
     _zero_reflection_design,
     emit_results,
@@ -25,7 +26,9 @@ from airsdm.harness import (
     read_results_json,
     run_experiment,
 )
-from airsdm.scene import benchmark_scene, dbm_to_watts
+from airsdm.nsp_mrr import at_split, blocked_secrecy_rate, run_nsp_mrr_pa
+from airsdm.pa_search import fixed_beta_search
+from airsdm.scene import benchmark_scene, build_channels, dbm_to_watts
 
 
 def _fast_scene(**overrides):
@@ -166,6 +169,14 @@ def test_experiment_spec_ignores_the_legacy_workers_key():
     data = _spec().to_dict()
     assert "workers" not in data
     assert ExperimentSpec.from_dict({**data, "workers": 4}) == ExperimentSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["sweep", "methods"])
+def test_experiment_spec_needs_a_sweep_and_methods(key):
+    data = _spec().to_dict()
+    del data[key]
+    with pytest.raises(ValueError, match="needs 'sweep' and 'methods'"):
+        ExperimentSpec.from_dict(data)
 
 
 def test_experiment_spec_rejects_unknown_fields(tmp_path):
@@ -485,6 +496,27 @@ def test_pa_grid_sweep_reports_the_converged_surface():
     # both surface rows of one seed come from the same pipeline run
     by_seed = [r for r in rows if r.seed == 1]
     assert by_seed[0].iterations == by_seed[1].iterations
+
+
+def test_pa_grid_rows_are_the_model_rate_at_the_design_moved_to_each_pair():
+    """On a scene whose null spaces are trivial (M <= n_k + 1) the closed form
+    drops leaking paths; a pa_grid row is still the model's rate at its split."""
+    pairs = [(0.1, 0.5), (0.5, 0.99), (0.9, 0.99)]
+    spec = _spec(sweep=SweepSpec("pa_grid", pairs), methods=["fixed-beta"],
+                 scene=benchmark_scene(m_bs=4, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                                       pl_ref_db=-60.0),
+                 power_dbm=20.0)
+    rows = run_experiment(spec)
+    assert len(rows) == 9
+    noise = _noise_profile(spec)
+    for seed in spec.seeds:
+        cfg, p_watts = _scene_at(spec, None, seed)
+        bch = build_channels(cfg)[1]
+        d, _ = run_nsp_mrr_pa(bch, noise, p_watts, fixed_beta_search, seed)
+        for r in (r for r in rows if r.seed == seed):
+            assert r.sr_bits == blocked_secrecy_rate(bch, at_split(bch, d, noise, *r.sweep_value),
+                                                     noise)
+            assert (r.eta, r.beta) == r.sweep_value
 
 
 # -- emission and parsing --------------------------------------------------------------

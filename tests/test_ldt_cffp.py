@@ -206,8 +206,8 @@ def test_budget_rescue_bypasses_the_shared_factorization():
     p_max = 0.99 * (6.0 - assemble_ve(ch, d, NOISE, aux, p_max=6.0).p_budget)
     rescued = d.copy()
     trace = RunTrace()
-    prob = _assemble_block(assemble_ve, ch, DesignState(ch, rescued),
-                           NOISE, aux, p_max, trace, "v_e", ("v_b", "theta"), shared=shared)
+    prob = _assemble_block(assemble_ve, DesignState(ch, rescued),
+                           NOISE, aux, p_max, [trace], "v_e", ("v_b", "theta"), shared=shared)
     assert trace.flags == ["budget-rescue:v_e"]
     assert_allclose(rescued.theta, 0.95 * d.theta, rtol=1e-15)
     fresh = assemble_ve(ch, rescued, NOISE, aux, p_max)
@@ -485,7 +485,7 @@ def test_a_stacked_rescue_scales_and_refactors_only_its_design():
     state = DesignState([ch] * 3, stack)
     shared = assemble_vb([ch] * 3, stack, NOISE, auxes, p_max, state=state)
     traces = [RunTrace() for _ in designs]
-    prob = _assemble_block(assemble_ve, [ch] * 3, state, NOISE, auxes, p_max, traces,
+    prob = _assemble_block(assemble_ve, state, NOISE, auxes, p_max, traces,
                            "v_e", ("v_b", "theta"), shared=shared)
     assert [t.flags for t in traces] == [[], ["budget-rescue:v_e"], []]
     for f in ("v_b", "theta"):

@@ -18,6 +18,7 @@ from airsdm.nsp_mrr import (
     PaFactors,
     PaScalarContext,
     amplification_rho,
+    at_split,
     blocked_secrecy_rate,
     mrr_reflect,
     nsp_beamformers,
@@ -125,6 +126,16 @@ def test_degenerate_target_falls_back_with_a_flag():
     assert np.abs(bch.H_s1 @ v_e).max() <= 1e-10
 
 
+def test_a_target_inside_the_nulled_span_falls_back_to_the_direct_channel():
+    from airsdm.nsp_mrr import _project_or_fallback
+    T = nsp_projector(np.array([[1.0, 0.0, 0.0]], dtype=complex))
+    flags: list[str] = []
+    v = _project_or_fallback(T, np.array([2.0, 0.0, 0.0], dtype=complex),
+                             np.array([1.0, 3.0j, 0.0]), "v_b", flags)
+    assert flags == ["nsp-degenerate:v_b"]
+    assert_allclose(v, [0.0, 1.0j, 0.0], atol=1e-15)
+
+
 # -- matched-and-rotated reflection --------------------------------------------
 
 def _tiny_blocked() -> BlockedChannelSet:
@@ -151,6 +162,19 @@ def test_mrr_hand_example_and_zero_cascade_fallback():
     assert_allclose(theta1, np.array([1.0, 1.0j]) / math.sqrt(2), atol=1e-15)
     # H_s2 v_e = 0 so block 2 degenerates to the uniform unit vector
     assert flags == ["mrr-degenerate:theta2"]
+    assert_allclose(theta2, np.array([1.0 + 0.0j]), atol=1e-15)
+
+
+def test_mrr_falls_back_on_a_zero_block_1_cascade():
+    bch = replace(_tiny_blocked(), g_b1=np.zeros(2, dtype=complex))
+    d = BlockDesign(v_b=np.array([1.0, 1.0], dtype=complex),
+                    v_e=np.array([0.0, 1.0], dtype=complex),
+                    theta1=np.ones(2) / math.sqrt(2), theta2=np.ones(1),
+                    rho1=1.0, rho2=1.0, pa=PaFactors(0.5, 0.5), p_s=1.0)
+    theta1, theta2, flags = mrr_reflect(bch, d)
+    assert flags == ["mrr-degenerate:theta1"]
+    assert_allclose(theta1, np.ones(2) / math.sqrt(2), atol=1e-15)
+    # c2 = conj(g_e2) * (H_s2 v_e) = [1]; phi2 = angle(h_e^H v_e) = 0
     assert_allclose(theta2, np.array([1.0 + 0.0j]), atol=1e-15)
 
 
@@ -194,6 +218,24 @@ def test_rho_spends_the_exact_irs_power_shares():
         assert_allclose(emitted2, (1 - mu) * (1 - eta) * d.p_s, rtol=1e-12)
         # the IRS as a whole spends exactly its share of the budget
         assert_allclose(emitted1 + emitted2, (1 - eta) * d.p_s, rtol=1e-12)
+
+
+def test_at_split_keeps_mu_and_spends_the_irs_share_of_the_new_split():
+    noise = NoiseProfile()
+    p_s = dbm_to_watts(20.0)
+    _, bch = build_channels(benchmark_scene(n_irs=8, n1=4, n2=4, rician_k_db=5.0, seed=1))
+    d, _ = run_nsp_mrr_pa(bch, noise, p_s, seed=1)
+    d = replace(d, pa=PaFactors(d.pa.eta, d.pa.beta, mu=0.3))
+    before = copy.deepcopy(d)
+    moved = at_split(bch, d, noise, 0.3, 0.7)
+    assert moved.pa == PaFactors(0.3, 0.7, mu=0.3)
+    for f in ("v_b", "v_e", "theta1", "theta2"):
+        assert np.array_equal(getattr(moved, f), getattr(d, f))
+    assert (d.pa, d.rho1, d.rho2) == (before.pa, before.rho1, before.rho2)
+    assert (moved.rho1, moved.rho2) == amplification_rho(bch, moved, noise)
+    spend = total_power(bch.stacked(), moved.as_design(), noise)
+    assert_allclose(spend, p_s, rtol=1e-12)
+    assert_allclose(spend - 0.3 * p_s, 0.7 * p_s, rtol=1e-12)   # the IRS's (1 - eta) p_s
 
 
 def test_rho_hand_value():

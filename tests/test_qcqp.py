@@ -202,6 +202,18 @@ def test_problem_symmetrizes_rounding_noise():
     assert_allclose(prob.A, prob.A.conj().T, atol=0)
 
 
+def test_a_diagonal_f_with_a_rounding_imaginary_part_is_its_real_part():
+    rng = np.random.default_rng(13)
+    G = crandn(rng, 2, 3)
+    a, A, f = crandn(rng, 3), G.conj().T @ G, np.array([1.0, 2.0, 0.5])
+    noisy = QcqpProblem(a=a, A=A, F=np.diag(f + 1e-13j * f), p_budget=0.3)
+    real = QcqpProblem(a=a, A=A, F=np.diag(f).astype(complex), p_budget=0.3)
+    assert np.array_equal(noisy.F, np.diag(f))
+    s1, s2 = solve_qcqp(noisy), solve_qcqp(real)
+    assert s1.nu == s2.nu
+    assert np.array_equal(s1.x, s2.x)
+
+
 # -- grid-oracle properties -----------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -407,7 +419,6 @@ def test_kkt_residuals_of_a_stack_are_those_of_each_problem():
             assert_allclose(res[key][i], alone[key], rtol=0, atol=1e-9 * q.p_budget)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("field, where, value", [
     ("a", 0, np.nan), ("a", 1, np.inf), ("A", (0, 0), np.inf), ("A", (0, 1), np.nan),
     ("F", (0, 0), np.inf), ("F", (1, 1), np.nan),     # a diagonal F, whitened by a scale

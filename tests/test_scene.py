@@ -92,6 +92,8 @@ def test_scene_defaults_are_the_benchmark():
     {"pl_ref_db": 0.0},
     {"pl_exponent": -1.0},
     {"bob_pos": (1.0, 2.0)},            # not 3-D
+    {"n_irs": 8, "n1": 0, "n2": 8},     # an empty block
+    {"n_irs": 0, "n1": 0, "n2": 0},     # an empty surface
 ])
 def test_scene_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -173,6 +175,12 @@ def test_build_channels_frozen_regression():
     assert_allclose(ch.H_si[2, 3], -6.577300350778168e-05 - 0.00035432194665261036j,
                     rtol=1e-12)
     assert_allclose(bch.g_b2[0], 0.0009877295966495897 + 0j, rtol=1e-12)
+
+
+def test_build_channels_rejects_coincident_nodes():
+    cfg = SceneConfig(bob_pos=SceneConfig().bs_pos)
+    with pytest.raises(ValueError, match="coincident node positions"):
+        build_channels(cfg)
 
 
 def test_colocated_blocks_partition_the_monolithic_array():
