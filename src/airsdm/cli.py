@@ -38,9 +38,7 @@ from .ldt_cffp import (
     solve_qcqp,
 )
 from .nsp_mrr import (
-    BlockDesign,
     PaScalarContext,
-    at_split,
     blocked_secrecy_rate,
     run_nsp_mrr_pa,
 )
@@ -247,12 +245,6 @@ def _check_assembly(checks: int, seed: int) -> tuple[bool, str]:
     return worst <= 1e-8, f"worst relative mismatch {worst:.2e}"
 
 
-def _one_block_pass(bch, noise: NoiseProfile, p_s: float) -> BlockDesign:
-    """The blocked pipeline's first pass at the pinned split (0.5, 0.5)."""
-    return run_nsp_mrr_pa(bch, noise, p_s, searcher=fixed_point_search,
-                          max_iters=1)[0]
-
-
 def _check_nsp(checks: int, seed: int) -> tuple[bool, str]:
     noise = NoiseProfile()
     p_s = dbm_to_watts(20.0)
@@ -262,7 +254,7 @@ def _check_nsp(checks: int, seed: int) -> tuple[bool, str]:
         # protecting null space must stay non-trivial for the projection
         _, bch = build_channels(benchmark_scene(rician_k_db=5.0, seed=seed + 100 + i,
                                                 n_irs=8, n1=4, n2=4))
-        d = _one_block_pass(bch, noise, p_s)
+        d = run_nsp_mrr_pa(bch, noise, p_s, searcher=fixed_point_search)[0]
         worst = max(
             worst,
             abs(np.vdot(bch.h_b, d.v_e)) / np.linalg.norm(bch.h_b) / 1e-10,
@@ -302,12 +294,12 @@ def _check_scalar_path(checks: int, seed: int) -> tuple[bool, str]:
     for i in range(checks):
         _, bch = build_channels(benchmark_scene(rician_k_db=5.0, seed=seed + 200 + i,
                                                 n_irs=8, n1=4, n2=4))
-        d = _one_block_pass(bch, noise, p_s)
+        d = run_nsp_mrr_pa(bch, noise, p_s, searcher=fixed_point_search)[0]
         ctx = PaScalarContext(bch, d, noise)
         for _ in range(5):
             eta = float(rng.uniform(0.05, 0.95))
             beta = float(rng.uniform(0.05, 0.95))
-            direct = blocked_secrecy_rate(bch, at_split(bch, d, noise, eta, beta), noise)
+            direct = blocked_secrecy_rate(bch, ctx.at(eta, beta), noise)
             fast = float(ctx(eta, beta))
             worst = max(worst, abs(fast - direct) / max(abs(direct), 1e-30))
     return worst <= 1e-8, f"worst relative mismatch {worst:.2e}"

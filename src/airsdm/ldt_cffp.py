@@ -285,9 +285,13 @@ def _solve(prob: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi = np.maximum(root - prob._d_kept, 1e-300)
     DK = dk
     if out.any():
-        # the flat components alone give g >= |b_flat|^2/(d[k-1]+nu)^2
+        # the flat components alone give g >= |b_flat|^2/(d[k-1]+nu)^2, and
+        # those clipped to d = 0 give g >= |b_0|^2/nu^2, which keeps lo off
+        # nu = 0, where g is infinite, even when the first bound is negative
         b_flat, d_flat = babs2.sum(-1, where=flat), d.max(-1, where=flat, initial=0.0)
-        lo = np.where(out, np.maximum(lo, np.sqrt(b_flat / p) - d_flat), lo)
+        b_zero = babs2.sum(-1, where=d == 0.0)
+        bound = np.maximum(np.sqrt(b_flat / p) - d_flat, np.sqrt(b_zero / p))
+        lo = np.where(out, np.maximum(lo, bound), lo)
         hi = np.where(out, np.maximum(root - d[:, 0], 1e-300), hi)
         DK = np.where(out[:, None], d, dk)
     nu, steps = _multipliers(DK, babs2, p, lo, hi, edge.nonzero()[0])

@@ -17,12 +17,16 @@ with artificial noise (AN).  Each loop pass computes, in closed form:
 * a power-split (eta, beta) search over a closed-form scalarized secrecy
   rate that is O(1) per candidate after precomputation.
 
+``PaScalarContext`` is a pass's design with its split left free: it scores
+candidate splits and moves the design to one (``at``); ``at_split`` and
+``amplification_rho`` are calls on a fresh context.
+
 ``run_nsp_mrr_pa_seeds`` runs the loop of several seeds, each on its own
 channels, in lockstep: each pass searches all their splits with one
 ``search_stack`` call on their stacked contexts, and a seed leaves the
-stack in the pass it converges.  ``run_nsp_mrr_pa`` is its stack of one.
-The null-space projectors depend only on the channels, so each seed's
-are computed once per run.
+stack in the pass it converges (or after ``MAX_ITERS`` passes, flagged).
+``run_nsp_mrr_pa`` is its stack of one.  The null-space projectors depend
+only on the channels, so each seed's are computed once per run.
 
 A blocked design is a monolithic design on the stacked blocks
 (``BlockDesign.as_design`` on ``BlockedChannelSet.stacked``), and its
@@ -112,17 +116,6 @@ def nsp_projector(Q: np.ndarray) -> np.ndarray:
     return np.eye(m) - Q.conj().T @ np.linalg.pinv(gram) @ Q
 
 
-def _cascade_col(theta: np.ndarray, g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Column form of the reflected path theta^H diag(g^H) H (i.e. its ^H)."""
-    return H.conj().T @ (theta * g)
-
-
-def _cascade_gain(theta: np.ndarray, g: np.ndarray, H: np.ndarray,
-                  v: np.ndarray) -> complex:
-    """Scalar theta^H diag(g^H) H v."""
-    return complex(np.vdot(theta, g.conj() * (H @ v)))
-
-
 def _null_space_unit(T: np.ndarray) -> np.ndarray:
     """A deterministic unit vector inside the projector's range."""
     w, V = np.linalg.eigh(T)
@@ -160,9 +153,10 @@ def _beams(bch: BlockedChannelSet, d: BlockDesign,
     """``nsp_beamformers`` with the channels' projectors already at hand."""
     T1, T2 = projectors
     flags: list[str] = []
-    target_e = bch.h_e + d.rho2 * _cascade_col(d.theta2, bch.g_e2, bch.H_s2)
+    # the served receiver's direct channel plus its reflected path, as a column
+    target_e = bch.h_e + d.rho2 * (bch.H_s2.conj().T @ (d.theta2 * bch.g_e2))
     v_e = _project_or_fallback(T1, target_e, bch.h_e, "v_e", flags)
-    target_b = bch.h_b + d.rho1 * _cascade_col(d.theta1, bch.g_b1, bch.H_s1)
+    target_b = bch.h_b + d.rho1 * (bch.H_s1.conj().T @ (d.theta1 * bch.g_b1))
     v_b = _project_or_fallback(T2, target_b, bch.h_b, "v_b", flags)
     return v_b, v_e, flags
 
@@ -192,53 +186,36 @@ def mrr_reflect(bch: BlockedChannelSet, d: BlockDesign,
     coherently.  A zero cascade falls back to a uniform-phase unit vector.
     """
     flags: list[str] = []
-
-    c1 = bch.g_b1.conj() * (bch.H_s1 @ d.v_b)
-    n1 = float(np.linalg.norm(c1))
-    if n1 < 1e-30:
-        flags.append("mrr-degenerate:theta1")
-        theta1 = np.ones(bch.n1, dtype=complex) / math.sqrt(bch.n1)
-    else:
-        phi1 = float(np.angle(np.vdot(bch.h_b, d.v_b)))
-        theta1 = (c1 / n1) * np.exp(-1j * phi1)
-
-    c2 = bch.g_e2.conj() * (bch.H_s2 @ d.v_e)
-    n2 = float(np.linalg.norm(c2))
-    if n2 < 1e-30:
-        flags.append("mrr-degenerate:theta2")
-        theta2 = np.ones(bch.n2, dtype=complex) / math.sqrt(bch.n2)
-    else:
-        phi2 = float(np.angle(np.vdot(bch.h_e, d.v_e)))
-        theta2 = (c2 / n2) * np.exp(-1j * phi2)
+    theta1 = _matched(bch.g_b1.conj() * (bch.H_s1 @ d.v_b), np.vdot(bch.h_b, d.v_b),
+                      "theta1", flags)
+    theta2 = _matched(bch.g_e2.conj() * (bch.H_s2 @ d.v_e), np.vdot(bch.h_e, d.v_e),
+                      "theta2", flags)
     return theta1, theta2, flags
+
+
+def _matched(cascade: np.ndarray, direct: complex, name: str,
+             flags: list[str]) -> np.ndarray:
+    """The unit vector along ``cascade``, rotated to the phase of the direct
+    gain; a zero cascade gives the uniform-phase unit vector, flagged."""
+    n = float(np.linalg.norm(cascade))
+    if n < 1e-30:
+        flags.append(f"mrr-degenerate:{name}")
+        return np.ones(cascade.size, dtype=complex) / math.sqrt(cascade.size)
+    return (cascade / n) * np.exp(-1j * float(np.angle(direct)))
 
 
 def amplification_rho(bch: BlockedChannelSet, d: BlockDesign,
                       noise: NoiseProfile) -> tuple[float, float]:
-    """Amplification gains that spend each block's exact IRS power share.
-
-    Block k re-radiates (incident signal + its own noise) scaled by rho_k^2;
-    the gains are chosen so block 1 emits mu * (1 - eta) * p_s and block 2
-    (1 - mu) * (1 - eta) * p_s on average, hence the IRS as a whole spends
-    exactly (1 - eta) * p_s.
-    """
-    eta, beta, mu = d.pa.eta, d.pa.beta, d.pa.mu
-    s1 = float(np.sum(np.abs(d.theta1) ** 2 * np.abs(bch.H_s1 @ d.v_b) ** 2))
-    s2 = float(np.sum(np.abs(d.theta2) ** 2 * np.abs(bch.H_s2 @ d.v_e) ** 2))
-    rho1 = math.sqrt((1.0 - eta) * mu * d.p_s
-                     / (eta * beta * d.p_s * s1 + noise.sigma2_irs))
-    rho2 = math.sqrt((1.0 - eta) * (1.0 - mu) * d.p_s
-                     / (eta * (1.0 - beta) * d.p_s * s2 + noise.sigma2_irs))
-    return rho1, rho2
+    """Amplification gains that spend each block's exact IRS power share at
+    ``d``'s split (``PaScalarContext.at``)."""
+    moved = PaScalarContext(bch, d, noise).at(d.pa.eta, d.pa.beta)
+    return moved.rho1, moved.rho2
 
 
 def at_split(bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile,
              eta: float, beta: float) -> BlockDesign:
-    """``d`` moved to the split (eta, beta): the same beams, reflect vectors
-    and mu, with the amplification gains that spend that split's IRS share."""
-    out = replace(d, pa=PaFactors(eta, beta, d.pa.mu))
-    out.rho1, out.rho2 = amplification_rho(bch, out, noise)
-    return out
+    """``d`` moved to the split (eta, beta) (``PaScalarContext.at``)."""
+    return PaScalarContext(bch, d, noise).at(eta, beta)
 
 
 def blocked_secrecy_rate(bch: BlockedChannelSet, d: BlockDesign,
@@ -256,15 +233,17 @@ _SHARED = ("mu", "p_s", "sigma2_irs", "sigma2_b", "sigma2_e")
 
 
 class PaScalarContext:
-    """O(1)-per-candidate secrecy rate as a function of (eta, beta).
+    """The blocked design ``d`` with its power split (eta, beta) left free.
 
     Precomputes every channel/beam scalar at the unit vectors, mu and p_s
-    of ``d`` (its split and gains are not read) so the power-split search
-    can evaluate thousands of (eta, beta) candidates (scalars or
-    equal-shape arrays) with plain arithmetic.  The embedded amplification
-    gains are the exact closed forms at each candidate.  Only the paths
-    that null-space projection leaves nonzero enter, so it equals
-    ``blocked_secrecy_rate`` once the projection's zeros hold.
+    of ``d`` (its split and gains are not read), forming each block's
+    incident field once.  ``at(eta, beta)`` is ``d`` moved to that split,
+    with the amplification gains that spend it.  Calling the context gives
+    the secrecy rate in closed form, with the same gains embedded, so the power-split search can evaluate thousands
+    of (eta, beta) candidates (scalars or equal-shape arrays) with plain
+    arithmetic.  Only the paths that null-space projection leaves nonzero
+    enter, so it equals ``blocked_secrecy_rate`` once the projection's
+    zeros hold.
     A pair of Python floats takes a float-only path that evaluates the
     same expression in the same order, so it matches the array path bit
     for bit at a fraction of its per-call cost.
@@ -277,16 +256,19 @@ class PaScalarContext:
 
     def __init__(self, bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile):
         v_b, v_e, theta1, theta2 = d.v_b, d.v_e, d.theta1, d.theta2
+        self.design = d
         self.mu = float(d.pa.mu)
         self.p_s = float(d.p_s)
         self.sigma2_irs = float(noise.sigma2_irs)
         self.sigma2_b = float(noise.sigma2_b)
         self.sigma2_e = float(noise.sigma2_e)
 
-        k_b1 = _cascade_gain(theta1, bch.g_b1, bch.H_s1, v_b)
-        k_b2 = _cascade_gain(theta2, bch.g_b2, bch.H_s2, v_e)
-        k_e1 = _cascade_gain(theta1, bch.g_e1, bch.H_s1, v_b)
-        k_e2 = _cascade_gain(theta2, bch.g_e2, bch.H_s2, v_e)
+        # each block's incident field of the beam it reflects
+        u1, u2 = bch.H_s1 @ v_b, bch.H_s2 @ v_e
+        k_b1 = complex(np.vdot(theta1, bch.g_b1.conj() * u1))   # theta^H diag(g^H) H v
+        k_b2 = complex(np.vdot(theta2, bch.g_b2.conj() * u2))
+        k_e1 = complex(np.vdot(theta1, bch.g_e1.conj() * u1))
+        k_e2 = complex(np.vdot(theta2, bch.g_e2.conj() * u2))
         d_bb = complex(np.vdot(bch.h_b, v_b))
         d_ee = complex(np.vdot(bch.h_e, v_e))
 
@@ -303,8 +285,21 @@ class PaScalarContext:
         self.d_hat = abs(d_ee) ** 2
         self.e_hat = self.sigma2_irs * float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.g_e1) ** 2))
         self.f_hat = self.sigma2_irs * float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.g_e2) ** 2))
-        self.s1 = float(np.sum(np.abs(theta1) ** 2 * np.abs(bch.H_s1 @ v_b) ** 2))
-        self.s2 = float(np.sum(np.abs(theta2) ** 2 * np.abs(bch.H_s2 @ v_e) ** 2))
+        self.s1 = float(np.sum(np.abs(theta1) ** 2 * np.abs(u1) ** 2))
+        self.s2 = float(np.sum(np.abs(theta2) ** 2 * np.abs(u2) ** 2))
+
+    def at(self, eta: float, beta: float) -> BlockDesign:
+        """The design moved to the split (eta, beta): the same beams, reflect
+        vectors and mu, with the amplification gains that spend that split.
+        Block k re-radiates (incident signal + its own noise) scaled by
+        rho_k^2, so block 1 emits mu and block 2 (1 - mu) of the IRS share
+        (1 - eta) * p_s on average, and the IRS spends exactly that share."""
+        pa = PaFactors(eta, beta, self.design.pa.mu)
+        ps, mu, s2_irs = self.p_s, self.mu, self.sigma2_irs
+        rho1 = math.sqrt((1.0 - eta) * mu * ps / (eta * beta * ps * self.s1 + s2_irs))
+        rho2 = math.sqrt((1.0 - eta) * (1.0 - mu) * ps
+                         / (eta * (1.0 - beta) * ps * self.s2 + s2_irs))
+        return replace(self.design, pa=pa, rho1=rho1, rho2=rho2)
 
     @classmethod
     def stack(cls, rows: list["PaScalarContext"]) -> "PaScalarContext":
@@ -376,17 +371,17 @@ class PaScalarContext:
         return np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)
 
 
-EPS = 1e-4   # stop when both unit beamformers move by at most this
+EPS = 1e-4        # stop when both unit beamformers move by at most this
+MAX_ITERS = 100   # passes before a run stops unconverged (flagged)
 
 
 def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
                    searcher: Callable[..., SearchResult] = exhaustive_search,
-                   seed: int = 0, max_iters: int = 100,
-                   ) -> tuple[BlockDesign, RunTrace]:
+                   seed: int = 0) -> tuple[BlockDesign, RunTrace]:
     """Alternate beamformers, reflect vectors, amplification and PA search.
 
     Stops once both unit beamformers move by at most ``EPS`` between
-    consecutive iterations (or after ``max_iters``, flagged).  The returned
+    consecutive iterations (or after ``MAX_ITERS``, flagged).  The returned
     design carries amplification gains computed at the searched (eta, beta),
     so its BS + IRS power spend equals p_s exactly.  Deterministic for fixed
     inputs; ``seed`` only feeds stochastic searchers.
@@ -397,22 +392,21 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     of jittering around a fresh random start on every pass.  This is the
     stack of one of ``run_nsp_mrr_pa_seeds``.
     """
-    return run_nsp_mrr_pa_seeds([bch], noise, p_s, searcher, [seed], max_iters)[0]
+    return run_nsp_mrr_pa_seeds([bch], noise, p_s, searcher, [seed])[0]
 
 
 def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile, p_s: float,
                          searcher: Callable[..., SearchResult], seeds: list[int],
-                         max_iters: int = 100,
                          ) -> list[tuple[BlockDesign, RunTrace]]:
     """``run_nsp_mrr_pa`` for each (channels, seed) pair, run in lockstep.
 
     Each pass computes every running seed's beams, reflect vectors and
     ``PaScalarContext``, then searches all their splits with one
     ``pa_search.search_stack`` call on the stacked contexts (one swarm
-    stack for PSO, row by row for the other searchers), then sets each
-    seed's gains.  A seed leaves the stack in the pass its beamformers
-    converge.  Each seed's projectors are computed once, from its
-    channels.  Each seed's design, trace rows, iterations and flags are
+    stack for PSO, row by row for the other searchers), then moves each
+    seed's design to its split through its context.  A seed leaves the
+    stack in the pass its beamformers converge.  Each seed's projectors
+    are computed once, from its channels.  Each seed's design, trace rows, iterations and flags are
     those of its own run.  Its ``wall_time_s`` is the time of its own work
     (projectors, beams, context, its search's ``seconds``, gains) plus, in
     each pass it ran, an even share of the rest of the pass, so the seeds'
@@ -424,12 +418,12 @@ def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile, p_s
     mark = time.perf_counter()
     runs = [_SeedRun(bch, p_s) for bch in bchs]
     live = list(range(len(runs)))
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         stack = PaScalarContext.stack([runs[i].beams(noise) for i in live])
         results = search_stack(searcher, stack, [seeds[i] + it - 1 for i in live],
                                [runs[i].start for i in live])
         for i, res in zip(live, results):
-            runs[i].split(res, noise)
+            runs[i].split(res)
         now = time.perf_counter()
         rest = now - mark - sum(runs[i].own_s for i in live)
         share, mark = rest / len(live), now
@@ -462,6 +456,7 @@ class _SeedRun:
             p_s=p_s,
         )
         self.trace = RunTrace()
+        self.ctx: PaScalarContext | None = None   # this pass's context
         self.start = None                # the next pass's search begins here
         self.deltas = (math.inf, math.inf)   # how far v_b and v_e moved
         self.own_s = time.perf_counter() - t0   # this pass's own work so far
@@ -477,15 +472,15 @@ class _SeedRun:
             self.trace.add_flag(flag)
         self.deltas = (float(np.linalg.norm(d.v_b - prev_vb)),
                        float(np.linalg.norm(d.v_e - prev_ve)))
-        ctx = PaScalarContext(bch, d, noise)
+        self.ctx = PaScalarContext(bch, d, noise)
         self.own_s += time.perf_counter() - t0
-        return ctx
+        return self.ctx
 
-    def split(self, res: SearchResult, noise: NoiseProfile) -> None:
-        """Take the searched split and the gains that spend it."""
+    def split(self, res: SearchResult) -> None:
+        """Move the design to the searched split, with the gains that spend it."""
         t0 = time.perf_counter()
         self.start = res.point
-        self.d = at_split(self.bch, self.d, noise, *res.point)
+        self.d = self.ctx.at(*res.point)
         self.own_s += res.seconds + time.perf_counter() - t0
 
     def record(self, it: int, res: SearchResult, share: float) -> None:

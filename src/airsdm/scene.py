@@ -188,11 +188,10 @@ def _direction_sine(src: _Pos, dst: _Pos) -> tuple[float, float]:
     return d[0] / dist, dist
 
 
-def _array_steering(n: int, src: _Pos, dst: _Pos, element_offset: int = 0) -> tuple[np.ndarray, float]:
-    """Steering of elements [offset, offset+n) of a ULA at ``src`` toward ``dst``."""
+def _array_steering(n: int, src: _Pos, dst: _Pos) -> tuple[np.ndarray, float]:
+    """Steering of an n-element ULA at ``src`` toward ``dst``, and the distance."""
     sine, dist = _direction_sine(src, dst)
-    k = np.arange(element_offset, element_offset + n)
-    return np.exp(1j * np.pi * k * sine), dist
+    return np.exp(1j * np.pi * np.arange(n) * sine), dist
 
 
 class _ChannelFactory:
@@ -214,18 +213,18 @@ class _ChannelFactory:
         z = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
         return z / math.sqrt(2.0)
 
-    def vector(self, n: int, array_pos: _Pos, node_pos: _Pos, offset: int = 0) -> np.ndarray:
-        a, dist = _array_steering(n, array_pos, node_pos, offset)
+    def vector(self, n: int, array_pos: _Pos, node_pos: _Pos) -> np.ndarray:
+        a, dist = _array_steering(n, array_pos, node_pos)
         amp = math.sqrt(path_gain(dist, self.cfg.pl_ref_db, self.cfg.pl_exponent))
         h = a
         if self.rng is not None:
             h = self.los_w * a + self.nlos_w * self._scatter(n)
         return amp * h
 
-    def matrix(self, n_rx: int, rx_pos: _Pos, n_tx: int, tx_pos: _Pos, rx_offset: int = 0) -> np.ndarray:
+    def matrix(self, n_rx: int, rx_pos: _Pos, n_tx: int, tx_pos: _Pos) -> np.ndarray:
         # receive steering: array at rx_pos looking back toward tx_pos
-        a_rx, dist = _array_steering(n_rx, rx_pos, tx_pos, rx_offset)
-        a_tx, _ = _array_steering(n_tx, tx_pos, rx_pos, 0)
+        a_rx, dist = _array_steering(n_rx, rx_pos, tx_pos)
+        a_tx, _ = _array_steering(n_tx, tx_pos, rx_pos)
         amp = math.sqrt(path_gain(dist, self.cfg.pl_ref_db, self.cfg.pl_exponent))
         H = np.outer(a_rx, a_tx.conj())
         if self.rng is not None:

@@ -482,6 +482,16 @@ def test_run_experiment_ldt_rows_report_iterations():
     assert rows[0].flags == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ldt_rows_at_extreme_snr_raise_no_warning():
+    # at 90 dBm over -120 dBm noise some multiplier searches have a outside
+    # range(A) with eigenvalues clipped to 0; a warning would flag the row
+    spec = ExperimentSpec(sweep=SweepSpec("total_power_dbm", [90.0]), methods=["ldt-cffp"],
+                          noise_dbm=-120.0, seeds=[1])
+    (row,) = run_experiment(spec)
+    assert row.flags == [] and math.isfinite(row.sr_bits) and row.sr_bits > 0.0
+
+
 def test_pa_grid_sweep_reports_the_converged_surface():
     pairs = [(0.2, 0.4), (0.6, 0.8)]
     spec = _spec(sweep=SweepSpec("pa_grid", pairs), methods=["nsp-mrr-pa/ES"],

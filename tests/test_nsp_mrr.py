@@ -1,9 +1,11 @@
 """Blocked pipeline: projectors, closed-form beams, gains, scalar PA path."""
 
 import copy
+import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from numpy.testing import assert_allclose
 
 from conftest import crandn, random_blocked, random_block_design, unit
 
+from airsdm import nsp_mrr
+from airsdm.harness import ExperimentSpec, SweepSpec, run_experiment
 from airsdm.model import NoiseProfile, snr_pair, total_power
 from airsdm.nsp_mrr import (
     EPS,
@@ -99,9 +103,8 @@ def test_beamformers_maximize_target_gain_within_the_null_space():
     d = random_block_design(rng, bch, NOISE)
     v_b, v_e, _ = nsp_beamformers(bch, d)
 
-    from airsdm.nsp_mrr import _cascade_col
     T1 = nsp_projector(np.vstack([bch.h_b.conj()[None, :], bch.H_s1]))
-    target_e = bch.h_e + d.rho2 * _cascade_col(d.theta2, bch.g_e2, bch.H_s2)
+    target_e = bch.h_e + d.rho2 * (bch.H_s2.conj().T @ (d.theta2 * bch.g_e2))
     for _ in range(50):
         u = unit(T1 @ crandn(rng, bch.h_b.size))
         assert abs(np.vdot(target_e, v_e)) >= abs(np.vdot(target_e, u)) - 1e-12
@@ -180,7 +183,6 @@ def test_mrr_falls_back_on_a_zero_block_1_cascade():
 
 def test_reflection_adds_coherently_with_the_direct_path():
     rng = np.random.default_rng(5)
-    from airsdm.nsp_mrr import _cascade_gain
     for _ in range(25):
         bch = random_blocked(rng)
         d = random_block_design(rng, bch, NOISE)
@@ -189,14 +191,14 @@ def test_reflection_adds_coherently_with_the_direct_path():
         assert abs(np.linalg.norm(theta1) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(theta2) - 1.0) <= 1e-12
 
-        r1 = _cascade_gain(theta1, bch.g_b1, bch.H_s1, d.v_b)
+        r1 = complex(np.vdot(theta1, bch.g_b1.conj() * (bch.H_s1 @ d.v_b)))
         d_bb = complex(np.vdot(bch.h_b, d.v_b))
         c1 = bch.g_b1.conj() * (bch.H_s1 @ d.v_b)
         # same phase as the direct gain, magnitude equal to the cascade norm
         assert abs(np.angle(r1 / d_bb)) <= 1e-8
         assert_allclose(abs(r1), np.linalg.norm(c1), rtol=1e-12)
 
-        r2 = _cascade_gain(theta2, bch.g_e2, bch.H_s2, d.v_e)
+        r2 = complex(np.vdot(theta2, bch.g_e2.conj() * (bch.H_s2 @ d.v_e)))
         d_ee = complex(np.vdot(bch.h_e, d.v_e))
         assert abs(np.angle(r2 / d_ee)) <= 1e-8
 
@@ -499,6 +501,45 @@ def test_the_hoisted_closed_form_is_the_frozen_expression_bit_for_bit():
             assert np.isnan(ctx(0.5, 0.5))
 
 
+def _frozen_rho(bch, d, noise):
+    """``amplification_rho`` as written before ``PaScalarContext.at`` held the
+    expression: the reference the gains must match bit for bit."""
+    eta, beta, mu = d.pa.eta, d.pa.beta, d.pa.mu
+    s1 = float(np.sum(np.abs(d.theta1) ** 2 * np.abs(bch.H_s1 @ d.v_b) ** 2))
+    s2 = float(np.sum(np.abs(d.theta2) ** 2 * np.abs(bch.H_s2 @ d.v_e) ** 2))
+    rho1 = math.sqrt((1.0 - eta) * mu * d.p_s
+                     / (eta * beta * d.p_s * s1 + noise.sigma2_irs))
+    rho2 = math.sqrt((1.0 - eta) * (1.0 - mu) * d.p_s
+                     / (eta * (1.0 - beta) * d.p_s * s2 + noise.sigma2_irs))
+    return rho1, rho2
+
+
+def test_the_context_gains_are_the_frozen_expression_bit_for_bit():
+    rng = np.random.default_rng(17)
+    w = dbm_to_watts(-70.0)
+    bench_noise = NoiseProfile(sigma2_irs=w, sigma2_b=w, sigma2_e=w)
+    cases = []
+    for _ in range(10):
+        bch = random_blocked(rng)
+        cases.append((bch, random_block_design(rng, bch, NOISE), NOISE))
+    # the three bench scenes of _bench_scene_contexts, at their converged designs
+    for cfg in (benchmark_scene(), benchmark_scene(n_irs=32, n1=16, n2=16),
+                benchmark_scene(m_bs=8, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                                pl_ref_db=-60.0, seed=1)):
+        _, bch = build_channels(cfg)
+        d, _ = run_nsp_mrr_pa(bch, bench_noise, dbm_to_watts(20.0))
+        cases.append((bch, d, bench_noise))
+    pairs = [(0.01, 0.99), (0.5, 0.5), (0.99, 0.01)] + rng.uniform(1e-6, 1 - 1e-6, (20, 2)).tolist()
+    for bch, d, noise in cases:
+        ctx = PaScalarContext(bch, d, noise)
+        assert amplification_rho(bch, d, noise) == _frozen_rho(bch, d, noise)
+        for eta, beta in pairs:
+            moved = ctx.at(eta, beta)
+            assert (moved.rho1, moved.rho2) == _frozen_rho(bch, moved, noise)
+            alone = at_split(bch, d, noise, eta, beta)
+            assert (alone.pa, alone.rho1, alone.rho2) == (moved.pa, moved.rho1, moved.rho2)
+
+
 def test_pa_factors_validate_the_open_interval():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
@@ -712,9 +753,10 @@ def test_degenerate_null_spaces_flag_only_their_own_seed():
         assert not any(f.startswith("nsp-degenerate") for f in flags[0] + flags[2])
 
 
-def test_a_lockstep_stack_flags_the_seeds_that_hit_the_cap():
+def test_a_lockstep_stack_flags_the_seeds_that_hit_the_cap(monkeypatch):
+    monkeypatch.setattr(nsp_mrr, "MAX_ITERS", 8)
     bchs, noise, p_s = _criterion_10_stack()
-    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1, 2], max_iters=8)
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1, 2])
     assert [(t.iterations, t.converged, "iteration-cap" in t.flags) for _, t in runs] == \
         [(7, True, False), (8, False, True)]
 
@@ -725,3 +767,34 @@ def test_a_lockstep_stack_needs_one_channel_set_per_seed():
         run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1])
     with pytest.raises(ValueError, match="one channel set per seed"):
         run_nsp_mrr_pa_seeds([], noise, p_s, exhaustive_search, [])
+
+
+_BLOCKED = ["nsp-mrr-pa/ES", "nsp-mrr-pa/PSO", "nsp-mrr-pa/SA",
+            "fixed-eta", "fixed-beta", "fixed-both"]
+
+
+def test_blocked_rows_reproduce_the_recorded_golden():
+    """Rows recorded before PaScalarContext moved designs to their splits:
+    the six blocked methods on criterion 10's Rician scene, and a pa_grid
+    on the degenerate scene, where both null spaces are trivial."""
+    golden = json.loads((Path(__file__).parent / "data" / "blocked_golden.json").read_text())
+    specs = {
+        "criterion_10": ExperimentSpec(
+            sweep=SweepSpec("n_elements", [8]), methods=_BLOCKED,
+            scene=benchmark_scene(m_bs=8, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                                  pl_ref_db=-60.0),
+            power_dbm=20.0, seeds=[1, 2]),
+        "pa_grid_degenerate": ExperimentSpec(
+            sweep=SweepSpec("pa_grid", [(0.2, 0.3), (0.5, 0.5), (0.9, 0.1)]), methods=_BLOCKED,
+            scene=benchmark_scene(m_bs=4, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                                  pl_ref_db=-60.0),
+            seeds=[1, 2]),
+    }
+    for name, spec in specs.items():
+        rows, want = run_experiment(spec), golden[name]
+        # method, sweep value, seed, iterations, flags and the split exactly
+        got = [(r.method, r.sweep_value, r.seed, r.iterations, r.flags, r.eta, r.beta)
+               for r in rows]
+        assert got == [(w[0], tuple(w[1]) if isinstance(w[1], list) else w[1], w[2], w[4],
+                        w[5], w[6], w[7]) for w in want]
+        assert_allclose([r.sr_bits for r in rows], [w[3] for w in want], rtol=1e-10)

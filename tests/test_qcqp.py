@@ -279,6 +279,24 @@ def test_newton_multiplier_with_a_orthogonal_to_a_stiff_range():
         assert_allclose(sol.constraint, p, rtol=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_search_outside_range_a_starts_off_a_zero_eigenvalue():
+    # a is out of range(A): its flat components are kept, one with d clipped
+    # to exactly 0 and one at 5e-14, which takes the flat bound below 0; the
+    # search must not start at nu = 0, where g is infinite
+    A = np.diag([0.0, 5e-14, 1.0]).astype(complex)
+    a = np.array([1e-8, 1e-8j, 1.0])
+    p = 1e12
+    alone = solve_qcqp(QcqpProblem(a=a, A=A, F=np.eye(3), p_budget=p))
+    stack = solve_qcqp_stack(QcqpProblem(a=np.stack([a, 2.0 * a]), A=np.stack([A, A]),
+                                         F=np.stack([np.eye(3)] * 2), p_budget=[p, p]))
+    for sol in (alone, stack):
+        assert np.all(np.atleast_1d(sol.nu) > 0.0)
+        assert np.all(np.atleast_1d(sol.bisect_steps) <= 20)
+        assert_allclose(sol.constraint, p, rtol=1e-9)
+    assert stack.nu[0] == alone.nu and np.array_equal(stack.x[0], alone.x)
+
+
 def test_solver_is_deterministic():
     rng = np.random.default_rng(7)
     prob = random_problem(rng, 5)
