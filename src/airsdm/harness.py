@@ -2,10 +2,11 @@
 
 An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
-seed) cell and returns sorted :class:`ResultRow` records.  The seeds of
-one method at one sweep value run as one stack; if it fails, each seed
-reruns alone, and a seed that still fails becomes flagged rows instead of
-aborting the batch.  Tables are emitted as CSV (schema versioned in a
+seed) cell and returns sorted :class:`ResultRow` records.  Every cell of
+a method runs in one call: one stack, except for ``ldt-cffp``, which
+runs one stack per sweep value; if the call fails, each of its cells
+reruns alone, and a cell that still fails becomes flagged rows instead
+of aborting the batch.  Tables are emitted as CSV (schema versioned in a
 header comment) and/or JSON, both of which round-trip losslessly through
 the matching readers.
 """
@@ -13,6 +14,7 @@ the matching readers.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -26,7 +28,7 @@ from .model import Design, NoiseProfile, secrecy_rate
 # run_ldt_cffp, run_nsp_mrr_pa: not called here; kept as module globals that traced runs wrap
 from .ldt_cffp import run_ldt_cffp, run_ldt_cffp_seeds
 from .nsp_mrr import (
-    at_split,
+    PaScalarContext,
     blocked_secrecy_rate,
     run_nsp_mrr_pa,
     run_nsp_mrr_pa_seeds,
@@ -292,36 +294,44 @@ def run_point(spec: ExperimentSpec, value, method: str, seed: int,
     Returns its row and the optimizer's per-iteration trace (None for the
     closed-form ``zero-reflection``).  Errors propagate to the caller.
     """
-    rows, traces = _run_seeds(spec, value, method, [seed], keep_rows=True)
+    rows, traces = _run_seeds(spec, method, [(value, seed)], keep_rows=True)
     return rows[0], traces[0]
 
 
-def _run_seeds(spec: ExperimentSpec, value, method: str, seeds: list[int],
+def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
                keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace | None]]:
-    """Run the given seeds of one method at one sweep value as one stack.
+    """Run the (sweep value, seed) cells of one method as one stack.
 
-    Returns the seeds' rows and their optimizers' traces (None for the
+    Returns the cells' rows and their optimizers' traces (None for the
     closed-form ``zero-reflection``); ``keep_rows`` keeps the per-iteration
-    rows of ``ldt-cffp`` traces.  Under ``pa_grid`` (``value`` None) each
-    seed's converged design is moved to every pair (``at_split``) and
-    scored there, one row per pair.
-    Errors propagate to the caller.
+    rows of ``ldt-cffp`` traces.  A blocked stack may hold any cells, each
+    with its own channels and power.  An ``ldt-cffp`` stack shares N and
+    the power, so its cells run as one stack per run of cells at one sweep
+    value.  Under ``pa_grid`` (value None) each seed's converged design is
+    moved to every pair through its context (``PaScalarContext.at``) and
+    scored there, one row per pair.  Errors propagate to the caller.
     """
+    if method == "ldt-cffp" and any(value != cells[0][0] for value, _ in cells):
+        parts = [_run_seeds(spec, method, list(group), keep_rows)
+                 for _, group in itertools.groupby(cells, key=lambda cell: cell[0])]
+        return ([row for rows, _ in parts for row in rows],
+                [trace for _, traces in parts for trace in traces])
     noise = _noise_profile(spec)
     kind = spec.sweep.kind
-    scenes = [_scene_at(spec, value, seed) for seed in seeds]
-    p_watts = scenes[0][1]
+    scenes = [_scene_at(spec, value, seed) for value, seed in cells]
+    seeds = [seed for _, seed in cells]
     if method == "zero-reflection":
         rows = []
-        for (cfg, _), seed in zip(scenes, seeds):
+        for (cfg, p_watts), (value, seed) in zip(scenes, cells):
             ch = build_channels(cfg)[0]
             t0 = time.perf_counter()
             design, flags = _zero_reflection_design(ch, p_watts)
             sr = secrecy_rate(ch, design, noise)
             rows.append(ResultRow(method, kind, value, seed, sr, 0,
                                   max(time.perf_counter() - t0, 1e-9), flags))
-        return rows, [None] * len(seeds)
+        return rows, [None] * len(cells)
     if method == "ldt-cffp":
+        value, p_watts = cells[0][0], scenes[0][1]
         chs = [build_channels(cfg)[0] for cfg, _ in scenes]
         runs = run_ldt_cffp_seeds(chs, noise, p_watts, seeds, keep_rows)
         rows = [ResultRow(method, kind, value, seed, secrecy_rate(ch, design, noise),
@@ -329,13 +339,14 @@ def _run_seeds(spec: ExperimentSpec, value, method: str, seeds: list[int],
                 for seed, ch, (design, trace) in zip(seeds, chs, runs)]
         return rows, [trace for _, trace in runs]
     bchs = [build_channels(cfg)[1] for cfg, _ in scenes]
-    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_watts, _SEARCHERS[method], seeds)
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, [p for _, p in scenes], _SEARCHERS[method], seeds)
     rows = []
-    for seed, bch, (design, trace) in zip(seeds, bchs, runs):
+    for (value, seed), bch, (design, trace) in zip(cells, bchs, runs):
         # (sweep value, design) of each row: the converged design, or under
         # pa_grid that design moved to each pair
         if kind == "pa_grid":
-            scored = [(pair, at_split(bch, design, noise, *pair)) for pair in spec.sweep.values]
+            ctx = PaScalarContext(bch, design, noise)
+            scored = [(pair, ctx.at(*pair)) for pair in spec.sweep.values]
         else:
             scored = [(value, design)]
         rows.extend(ResultRow(method, kind, v, seed, blocked_secrecy_rate(bch, d, noise),
@@ -345,13 +356,14 @@ def _run_seeds(spec: ExperimentSpec, value, method: str, seeds: list[int],
     return rows, [trace for _, trace in runs]
 
 
-def _run_alone(spec: ExperimentSpec, value, method: str, seed: int) -> list[ResultRow]:
-    """The rows of one seed run on its own.  A failure becomes one flagged
-    NaN row for each sweep value the run stands for: every pair under
-    ``pa_grid``, else ``value``."""
+def _run_alone(spec: ExperimentSpec, method: str, cell: tuple) -> list[ResultRow]:
+    """The rows of one (sweep value, seed) cell run on its own.  A failure
+    becomes one flagged NaN row for each sweep value the run stands for:
+    every pair under ``pa_grid``, else the cell's value."""
+    value, seed = cell
     t0 = time.perf_counter()
     try:
-        return _run_seeds(spec, value, method, [seed])[0]
+        return _run_seeds(spec, method, [cell])[0]
     except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
         flag = f"error:{type(exc).__name__}: {exc}"
         wall = max(time.perf_counter() - t0, 1e-9)
@@ -369,21 +381,25 @@ def _row_key(row: ResultRow) -> tuple:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (sweep value, method, seed) cell; failures become flagged rows.
 
-    The seeds of each method at one sweep value (at every pair of a
-    ``pa_grid`` sweep, which one run per seed scores) run as one stack.  If
-    the stack raises, each seed runs alone, so a failure stays the rows of
-    the seed that fails.  Rows come back sorted by (method, sweep, value,
-    seed), so the table is independent of execution order.
+    Each method runs all its cells in one ``_run_seeds`` call: every
+    (sweep value, seed) pair of a batch (every seed of a ``pa_grid``
+    sweep, whose one run per seed scores all pairs).  That is one stack,
+    or for ``ldt-cffp`` one stack per sweep value.  A stacked row's
+    ``wall_time_s`` is its own work plus its share of the stack's, so in
+    a blocked stack it mixes the work of every sweep value.  If the call
+    raises, each cell runs alone, so a failure stays the rows of the cell
+    that fails.  Rows come back sorted by (method, sweep, value, seed), so
+    the table is independent of execution order.
     """
     values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
     rows: list[ResultRow] = []
-    for value in values:
-        for method in spec.methods:
-            try:
-                rows.extend(_run_seeds(spec, value, method, spec.seeds)[0])
-            except Exception:  # noqa: BLE001 - each seed's own run reports it
-                for seed in spec.seeds:
-                    rows.extend(_run_alone(spec, value, method, seed))
+    for method in spec.methods:
+        cells = [(value, seed) for value in values for seed in spec.seeds]
+        try:
+            rows.extend(_run_seeds(spec, method, cells)[0])
+        except Exception:  # noqa: BLE001 - each cell's own run reports it
+            for cell in cells:
+                rows.extend(_run_alone(spec, method, cell))
     rows.sort(key=_row_key)
     return rows
 

@@ -22,9 +22,10 @@ candidate splits and moves the design to one (``at``); ``at_split`` and
 ``amplification_rho`` are calls on a fresh context.
 
 ``run_nsp_mrr_pa_seeds`` runs the loop of several seeds, each on its own
-channels, in lockstep: each pass searches all their splits with one
-``search_stack`` call on their stacked contexts, and a seed leaves the
-stack in the pass it converges (or after ``MAX_ITERS`` passes, flagged).
+channels and power budget, in lockstep: each pass searches all their
+splits with one ``search_stack`` call on their stacked contexts, and a
+seed leaves the stack in the pass it converges (or after ``MAX_ITERS``
+passes, flagged).
 ``run_nsp_mrr_pa`` is its stack of one.  The null-space projectors depend
 only on the channels, so each seed's are computed once per run.
 
@@ -228,8 +229,8 @@ _BOX_ERROR = "eta and beta must lie strictly inside (0, 1)"
 
 
 _COEFFICIENTS = ("a", "b", "c", "d", "e", "f", "a_hat", "b_hat", "c_hat", "d_hat",
-                 "e_hat", "f_hat", "s1", "s2")
-_SHARED = ("mu", "p_s", "sigma2_irs", "sigma2_b", "sigma2_e")
+                 "e_hat", "f_hat", "s1", "s2", "p_s", "ps2")
+_SHARED = ("mu", "sigma2_irs", "sigma2_b", "sigma2_e")
 
 
 class PaScalarContext:
@@ -249,9 +250,9 @@ class PaScalarContext:
     for bit at a fraction of its per-call cost.
 
     ``PaScalarContext.stack(rows)`` puts the contexts of several seeds on
-    a leading seed axis: its coefficients are (S, 1) arrays, it scores two
-    (S, K) arrays row by row through the same expression, and ``ctx[i]``
-    is row i, that seed's own float context.
+    a leading seed axis: its coefficients and p_s are (S, 1) arrays, it
+    scores two (S, K) arrays row by row through the same expression, and
+    ``ctx[i]`` is row i, that seed's own float context.
     """
 
     def __init__(self, bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile):
@@ -259,6 +260,9 @@ class PaScalarContext:
         self.design = d
         self.mu = float(d.pa.mu)
         self.p_s = float(d.p_s)
+        # Python's pow, once: numpy squares a stacked column, which differs
+        # in the last bit on some inputs
+        self.ps2 = self.p_s ** 2
         self.sigma2_irs = float(noise.sigma2_irs)
         self.sigma2_b = float(noise.sigma2_b)
         self.sigma2_e = float(noise.sigma2_e)
@@ -305,11 +309,12 @@ class PaScalarContext:
     def stack(cls, rows: list["PaScalarContext"]) -> "PaScalarContext":
         """The contexts of several seeds as one, on a leading seed axis.
 
-        The rows must share mu, p_s and the noise powers.
+        The rows must share mu and the noise powers; p_s, like the
+        coefficients, is an (S, 1) column.
         """
         first = rows[0]
         if any(getattr(r, k) != getattr(first, k) for r in rows for k in _SHARED):
-            raise ValueError("stacked contexts must share mu, p_s and the noise powers")
+            raise ValueError("stacked contexts must share mu and the noise powers")
         out = cls.__new__(cls)
         for k in _SHARED:
             setattr(out, k, getattr(first, k))
@@ -333,7 +338,7 @@ class PaScalarContext:
         ps, mu, s2_irs = self.p_s, self.mu, self.sigma2_irs
         # Hoisted: only the subexpressions every use groups the same way, so
         # each product keeps its left-to-right order and its bits.
-        ie, ib, im, ps2 = 1.0 - eta, 1.0 - beta, 1.0 - mu, ps ** 2
+        ie, ib, im, ps2 = 1.0 - eta, 1.0 - beta, 1.0 - mu, self.ps2
         cm_ps = eta * beta * ps          # the BS power of the confidential beam
         an_ps = eta * ib * ps            # the BS power of the AN beam
         # per-block incident power (signal + IRS noise) at unit gain
@@ -395,28 +400,32 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     return run_nsp_mrr_pa_seeds([bch], noise, p_s, searcher, [seed])[0]
 
 
-def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile, p_s: float,
-                         searcher: Callable[..., SearchResult], seeds: list[int],
-                         ) -> list[tuple[BlockDesign, RunTrace]]:
-    """``run_nsp_mrr_pa`` for each (channels, seed) pair, run in lockstep.
+def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile,
+                         p_s: float | list[float], searcher: Callable[..., SearchResult],
+                         seeds: list[int]) -> list[tuple[BlockDesign, RunTrace]]:
+    """``run_nsp_mrr_pa`` for each (channels, power, seed) row, run in lockstep.
 
-    Each pass computes every running seed's beams, reflect vectors and
-    ``PaScalarContext``, then searches all their splits with one
-    ``pa_search.search_stack`` call on the stacked contexts (one swarm
-    stack for PSO, row by row for the other searchers), then moves each
-    seed's design to its split through its context.  A seed leaves the
-    stack in the pass its beamformers converge.  Each seed's projectors
-    are computed once, from its channels.  Each seed's design, trace rows, iterations and flags are
-    those of its own run.  Its ``wall_time_s`` is the time of its own work
-    (projectors, beams, context, its search's ``seconds``, gains) plus, in
-    each pass it ran, an even share of the rest of the pass, so the seeds'
-    times add up to the stack's.
+    ``p_s`` is one power budget per row, or one float that every row
+    shares; a row's seed, channels and budget are its own, so a stack can
+    hold the cells of several sweep values.  Each pass computes every
+    running row's beams, reflect vectors and ``PaScalarContext``, then
+    searches all their splits with one ``pa_search.search_stack`` call on
+    the stacked contexts (one swarm stack for PSO, one array chain for SA
+    on a large stack, row by row otherwise), then moves each row's design
+    to its split through its context.  A row leaves the stack in the pass
+    its beamformers converge.  Each row's projectors are computed once,
+    from its channels.  Each row's design, trace rows, iterations and
+    flags are those of its own run.  Its ``wall_time_s`` is the time of
+    its own work (projectors, beams, context, its search's ``seconds``,
+    gains) plus, in each pass it ran, an even share of the rest of the
+    pass, so the rows' times add up to the stack's.
     """
-    if not seeds or len(bchs) != len(seeds):
-        raise ValueError(f"need one channel set per seed and at least one seed, "
-                         f"got {len(bchs)} for {len(seeds)}")
+    budgets = [p_s] * len(seeds) if isinstance(p_s, (int, float)) else list(p_s)
+    if not seeds or len(bchs) != len(seeds) or len(budgets) != len(seeds):
+        raise ValueError(f"need one channel set per seed, one power per seed and at least "
+                         f"one seed, got {len(bchs)} and {len(budgets)} for {len(seeds)}")
     mark = time.perf_counter()
-    runs = [_SeedRun(bch, p_s) for bch in bchs]
+    runs = [_SeedRun(bch, budget) for bch, budget in zip(bchs, budgets)]
     live = list(range(len(runs)))
     for it in range(1, MAX_ITERS + 1):
         stack = PaScalarContext.stack([runs[i].beams(noise) for i in live])

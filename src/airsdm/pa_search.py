@@ -28,9 +28,11 @@ seed and start.
 ``search_stack(searcher, objective, seeds, starts)`` searches every row
 of a stacked objective (``PaScalarContext.stack``: one seed per row) and
 returns what the row-by-row calls return, bit for bit.  PSO runs its
-swarms as one stack, one objective call per sweep for all rows; the other
-searchers run one row at a time.  Each result's ``seconds`` is its row's
-own search time, or its even share of the swarm stack's.
+swarms as one stack, one objective call per sweep for all rows; SA runs
+a stack of at least ``ARRAY_CHAINS`` rows as one array chain, one
+objective call per proposal for all rows; the other searchers, and SA on
+a smaller stack, run one row at a time.  Each result's ``seconds`` is its
+row's own search time, or its even share of the stacked search's.
 
 One pick rule holds everywhere: a NaN value counts as -inf, so it never
 wins a comparison (a best, a personal or global best, a Metropolis test).
@@ -39,6 +41,7 @@ A result's value is -inf only when every candidate scored NaN.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -73,6 +76,10 @@ COOLING = 0.95
 LEVELS = 100
 PROPOSALS = 20                      # proposals per temperature level
 STEP = 0.05                         # Gaussian proposal std
+# Rows from which search_stack runs SA as one array chain.  An array chain
+# step costs about the same at any S, the float chains S float steps; they
+# cross near 35 rows and are within 10% of each other at 32 (see README).
+ARRAY_CHAINS = 32
 
 
 @dataclass
@@ -188,19 +195,23 @@ def search_stack(searcher: Callable, objective, seeds: list[int],
     is its row i, a one-row objective (``PaScalarContext.stack`` gives
     both).  Result i is bit for bit ``searcher(objective[i], seeds[i],
     start=starts[i])``.  PSO runs its swarms as one stack, one objective
-    call per sweep for all rows; every other searcher runs row by row, as
-    an annealing chain is cheaper on its row's float path than in a stack
-    and a stacked grid scan holds S times the grid in memory.  Each
-    result's ``seconds`` is its row's own search time, or for PSO an even
-    share of the swarm stack's.
+    call per sweep for all rows.  SA runs as one array chain, one
+    objective call per proposal for all rows, once S >= ``ARRAY_CHAINS``;
+    on fewer rows its float chains are cheaper.  Every other searcher runs
+    row by row, as a stacked grid scan holds S times the grid in memory.
+    Each result's ``seconds`` is its row's own search time, or for a
+    stacked search an even share of the stack's.
     """
     if len(starts) != len(seeds):
         raise ValueError(f"need one start per seed, got {len(starts)} for {len(seeds)}")
-    if searcher is pso_search:
-        for start in starts:
-            _check_start(start)
+    if searcher is pso_search or (searcher is annealing_search
+                                  and len(seeds) >= ARRAY_CHAINS):
+        starts = [_check_start(start) for start in starts]
         t0 = time.perf_counter()
-        results = _swarms(lambda etas, betas: _values(objective, etas, betas), seeds)
+        if searcher is pso_search:
+            results = _swarms(lambda etas, betas: _values(objective, etas, betas), seeds)
+        else:
+            results = _chains(objective, seeds, starts)
         share = (time.perf_counter() - t0) / len(seeds)
         for res in results:
             res.seconds = share
@@ -263,6 +274,84 @@ def annealing_search(objective: Callable, seed: int = 0,
                 best = (eta, beta)
         temp *= COOLING
     return SearchResult(best, best_val, LEVELS * PROPOSALS + 1)
+
+
+def _chains(objective, seeds: list[int],
+            starts: list[tuple[float, float] | None]) -> list[SearchResult]:
+    """One annealing chain per row, advanced together as arrays.
+
+    Row i is ``annealing_search(objective[i], seeds[i], start=starts[i])``
+    bit for bit: its generator gives its cold start, then ``_level_draws``
+    its steps and uniforms.  Start values are scored on each row's float
+    path, proposals with one stacked call per proposal on contiguous
+    (S, 1) columns of eta and beta.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    points = np.array([rng.uniform(LO, HI, size=2) if start is None else start
+                       for rng, start in zip(rngs, starts)])
+    fz = np.array([[_value(objective[i], *point)] for i, point in enumerate(points.tolist())])
+    z = np.ascontiguousarray(points.T[..., None])   # (2, S, 1): eta and beta columns
+    best, best_val = z.copy(), fz.copy()
+    temp = T0
+    for steps, draws in _level_draws(rngs):
+        for step, draw in zip(steps[..., None], draws[..., None]):
+            cand = _reflect_array(z + step)
+            fc = _values(objective, cand[0], cand[1])
+            take = _metropolis(fz, fc, draw, temp)
+            np.copyto(z, cand, where=take)
+            np.copyto(fz, fc, where=take)
+            better = fc > best_val
+            np.copyto(best, cand, where=better)
+            np.copyto(best_val, fc, where=better)
+        temp *= COOLING
+    return [SearchResult((eta, beta), val, LEVELS * PROPOSALS + 1)
+            for eta, beta, val in zip(best[0, :, 0].tolist(), best[1, :, 0].tolist(),
+                                      best_val[:, 0].tolist())]
+
+
+def _level_draws(rngs: list[np.random.Generator]):
+    """Each level's Gaussian steps, (PROPOSALS, 2, S), and Metropolis
+    uniforms, (PROPOSALS, S), one row per generator.
+
+    Row i's steps are the next ``(PROPOSALS, 2)`` normals of ``rngs[i]``;
+    its uniforms come from a copy of ``rngs[i]`` moved past all
+    ``LEVELS * PROPOSALS * 2`` normals.  So the rows read their streams as
+    ``annealing_search``'s one-shot draws do, with one level in memory.
+    """
+    ahead = [copy.deepcopy(rng) for rng in rngs]
+    for rng in ahead:
+        rng.standard_normal(LEVELS * PROPOSALS * 2)
+    for _ in range(LEVELS):
+        yield (np.stack([rng.normal(0.0, STEP, (PROPOSALS, 2)) for rng in rngs], axis=2),
+               np.stack([rng.random(PROPOSALS) for rng in ahead], axis=1))
+
+
+def _reflect_array(x: np.ndarray) -> np.ndarray:
+    """``_reflect`` elementwise: np.remainder is Python's float %, and the
+    smaller of y and 2 * width - y is y reflected at width."""
+    width = HI - LO
+    y = np.remainder(x - LO, 2.0 * width)
+    return LO + np.minimum(y, 2.0 * width - y)
+
+
+def _metropolis(fz: np.ndarray, fc: np.ndarray, draw: np.ndarray,
+                temp: float) -> np.ndarray:
+    """Where the float chain moves from value ``fz`` to ``fc``: its
+    ``loss <= 0.0 or draw < math.exp(-loss / temp)`` with ``loss = fz - fc``
+    (NaN, and so rejected, when both are -inf); ``fc - fz`` is ``-loss``
+    bit for bit.  ``np.exp`` can differ from ``math.exp`` in the last bit,
+    so a row whose draw lies within 2 ulps of ``np.exp`` is decided with
+    ``math.exp``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gain = fc - fz
+        p = np.exp(gain / temp)
+        below = draw - p
+        take = (gain >= 0.0) | (below < 0.0)
+        close = np.abs(below) <= 2.0 * np.spacing(p)
+    for i in close.ravel().nonzero()[0]:
+        loss = float(fz.flat[i] - fc.flat[i])
+        take.flat[i] = loss <= 0.0 or float(draw.flat[i]) < math.exp(-loss / temp)
+    return take
 
 
 def fixed_point_search(objective: Callable, seed: int = 0,

@@ -378,6 +378,74 @@ def test_pa_grid_and_zero_reflection_stacks_give_the_rows_of_their_seeds(sweep, 
     assert _rows_of(rows) == _rows_of(_one_seed_runs(spec))
 
 
+def _recording(monkeypatch, name):
+    """Record the seed list of every call to ``harness.<name>``."""
+    from airsdm import harness
+
+    original, calls = getattr(harness, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(list(args[4] if name == "run_nsp_mrr_pa_seeds" else args[3]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", [SweepSpec("total_power_dbm", [20.0, 30.0]),
+                                   SweepSpec("n_elements", [4, 8])], ids=["power", "elements"])
+def test_a_blocked_method_runs_its_batch_as_one_stack(monkeypatch, sweep):
+    """32 cells: one stack, whose first passes run SA as one array chain,
+    and every row is its cell's own run_point row."""
+    from airsdm.harness import run_point
+
+    spec = _spec(sweep=sweep, methods=["nsp-mrr-pa/SA"], seeds=list(range(1, 17)))
+    calls = _recording(monkeypatch, "run_nsp_mrr_pa_seeds")
+    rows = run_experiment(spec)
+    assert calls == [spec.seeds * 2]
+    alone = [run_point(spec, r.sweep_value, r.method, r.seed)[0] for r in rows]
+    assert _rows_of(rows) == _rows_of(alone)
+
+
+def test_ldt_cffp_runs_one_stack_per_sweep_value(monkeypatch):
+    from airsdm import ldt_cffp
+    from airsdm.harness import run_point
+
+    monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 3)
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
+                 methods=["ldt-cffp", "fixed-both"], seeds=[1, 2, 3])
+    ldt = _recording(monkeypatch, "run_ldt_cffp_seeds")
+    blocked = _recording(monkeypatch, "run_nsp_mrr_pa_seeds")
+    rows = run_experiment(spec)
+    assert ldt == [[1, 2, 3], [1, 2, 3]]
+    assert blocked == [[1, 2, 3, 1, 2, 3]]
+    alone = [run_point(spec, r.sweep_value, r.method, r.seed)[0] for r in rows]
+    assert _rows_of(rows) == _rows_of(alone)
+
+
+def test_a_failing_cell_of_a_cross_value_stack_keeps_every_other_row(monkeypatch):
+    from airsdm import harness
+    from airsdm.pa_search import exhaustive_search
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
+                 methods=["nsp-mrr-pa/ES"], seeds=[1, 2, 3])
+    clean = run_experiment(spec)
+    p_30 = dbm_to_watts(30.0)
+
+    def fails_at_30_dbm_for_seed_2(objective, seed, start=None):
+        if objective.p_s == p_30 and seed == 2 and start is None:
+            raise np.linalg.LinAlgError(f"synthetic failure at {objective.p_s} W")
+        return exhaustive_search(objective, seed, start=start)
+
+    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", fails_at_30_dbm_for_seed_2)
+    rows = run_experiment(spec)
+    broken = [r for r in rows if (r.sweep_value, r.seed) == (30.0, 2)]
+    assert [r.flags for r in broken] == [[f"error:LinAlgError: synthetic failure at {p_30} W"]]
+    assert math.isnan(broken[0].sr_bits) and broken[0].iterations == 0
+    assert _rows_of([r for r in rows if r not in broken]) == \
+        _rows_of([r for r in clean if (r.sweep_value, r.seed) != (30.0, 2)])
+
+
 def _fails_for_seed_100(objective, seed, start=None):
     from airsdm.pa_search import exhaustive_search
 

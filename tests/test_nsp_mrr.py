@@ -379,10 +379,37 @@ def test_stacked_contexts_must_share_the_scalars_they_do_not_stack():
     rng = np.random.default_rng(15)
     rows = _shared_mu_contexts(rng, 2)
     bch, d, _ = _context_and_design(rng)
-    with pytest.raises(ValueError, match="share"):
-        PaScalarContext.stack(rows + [PaScalarContext(bch, replace(d, p_s=2.0), NOISE)])
+    d = replace(d, pa=replace(d.pa, mu=0.8))
+    others = [PaScalarContext(bch, replace(d, pa=replace(d.pa, mu=0.7)), NOISE)]
+    for name in ("sigma2_irs", "sigma2_b", "sigma2_e"):
+        noise = replace(NOISE, **{name: 2.0 * getattr(NOISE, name)})
+        others.append(PaScalarContext(bch, d, noise))
+    for other in others:
+        with pytest.raises(ValueError, match="share"):
+            PaScalarContext.stack(rows + [other])
+    # the power budget is stacked, not shared
+    stack = PaScalarContext.stack(rows + [PaScalarContext(bch, replace(d, p_s=2.0), NOISE)])
+    assert np.shape(stack.p_s) == (3, 1)
     with pytest.raises(ValueError):
         PaScalarContext.stack(rows)(np.full((2, 1), 0.5), np.full((2, 1), 1.0))
+
+
+def test_stacked_contexts_with_their_own_budgets_score_each_row_as_its_own_context():
+    rng = np.random.default_rng(18)
+    budgets = [1.0, 3.7, 1.0, 0.01, 52.3, 1e-3 * rng.uniform()]
+    rows = []
+    for p_s in budgets:
+        bch, d, _ = _context_and_design(rng)
+        rows.append(PaScalarContext(bch, replace(d, p_s=p_s, pa=replace(d.pa, mu=0.8)), NOISE))
+    stack = PaScalarContext.stack(rows)
+    assert stack.p_s.shape == stack.ps2.shape == (6, 1)
+    etas = rng.uniform(0.01, 0.99, (6, 40))
+    betas = rng.uniform(0.01, 0.99, (6, 40))
+    values = stack(etas, betas)
+    for i, row in enumerate(rows):
+        assert np.array_equal(values[i], row(etas[i], betas[i]))
+        for k in range(0, 40, 7):
+            assert values[i, k] == row(float(etas[i, k]), float(betas[i, k]))
 
 
 def test_scalar_call_keeps_numpy_semantics_when_the_denominators_underflow():
@@ -767,6 +794,19 @@ def test_a_lockstep_stack_needs_one_channel_set_per_seed():
         run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1])
     with pytest.raises(ValueError, match="one channel set per seed"):
         run_nsp_mrr_pa_seeds([], noise, p_s, exhaustive_search, [])
+    with pytest.raises(ValueError, match="one power per seed"):
+        run_nsp_mrr_pa_seeds(bchs, noise, [p_s], exhaustive_search, [1, 2])
+
+
+@pytest.mark.parametrize("searcher", [exhaustive_search, pso_search, annealing_search])
+def test_a_lockstep_stack_runs_each_seed_at_its_own_power(searcher):
+    bchs, noise, _ = _criterion_10_stack()
+    stack = [bchs[0], bchs[1], bchs[0]]
+    budgets = [dbm_to_watts(10.0), dbm_to_watts(20.0), dbm_to_watts(30.0)]
+    runs = run_nsp_mrr_pa_seeds(stack, noise, budgets, searcher, [1, 2, 3])
+    for run, bch, p_s, seed in zip(runs, stack, budgets, [1, 2, 3]):
+        assert run[0].p_s == p_s
+        assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=searcher, seed=seed))
 
 
 _BLOCKED = ["nsp-mrr-pa/ES", "nsp-mrr-pa/PSO", "nsp-mrr-pa/SA",

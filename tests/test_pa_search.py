@@ -11,6 +11,7 @@ from conftest import random_block_design, random_blocked, unit
 
 from airsdm.harness import _SEARCHERS
 from airsdm.model import NoiseProfile
+from airsdm import pa_search
 from airsdm.nsp_mrr import PaScalarContext
 from airsdm.pa_search import (
     SearchResult,
@@ -435,3 +436,96 @@ def test_a_stacked_search_checks_every_start_and_its_length():
             search_stack(searcher, RowStack([bowl, bowl]), [1, 2], [None, (0.5, 1.0)])
         with pytest.raises(ValueError, match="one start per seed"):
             search_stack(searcher, RowStack([bowl, bowl]), [1, 2], [None])
+
+
+# -- annealing chains as one array chain ------------------------------------------------
+
+def minus_inf(eta, beta):
+    return np.full(np.shape(eta), -np.inf)
+
+
+class CountedStack(CallCounter):
+    """A stacked objective that counts its stacked calls; row i is its own."""
+
+    def __getitem__(self, i):
+        return self.objective[i]
+
+
+def test_level_draws_read_each_stream_as_the_one_shot_draws():
+    seeds = [3, 8, 11]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs[1].uniform(0.01, 0.99, size=2)          # a cold start draws first
+    levels = list(pa_search._level_draws(rngs))
+    assert len(levels) == pa_search.LEVELS
+    steps = np.stack([s for s, _ in levels])     # (LEVELS, PROPOSALS, 2, S)
+    draws = np.stack([d for _, d in levels])     # (LEVELS, PROPOSALS, S)
+    for i, seed in enumerate(seeds):
+        ref = np.random.default_rng(seed)
+        if i == 1:
+            ref.uniform(0.01, 0.99, size=2)
+        assert np.array_equal(steps[..., i], ref.normal(0.0, 0.05, (100, 20, 2)))
+        assert np.array_equal(draws[..., i], ref.random((100, 20)))
+
+
+def assert_array_chain_is_the_float_chains(stack, seeds, starts):
+    counted = CountedStack(stack)
+    stacked = search_stack(annealing_search, counted, seeds, starts)
+    assert counted.calls == pa_search.LEVELS * pa_search.PROPOSALS
+    for i, (seed, start) in enumerate(zip(seeds, starts)):
+        assert_same_result(stacked[i], annealing_search(stack[i], seed, start=start))
+
+
+WARM = [(0.9, 0.1), (0.3, 0.7), (0.01, 0.99), (0.99, 0.01), (0.5, 0.5)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [32, 40])
+@pytest.mark.parametrize("starts", ["cold", "warm", "mixed"])
+def test_an_array_chain_is_the_float_chains_on_secrecy_surfaces(size, starts):
+    rows = secrecy_contexts(size)
+    chosen = {"cold": [None] * size,
+              "warm": [WARM[i % 5] for i in range(size)],
+              "mixed": [None if i % 3 else WARM[i % 5] for i in range(size)]}[starts]
+    assert_array_chain_is_the_float_chains(PaScalarContext.stack(rows),
+                                           list(range(100, 100 + size)), chosen)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [32, 40])
+def test_an_array_chain_keeps_the_nan_rule_of_each_row(size):
+    surfaces = [terraced, minus_inf, nan_cross, all_nan, bowl, tilted, nan_cell]
+    rows = [surfaces[i % len(surfaces)] for i in range(size)]
+    starts = [(0.3, 0.3) if i % 4 == 2 else (None if i % 2 else (0.5, 0.2)) for i in range(size)]
+    assert_array_chain_is_the_float_chains(RowStack(rows), list(range(size)), starts)
+
+
+def test_a_stack_below_the_threshold_runs_float_chains():
+    size = pa_search.ARRAY_CHAINS - 1
+    stack = CountedStack(RowStack([bowl, tilted] * size))
+    results = search_stack(annealing_search, stack, list(range(size)), [None] * size)
+    assert stack.calls == 0
+    for i, res in enumerate(results):
+        assert_same_result(res, annealing_search(stack[i], i))
+
+
+def test_the_array_metropolis_test_decides_near_ties_as_the_float_chain():
+    """Where np.exp and math.exp differ in the last bit, a draw between them
+    must get the float chain's decision: a draw equal to np.exp(x) below
+    math.exp(x) is accepted."""
+    sample = np.random.default_rng(21).uniform(-30.0, -1e-3, 20000).tolist()
+    below = [x for x in sample if np.exp(x) < math.exp(x)]
+    for x in below[:40] + sample[:40]:
+        exact = math.exp(x)
+        draws = [float(np.exp(x)), exact]
+        draws += [float(np.nextafter(exact, k)) for k in (0.0, 1.0)]
+        draws += [exact + k * float(np.spacing(exact)) for k in (-3, -2, 2, 3)]
+        for temp in (1.0, 0.5):
+            fz, fc = np.zeros((len(draws), 1)), np.full((len(draws), 1), x * temp)
+            take = pa_search._metropolis(fz, fc, np.array(draws)[:, None], temp)
+            loss = 0.0 - x * temp
+            assert take[:, 0].tolist() == [d < math.exp(-loss / temp) for d in draws]
+    if below:                                    # np.exp is below math.exp somewhere
+        x = below[0]
+        take = pa_search._metropolis(np.zeros((1, 1)), np.full((1, 1), x),
+                                     np.full((1, 1), np.exp(x)), 1.0)
+        assert take[0, 0]
