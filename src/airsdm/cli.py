@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="run one method and dump its iteration trace")
     p_trace.add_argument("--method", default="nsp-mrr-pa/ES",
-                         help=f"one of {', '.join(m for m in METHODS if m != 'zero-reflection')}")
+                         help=f"one of {', '.join(METHODS)}, if its runs record iterations")
     p_trace.add_argument("--n", type=int, default=16, help="IRS element count (even)")
     p_trace.add_argument("--power-dbm", type=float, default=20.0)
     p_trace.add_argument("--noise-dbm", type=float, default=-70.0)
@@ -328,13 +328,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.method == "zero-reflection":
-        raise ValueError(f"trace supports iterative methods, not {args.method!r}")
     # one cell of the default scene, checked and run as `run` would
     spec = ExperimentSpec(sweep=SweepSpec("n_elements", [args.n]), methods=[args.method],
                           power_dbm=args.power_dbm, noise_dbm=args.noise_dbm,
                           seeds=[args.seed])
     _, trace = run_point(spec, spec.sweep.values[0], args.method, args.seed)
+    if not trace.rows:
+        raise ValueError(f"trace needs a method whose runs record iterations, not {args.method!r}")
     lines = [json.dumps(row) for row in trace.rows]
     summary = json.dumps({"converged": trace.converged,
                           "iterations": trace.iterations,

@@ -2,13 +2,13 @@
 
 An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
-seed) cell and returns sorted :class:`ResultRow` records.  Every cell of
-a method runs in one call: one stack, except for ``ldt-cffp``, which
-runs one stack per sweep value; if the call fails, each of its cells
-reruns alone, and a cell that still fails becomes flagged rows instead
-of aborting the batch.  Tables are emitted as CSV (schema versioned in a
-header comment) and/or JSON, both of which round-trip losslessly through
-the matching readers.
+seed) cell and returns sorted :class:`ResultRow` records.  Each method is
+one record of a table: the channels it runs on and its stacked runner.
+Every cell of a method runs in one call to that runner; if the call
+fails, each of its cells reruns alone, and a cell that still fails
+becomes flagged rows instead of aborting the batch.  Tables are emitted
+as CSV (schema versioned in a header comment) and/or JSON, both of which
+round-trip losslessly through the matching readers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,29 +58,72 @@ __all__ = [
     "read_results_json",
 ]
 
-METHODS = (
-    "ldt-cffp",          # monolithic-IRS surrogate ascent
-    "nsp-mrr-pa/ES",     # blocked pipeline, exhaustive power-split search
-    "nsp-mrr-pa/PSO",    # blocked pipeline, particle-swarm search
-    "nsp-mrr-pa/SA",     # blocked pipeline, annealing search
-    "fixed-eta",         # blocked pipeline, eta pinned at 0.5, beta searched
-    "fixed-beta",        # blocked pipeline, beta pinned at 0.5, eta searched
-    "fixed-both",        # blocked pipeline, (eta, beta) pinned at (0.5, 0.5)
-    "zero-reflection",   # no IRS: matched-filter CM beam, AN nulled at Bob
-)
-
 SWEEP_KINDS = ("n_elements", "total_power_dbm", "n1", "n2", "pa_grid")
 
-# The blocked methods, whose final design carries a power split the pa_grid
-# sweep can map, and the power-split searcher each one runs.
-_SEARCHERS = {
-    "nsp-mrr-pa/ES": exhaustive_search,
-    "nsp-mrr-pa/PSO": pso_search,
-    "nsp-mrr-pa/SA": annealing_search,
-    "fixed-eta": fixed_eta_search,
-    "fixed-beta": fixed_beta_search,
-    "fixed-both": fixed_point_search,
+
+# --- methods: one record each ----------------------------------------------
+
+class _Method(NamedTuple):
+    """The channels a method runs on and its stacked runner, which calls the
+    optimizers through this module's globals (traced runs and tests patch them)."""
+
+    blocked: bool                   # the blocked channels, else the monolithic ones
+    run: Callable[..., list]        # (chs, noise, powers, seeds, keep_rows) -> [(design, trace)]
+
+
+def _run_ldt_cffp(chs, noise, powers, seeds, keep_rows):
+    """An ``ldt-cffp`` stack shares N and the power: one stack per run of
+    consecutive cells that share both."""
+    runs = []
+    cells = zip(chs, powers, seeds)
+    for (_, p_max), part in itertools.groupby(cells, key=lambda c: (c[0].g_b.size, c[1])):
+        part_chs, _, part_seeds = zip(*part)
+        runs += run_ldt_cffp_seeds(list(part_chs), noise, p_max, list(part_seeds), keep_rows)
+    return runs
+
+
+def _run_blocked(searcher, bchs, noise, powers, seeds, keep_rows):
+    """A blocked stack may hold any cells, each at its own power."""
+    return run_nsp_mrr_pa_seeds(bchs, noise, powers, searcher, seeds)
+
+
+def _zero_reflection_design(ch, p_watts: float) -> tuple[Design, list[str]]:
+    """No-IRS baseline: matched CM beam, AN beam nulled at Bob, half power each."""
+    flags: list[str] = []
+    h_b, h_e = ch.h_b, ch.h_e
+    v_b = math.sqrt(p_watts / 2.0) * h_b / np.linalg.norm(h_b)
+    resid = h_e - (np.vdot(h_b, h_e) / np.vdot(h_b, h_b)) * h_b
+    nrm = float(np.linalg.norm(resid))
+    if nrm > 1e-12 * float(np.linalg.norm(h_e)):
+        v_e = math.sqrt(p_watts / 2.0) * resid / nrm
+    else:
+        v_e = np.zeros_like(h_e)
+        flags.append("zero-reflection-degenerate")
+    theta = np.zeros(ch.H_si.shape[0], dtype=complex)
+    return Design(v_b=v_b, v_e=v_e, theta=theta), flags
+
+
+def _run_zero_reflection(chs, noise, powers, seeds, keep_rows):
+    """The closed-form baseline, cell by cell: no iterations, no trace rows."""
+    t0 = time.perf_counter()
+    designs = [_zero_reflection_design(ch, p_watts) for ch, p_watts in zip(chs, powers)]
+    share = max((time.perf_counter() - t0) / len(designs), 1e-9)
+    return [(d, RunTrace(iterations=0, flags=flags, wall_time_s=share)) for d, flags in designs]
+
+
+_TABLE = {
+    "ldt-cffp": _Method(False, _run_ldt_cffp),     # monolithic-IRS surrogate ascent
+    # the blocked pipeline per split searcher; fixed-* pin eta, beta or both at 0.5
+    "nsp-mrr-pa/ES": _Method(True, partial(_run_blocked, exhaustive_search)),
+    "nsp-mrr-pa/PSO": _Method(True, partial(_run_blocked, pso_search)),
+    "nsp-mrr-pa/SA": _Method(True, partial(_run_blocked, annealing_search)),
+    "fixed-eta": _Method(True, partial(_run_blocked, fixed_eta_search)),
+    "fixed-beta": _Method(True, partial(_run_blocked, fixed_beta_search)),
+    "fixed-both": _Method(True, partial(_run_blocked, fixed_point_search)),
+    "zero-reflection": _Method(False, _run_zero_reflection),   # no IRS; AN nulled at Bob
 }
+
+METHODS = tuple(_TABLE)
 
 
 def _integer(v, what: str) -> int:
@@ -170,8 +215,8 @@ class ExperimentSpec:
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+            if m not in _TABLE:
+                raise ValueError(f"unknown method {m!r}; expected one of {tuple(_TABLE)}")
         self.power_dbm = _finite(self.power_dbm, "power_dbm")
         self.noise_dbm = _finite(self.noise_dbm, "noise_dbm")
         if not self.seeds:
@@ -188,7 +233,7 @@ class ExperimentSpec:
                              f"scene, got {self.scene.seed} + {min(self.seeds)}")
         _check_formats(self.formats)
         if self.sweep.kind == "pa_grid":
-            bad = [m for m in self.methods if m not in _SEARCHERS]
+            bad = [m for m in self.methods if not _TABLE[m].blocked]
             if bad:
                 raise ValueError(f"pa_grid sweeps need power-split methods, not {bad}")
 
@@ -271,87 +316,50 @@ def _scene_at(spec: ExperimentSpec, value, seed: int) -> tuple[SceneConfig, floa
     return cfg, dbm_to_watts(power_dbm)
 
 
-def _zero_reflection_design(ch, p_watts: float) -> tuple[Design, list[str]]:
-    """No-IRS baseline: matched CM beam, AN beam nulled at Bob, half power each."""
-    flags: list[str] = []
-    h_b, h_e = ch.h_b, ch.h_e
-    v_b = math.sqrt(p_watts / 2.0) * h_b / np.linalg.norm(h_b)
-    resid = h_e - (np.vdot(h_b, h_e) / np.vdot(h_b, h_b)) * h_b
-    nrm = float(np.linalg.norm(resid))
-    if nrm > 1e-12 * float(np.linalg.norm(h_e)):
-        v_e = math.sqrt(p_watts / 2.0) * resid / nrm
-    else:
-        v_e = np.zeros_like(h_e)
-        flags.append("zero-reflection-degenerate")
-    theta = np.zeros(ch.H_si.shape[0], dtype=complex)
-    return Design(v_b=v_b, v_e=v_e, theta=theta), flags
-
-
 def run_point(spec: ExperimentSpec, value, method: str, seed: int,
-              ) -> tuple[ResultRow, RunTrace | None]:
+              ) -> tuple[ResultRow, RunTrace]:
     """Run one (sweep value, method, seed) cell of a non-pa_grid spec.
 
-    Returns its row and the optimizer's per-iteration trace (None for the
-    closed-form ``zero-reflection``).  Errors propagate to the caller.
+    Returns its row and its runner's trace with the per-iteration rows
+    (none, and 0 iterations, for the closed-form ``zero-reflection``).
+    Errors propagate to the caller.
     """
     rows, traces = _run_seeds(spec, method, [(value, seed)], keep_rows=True)
     return rows[0], traces[0]
 
 
 def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
-               keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace | None]]:
-    """Run the (sweep value, seed) cells of one method as one stack.
+               keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace]]:
+    """Run the (sweep value, seed) cells of one method through its runner.
 
-    Returns the cells' rows and their optimizers' traces (None for the
-    closed-form ``zero-reflection``); ``keep_rows`` keeps the per-iteration
-    rows of ``ldt-cffp`` traces.  A blocked stack may hold any cells, each
-    with its own channels and power.  An ``ldt-cffp`` stack shares N and
-    the power, so its cells run as one stack per run of cells at one sweep
-    value.  Under ``pa_grid`` (value None) each seed's converged design is
-    moved to every pair through its context (``PaScalarContext.at``) and
-    scored there, one row per pair.  Errors propagate to the caller.
+    Builds each cell's channels of the method's kind, calls the runner
+    once for all cells and returns their rows and traces; ``keep_rows``
+    keeps the per-iteration rows of ``ldt-cffp`` traces.  A blocked row
+    is scored with ``blocked_secrecy_rate`` and carries its design's
+    (eta, beta); a monolithic row is scored with ``secrecy_rate``.  Under
+    ``pa_grid`` (value None) each seed's converged design is moved to
+    every pair through its context (``PaScalarContext.at``) and scored
+    there, one row per pair.  Errors propagate to the caller.
     """
-    if method == "ldt-cffp" and any(value != cells[0][0] for value, _ in cells):
-        parts = [_run_seeds(spec, method, list(group), keep_rows)
-                 for _, group in itertools.groupby(cells, key=lambda cell: cell[0])]
-        return ([row for rows, _ in parts for row in rows],
-                [trace for _, traces in parts for trace in traces])
+    blocked, run = _TABLE[method]
     noise = _noise_profile(spec)
     kind = spec.sweep.kind
     scenes = [_scene_at(spec, value, seed) for value, seed in cells]
-    seeds = [seed for _, seed in cells]
-    if method == "zero-reflection":
-        rows = []
-        for (cfg, p_watts), (value, seed) in zip(scenes, cells):
-            ch = build_channels(cfg)[0]
-            t0 = time.perf_counter()
-            design, flags = _zero_reflection_design(ch, p_watts)
-            sr = secrecy_rate(ch, design, noise)
-            rows.append(ResultRow(method, kind, value, seed, sr, 0,
-                                  max(time.perf_counter() - t0, 1e-9), flags))
-        return rows, [None] * len(cells)
-    if method == "ldt-cffp":
-        value, p_watts = cells[0][0], scenes[0][1]
-        chs = [build_channels(cfg)[0] for cfg, _ in scenes]
-        runs = run_ldt_cffp_seeds(chs, noise, p_watts, seeds, keep_rows)
-        rows = [ResultRow(method, kind, value, seed, secrecy_rate(ch, design, noise),
-                          trace.iterations, trace.wall_time_s, list(trace.flags))
-                for seed, ch, (design, trace) in zip(seeds, chs, runs)]
-        return rows, [trace for _, trace in runs]
-    bchs = [build_channels(cfg)[1] for cfg, _ in scenes]
-    runs = run_nsp_mrr_pa_seeds(bchs, noise, [p for _, p in scenes], _SEARCHERS[method], seeds)
+    chs = [build_channels(cfg)[1 if blocked else 0] for cfg, _ in scenes]
+    runs = run(chs, noise, [p for _, p in scenes], [seed for _, seed in cells], keep_rows)
+    rate = blocked_secrecy_rate if blocked else secrecy_rate
     rows = []
-    for (value, seed), bch, (design, trace) in zip(cells, bchs, runs):
+    for (value, seed), ch, (design, trace) in zip(cells, chs, runs):
         # (sweep value, design) of each row: the converged design, or under
         # pa_grid that design moved to each pair
         if kind == "pa_grid":
-            ctx = PaScalarContext(bch, design, noise)
+            ctx = PaScalarContext(ch, design, noise)
             scored = [(pair, ctx.at(*pair)) for pair in spec.sweep.values]
         else:
             scored = [(value, design)]
-        rows.extend(ResultRow(method, kind, v, seed, blocked_secrecy_rate(bch, d, noise),
-                              trace.iterations, trace.wall_time_s, list(trace.flags),
-                              eta=d.pa.eta, beta=d.pa.beta)
+        rows.extend(ResultRow(method, kind, v, seed, rate(ch, d, noise), trace.iterations,
+                              trace.wall_time_s, list(trace.flags),
+                              *((d.pa.eta, d.pa.beta) if blocked else ()))
                     for v, d in scored)
     return rows, [trace for _, trace in runs]
 
@@ -383,13 +391,13 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
     Each method runs all its cells in one ``_run_seeds`` call: every
     (sweep value, seed) pair of a batch (every seed of a ``pa_grid``
-    sweep, whose one run per seed scores all pairs).  That is one stack,
-    or for ``ldt-cffp`` one stack per sweep value.  A stacked row's
-    ``wall_time_s`` is its own work plus its share of the stack's, so in
-    a blocked stack it mixes the work of every sweep value.  If the call
-    raises, each cell runs alone, so a failure stays the rows of the cell
-    that fails.  Rows come back sorted by (method, sweep, value, seed), so
-    the table is independent of execution order.
+    sweep, whose one run per seed scores all pairs); the method's runner
+    decides the stacks.  A stacked row's ``wall_time_s`` is its own work
+    plus its share of the stack's, so in a blocked stack it mixes the
+    work of every sweep value.  If the call raises, each cell runs alone,
+    so a failure stays the rows of the cell that fails.  Rows come back
+    sorted by (method, sweep, value, seed), so the table is independent
+    of execution order.
     """
     values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
     rows: list[ResultRow] = []
@@ -504,7 +512,7 @@ def emit_results(rows: list[ResultRow], out: str | Path,
         raise ValueError("refusing to emit an empty result table")
     _check_formats(formats)
     records = [_row_to_record(r) for r in rows]
-    paths = [Path(out).with_suffix("." + fmt) for fmt in formats]
+    paths = [Path(f"{out}.{fmt}") for fmt in formats]
     for fmt, path in zip(formats, paths):
         try:
             with open(path, "w", newline="") as fh:

@@ -18,8 +18,8 @@ with artificial noise (AN).  Each loop pass computes, in closed form:
   rate that is O(1) per candidate after precomputation.
 
 ``PaScalarContext`` is a pass's design with its split left free: it scores
-candidate splits and moves the design to one (``at``); ``at_split`` and
-``amplification_rho`` are calls on a fresh context.
+candidate splits and moves the design to one (``at``);
+``amplification_rho`` is a call on a fresh context.
 
 ``run_nsp_mrr_pa_seeds`` runs the loop of several seeds, each on its own
 channels and power budget, in lockstep: each pass searches all their
@@ -58,7 +58,6 @@ __all__ = [
     "nsp_beamformers",
     "mrr_reflect",
     "amplification_rho",
-    "at_split",
     "blocked_secrecy_rate",
     "PaScalarContext",
     "run_nsp_mrr_pa",
@@ -211,12 +210,6 @@ def amplification_rho(bch: BlockedChannelSet, d: BlockDesign,
     ``d``'s split (``PaScalarContext.at``)."""
     moved = PaScalarContext(bch, d, noise).at(d.pa.eta, d.pa.beta)
     return moved.rho1, moved.rho2
-
-
-def at_split(bch: BlockedChannelSet, d: BlockDesign, noise: NoiseProfile,
-             eta: float, beta: float) -> BlockDesign:
-    """``d`` moved to the split (eta, beta) (``PaScalarContext.at``)."""
-    return PaScalarContext(bch, d, noise).at(eta, beta)
 
 
 def blocked_secrecy_rate(bch: BlockedChannelSet, d: BlockDesign,
@@ -397,35 +390,34 @@ def run_nsp_mrr_pa(bch: BlockedChannelSet, noise: NoiseProfile, p_s: float,
     of jittering around a fresh random start on every pass.  This is the
     stack of one of ``run_nsp_mrr_pa_seeds``.
     """
-    return run_nsp_mrr_pa_seeds([bch], noise, p_s, searcher, [seed])[0]
+    return run_nsp_mrr_pa_seeds([bch], noise, [p_s], searcher, [seed])[0]
 
 
 def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile,
-                         p_s: float | list[float], searcher: Callable[..., SearchResult],
+                         p_s: list[float], searcher: Callable[..., SearchResult],
                          seeds: list[int]) -> list[tuple[BlockDesign, RunTrace]]:
     """``run_nsp_mrr_pa`` for each (channels, power, seed) row, run in lockstep.
 
-    ``p_s`` is one power budget per row, or one float that every row
-    shares; a row's seed, channels and budget are its own, so a stack can
-    hold the cells of several sweep values.  Each pass computes every
-    running row's beams, reflect vectors and ``PaScalarContext``, then
-    searches all their splits with one ``pa_search.search_stack`` call on
-    the stacked contexts (one swarm stack for PSO, one array chain for SA
-    on a large stack, row by row otherwise), then moves each row's design
-    to its split through its context.  A row leaves the stack in the pass
-    its beamformers converge.  Each row's projectors are computed once,
-    from its channels.  Each row's design, trace rows, iterations and
-    flags are those of its own run.  Its ``wall_time_s`` is the time of
-    its own work (projectors, beams, context, its search's ``seconds``,
-    gains) plus, in each pass it ran, an even share of the rest of the
-    pass, so the rows' times add up to the stack's.
+    ``p_s`` holds one power budget per row; a row's seed, channels and
+    budget are its own, so a stack can hold the cells of several sweep
+    values.  Each pass computes every running row's beams, reflect
+    vectors and ``PaScalarContext``, then searches all their splits with
+    one ``pa_search.search_stack`` call on the stacked contexts (one
+    swarm stack for PSO, one array chain for SA on a large stack, row by
+    row otherwise), then moves each row's design to its split through
+    its context.  A row leaves the stack in the pass its beamformers
+    converge.  Each row's projectors are computed once, from its
+    channels.  Each row's design, trace rows, iterations and flags are
+    those of its own run.  Its ``wall_time_s`` is the time of its own
+    work (projectors, beams, context, its search's ``seconds``, gains)
+    plus, in each pass it ran, an even share of the rest of the pass, so
+    the rows' times add up to the stack's.
     """
-    budgets = [p_s] * len(seeds) if isinstance(p_s, (int, float)) else list(p_s)
-    if not seeds or len(bchs) != len(seeds) or len(budgets) != len(seeds):
+    if not seeds or len(bchs) != len(seeds) or len(p_s) != len(seeds):
         raise ValueError(f"need one channel set per seed, one power per seed and at least "
-                         f"one seed, got {len(bchs)} and {len(budgets)} for {len(seeds)}")
+                         f"one seed, got {len(bchs)} and {len(p_s)} for {len(seeds)}")
     mark = time.perf_counter()
-    runs = [_SeedRun(bch, budget) for bch, budget in zip(bchs, budgets)]
+    runs = [_SeedRun(bch, budget) for bch, budget in zip(bchs, p_s)]
     live = list(range(len(runs)))
     for it in range(1, MAX_ITERS + 1):
         stack = PaScalarContext.stack([runs[i].beams(noise) for i in live])

@@ -212,7 +212,9 @@ def test_trace_writes_to_a_file(tmp_path, capsys):
 
 def test_trace_rejects_the_closed_form_baseline(capsys):
     assert main(["trace", "--method", "zero-reflection"]) == 2
-    assert "airsdm:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "airsdm:" in captured.err and "zero-reflection" in captured.err
+    assert captured.out == ""
 
 
 def test_trace_rejects_an_odd_element_count(capsys):

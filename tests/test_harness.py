@@ -26,7 +26,7 @@ from airsdm.harness import (
     read_results_json,
     run_experiment,
 )
-from airsdm.nsp_mrr import at_split, blocked_secrecy_rate, run_nsp_mrr_pa
+from airsdm.nsp_mrr import PaScalarContext, blocked_secrecy_rate, run_nsp_mrr_pa
 from airsdm.pa_search import fixed_beta_search
 from airsdm.scene import benchmark_scene, build_channels, dbm_to_watts
 
@@ -437,13 +437,22 @@ def test_a_failing_cell_of_a_cross_value_stack_keeps_every_other_row(monkeypatch
             raise np.linalg.LinAlgError(f"synthetic failure at {objective.p_s} W")
         return exhaustive_search(objective, seed, start=start)
 
-    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", fails_at_30_dbm_for_seed_2)
+    monkeypatch.setitem(harness._TABLE, "nsp-mrr-pa/ES", _blocked(fails_at_30_dbm_for_seed_2))
     rows = run_experiment(spec)
     broken = [r for r in rows if (r.sweep_value, r.seed) == (30.0, 2)]
     assert [r.flags for r in broken] == [[f"error:LinAlgError: synthetic failure at {p_30} W"]]
     assert math.isnan(broken[0].sr_bits) and broken[0].iterations == 0
     assert _rows_of([r for r in rows if r not in broken]) == \
         _rows_of([r for r in clean if (r.sweep_value, r.seed) != (30.0, 2)])
+
+
+def _blocked(searcher):
+    """A blocked method record that picks its splits with ``searcher``."""
+    from functools import partial
+
+    from airsdm import harness
+
+    return harness._Method(True, partial(harness._run_blocked, searcher))
 
 
 def _fails_for_seed_100(objective, seed, start=None):
@@ -460,7 +469,7 @@ def test_one_failing_seed_keeps_the_other_rows_of_its_blocked_stack(monkeypatch)
     spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
                  methods=["nsp-mrr-pa/ES"], seeds=[100, 1, 2])
     clean = run_experiment(spec)
-    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", _fails_for_seed_100)
+    monkeypatch.setitem(harness._TABLE, "nsp-mrr-pa/ES", _blocked(_fails_for_seed_100))
     rows = run_experiment(spec)
     broken = [r for r in rows if r.seed == 100]
     assert [r.flags for r in broken] == [["error:LinAlgError: synthetic failure"]] * 2
@@ -477,7 +486,7 @@ def test_a_failing_pa_grid_seed_gives_a_flagged_row_per_pair(monkeypatch, tmp_pa
     pairs = [(0.2, 0.4), (0.6, 0.8)]
     spec = _spec(sweep=SweepSpec("pa_grid", pairs), methods=["nsp-mrr-pa/ES"],
                  seeds=[100, 1], power_dbm=20.0)
-    monkeypatch.setitem(harness._SEARCHERS, "nsp-mrr-pa/ES", _fails_for_seed_100)
+    monkeypatch.setitem(harness._TABLE, "nsp-mrr-pa/ES", _blocked(_fails_for_seed_100))
     rows = run_experiment(spec)
     assert [(r.sweep_value, r.seed) for r in rows] == [
         ((0.2, 0.4), 1), ((0.2, 0.4), 100), ((0.6, 0.8), 1), ((0.6, 0.8), 100)]
@@ -592,8 +601,8 @@ def test_pa_grid_rows_are_the_model_rate_at_the_design_moved_to_each_pair():
         bch = build_channels(cfg)[1]
         d, _ = run_nsp_mrr_pa(bch, noise, p_watts, fixed_beta_search, seed)
         for r in (r for r in rows if r.seed == seed):
-            assert r.sr_bits == blocked_secrecy_rate(bch, at_split(bch, d, noise, *r.sweep_value),
-                                                     noise)
+            moved = PaScalarContext(bch, d, noise).at(*r.sweep_value)
+            assert r.sr_bits == blocked_secrecy_rate(bch, moved, noise)
             assert (r.eta, r.beta) == r.sweep_value
 
 
@@ -643,6 +652,16 @@ def test_json_round_trip_is_lossless(tmp_path):
     assert back[0] == rows[0]
     assert back[1].sweep_value == (0.25, 0.75)
     assert math.isnan(back[2].sr_bits)
+
+
+def test_a_dotted_stem_keeps_its_dot(tmp_path):
+    """``out`` is a stem, not a file name: p.10dBm and p.20dBm are two tables."""
+    rows = _sample_rows()
+    low = emit_results(rows, tmp_path / "p.10dBm", formats=("csv", "json"))
+    high = emit_results(rows[:1], str(tmp_path / "p.20dBm"), formats=("csv",))
+    assert low == [tmp_path / "p.10dBm.csv", tmp_path / "p.10dBm.json"]
+    assert high == [tmp_path / "p.20dBm.csv"]
+    assert (len(read_results_csv(low[0])), len(read_results_csv(high[0]))) == (3, 1)
 
 
 def test_emit_rejects_empty_tables_and_unknown_formats(tmp_path):
@@ -773,6 +792,51 @@ def test_method_registry_is_complete():
     assert METHODS == ("ldt-cffp", "nsp-mrr-pa/ES", "nsp-mrr-pa/PSO",
                        "nsp-mrr-pa/SA", "fixed-eta", "fixed-beta",
                        "fixed-both", "zero-reflection")
+
+
+def test_ldt_cffp_and_zero_reflection_rows_reproduce_the_recorded_golden():
+    """Rows recorded before the methods became one table, every column but
+    wall time: an ldt-cffp batch whose stacks split at the power, and the
+    closed-form baseline."""
+    golden = json.loads((Path(__file__).parent / "data" / "method_rows_golden.json").read_text())
+    spec = ExperimentSpec(sweep=SweepSpec("total_power_dbm", [10.0, 30.0]),
+                          methods=["ldt-cffp", "zero-reflection"],
+                          scene=benchmark_scene(m_bs=4, n_irs=8, rician_k_db=5.0,
+                                                pl_ref_db=-55.0),
+                          seeds=[1, 2])
+    rows = run_experiment(spec)
+    assert [[getattr(r, c) for c in golden["columns"]] for r in rows] == golden["rows"]
+
+
+def test_a_method_added_as_one_table_record_runs_everywhere(monkeypatch, capsys):
+    """A second ES record under a new name runs in a batch, is a pa_grid
+    method and traces from the command line, with no other edit."""
+    from airsdm import harness
+    from airsdm.cli import main
+    from airsdm.pa_search import exhaustive_search
+
+    monkeypatch.setitem(harness._TABLE, "es-twin", _blocked(exhaustive_search))
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
+                 methods=["nsp-mrr-pa/ES", "es-twin"], seeds=[1, 2])
+    rows = run_experiment(spec)
+    twin = [replace(r, method="nsp-mrr-pa/ES") for r in rows if r.method == "es-twin"]
+    assert len(twin) == 4
+    assert _rows_of(twin) == _rows_of([r for r in rows if r.method == "nsp-mrr-pa/ES"])
+    grid = _spec(sweep=SweepSpec("pa_grid", [(0.2, 0.4)]), methods=["es-twin"], seeds=[1])
+    assert [(r.method, r.eta, r.beta) for r in run_experiment(grid)] == [("es-twin", 0.2, 0.4)]
+    assert main(["trace", "--method", "es-twin", "--n", "8", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["iterations"] >= 1
+
+
+def test_run_point_gives_the_closed_form_baseline_a_trace_without_iterations():
+    """With one BS antenna the AN beam cannot be nulled at Bob, so the row is flagged."""
+    from airsdm.harness import run_point
+
+    spec = _spec(scene=benchmark_scene(m_bs=1, n_irs=8, pl_ref_db=-55.0), seeds=[1])
+    row, trace = run_point(spec, 8, "zero-reflection", 1)
+    assert (trace.iterations, trace.rows) == (0, [])
+    assert trace.flags == row.flags == ["zero-reflection-degenerate"]
+    assert trace.wall_time_s == row.wall_time_s > 0.0
 
 
 def test_the_globals_that_traced_runs_wrap_stay_importable():

@@ -22,7 +22,6 @@ from airsdm.nsp_mrr import (
     PaFactors,
     PaScalarContext,
     amplification_rho,
-    at_split,
     blocked_secrecy_rate,
     mrr_reflect,
     nsp_beamformers,
@@ -229,7 +228,7 @@ def test_at_split_keeps_mu_and_spends_the_irs_share_of_the_new_split():
     d, _ = run_nsp_mrr_pa(bch, noise, p_s, seed=1)
     d = replace(d, pa=PaFactors(d.pa.eta, d.pa.beta, mu=0.3))
     before = copy.deepcopy(d)
-    moved = at_split(bch, d, noise, 0.3, 0.7)
+    moved = PaScalarContext(bch, d, noise).at(0.3, 0.7)
     assert moved.pa == PaFactors(0.3, 0.7, mu=0.3)
     for f in ("v_b", "v_e", "theta1", "theta2"):
         assert np.array_equal(getattr(moved, f), getattr(d, f))
@@ -563,7 +562,7 @@ def test_the_context_gains_are_the_frozen_expression_bit_for_bit():
         for eta, beta in pairs:
             moved = ctx.at(eta, beta)
             assert (moved.rho1, moved.rho2) == _frozen_rho(bch, moved, noise)
-            alone = at_split(bch, d, noise, eta, beta)
+            alone = PaScalarContext(bch, d, noise).at(eta, beta)
             assert (alone.pa, alone.rho1, alone.rho2) == (moved.pa, moved.rho1, moved.rho2)
 
 
@@ -732,7 +731,7 @@ def assert_same_run(stacked, alone):
 def test_a_lockstep_stack_is_the_one_seed_runs_on_criterion_10(searcher):
     bchs, noise, p_s = _criterion_10_stack()
     seeds = [1, 2]
-    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, searcher, seeds)
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, [p_s] * 2, searcher, seeds)
     for run, bch, seed in zip(runs, bchs, seeds):
         assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=searcher, seed=seed))
     if searcher is exhaustive_search:
@@ -744,7 +743,7 @@ def test_the_rows_of_a_lockstep_stack_carry_their_own_times():
     bchs, noise, p_s = _criterion_10_stack()
     stack = [bchs[0], bchs[1], bchs[0], bchs[1]]
     t0 = time.perf_counter()
-    runs = run_nsp_mrr_pa_seeds(stack, noise, p_s, exhaustive_search, [1, 2, 3, 4])
+    runs = run_nsp_mrr_pa_seeds(stack, noise, [p_s] * 4, exhaustive_search, [1, 2, 3, 4])
     elapsed = time.perf_counter() - t0
     times = [trace.wall_time_s for _, trace in runs]
     assert len(set(times)) == len(times)
@@ -757,7 +756,7 @@ def test_a_lockstep_stack_runs_each_seed_on_its_own_channels():
     # the same channels under three seeds, and the scene's other draw in between
     bchs, noise, p_s = _criterion_10_stack()
     stack = [bchs[0], bchs[1], bchs[0]]
-    runs = run_nsp_mrr_pa_seeds(stack, noise, p_s, pso_search, [3, 4, 5])
+    runs = run_nsp_mrr_pa_seeds(stack, noise, [p_s] * 3, pso_search, [3, 4, 5])
     for run, bch, seed in zip(runs, stack, [3, 4, 5]):
         assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=pso_search, seed=seed))
 
@@ -772,7 +771,7 @@ def test_degenerate_null_spaces_flag_only_their_own_seed():
     wide = _criterion_10_stack()[0][0]
     bchs = [wide, small, wide]
     for searcher in (exhaustive_search, pso_search, annealing_search):
-        runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, searcher, [1, 2, 3])
+        runs = run_nsp_mrr_pa_seeds(bchs, noise, [p_s] * 3, searcher, [1, 2, 3])
         for run, bch, seed in zip(runs, bchs, [1, 2, 3]):
             assert_same_run(run, run_nsp_mrr_pa(bch, noise, p_s, searcher=searcher, seed=seed))
         flags = [trace.flags for _, trace in runs]
@@ -783,7 +782,7 @@ def test_degenerate_null_spaces_flag_only_their_own_seed():
 def test_a_lockstep_stack_flags_the_seeds_that_hit_the_cap(monkeypatch):
     monkeypatch.setattr(nsp_mrr, "MAX_ITERS", 8)
     bchs, noise, p_s = _criterion_10_stack()
-    runs = run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1, 2])
+    runs = run_nsp_mrr_pa_seeds(bchs, noise, [p_s] * 2, exhaustive_search, [1, 2])
     assert [(t.iterations, t.converged, "iteration-cap" in t.flags) for _, t in runs] == \
         [(7, True, False), (8, False, True)]
 
@@ -791,9 +790,9 @@ def test_a_lockstep_stack_flags_the_seeds_that_hit_the_cap(monkeypatch):
 def test_a_lockstep_stack_needs_one_channel_set_per_seed():
     bchs, noise, p_s = _criterion_10_stack()
     with pytest.raises(ValueError, match="one channel set per seed"):
-        run_nsp_mrr_pa_seeds(bchs, noise, p_s, exhaustive_search, [1])
+        run_nsp_mrr_pa_seeds(bchs, noise, [p_s], exhaustive_search, [1])
     with pytest.raises(ValueError, match="one channel set per seed"):
-        run_nsp_mrr_pa_seeds([], noise, p_s, exhaustive_search, [])
+        run_nsp_mrr_pa_seeds([], noise, [], exhaustive_search, [])
     with pytest.raises(ValueError, match="one power per seed"):
         run_nsp_mrr_pa_seeds(bchs, noise, [p_s], exhaustive_search, [1, 2])
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_block_design, random_blocked, unit
 
-from airsdm.harness import _SEARCHERS
+from airsdm.harness import _TABLE
 from airsdm.model import NoiseProfile
 from airsdm import pa_search
 from airsdm.nsp_mrr import PaScalarContext
@@ -274,7 +274,7 @@ def test_fixed_beta_scans_eta_only():
 
 # -- the NaN rule ------------------------------------------------------------------
 
-@pytest.mark.parametrize("method", sorted(_SEARCHERS))
+@pytest.mark.parametrize("method", sorted(m for m, rec in _TABLE.items() if rec.blocked))
 @pytest.mark.parametrize("surface, start", [(nan_cell, None), (nan_cross, None),
                                             (nan_cross, (0.3, 0.3)), (all_nan, None)],
                          ids=["nan-cell", "nan-cross", "nan-start", "all-nan"])
@@ -289,7 +289,8 @@ def test_nan_counts_as_minus_infinity(method, surface, start):
             seen[(float(e), float(b))] = float(v)
         return out
 
-    res = _SEARCHERS[method](recording, 2, start=start)
+    searcher = _TABLE[method].run.args[0]     # the blocked runner's partial(_run_blocked, searcher)
+    res = searcher(recording, 2, start=start)
     assert res.point in seen
     assert 0.01 <= min(res.point) and max(res.point) <= 0.99
     finite = [v for v in seen.values() if not math.isnan(v)]
