@@ -33,7 +33,6 @@ from .ldt_cffp import (
     update_mu,
     optimal_aux,
     run_ldt_cffp,
-    BudgetExhausted,
 )
 from .nsp_mrr import (
     PaFactors,

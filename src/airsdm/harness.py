@@ -186,6 +186,8 @@ class SweepSpec:
             self.values = pairs
         else:
             self.values = [_finite(v, f"{self.kind} values") for v in self.values]
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"{self.kind} values must be distinct, got {self.values!r}")
 
     def to_dict(self) -> dict:
         values = [list(v) if isinstance(v, tuple) else v for v in self.values]

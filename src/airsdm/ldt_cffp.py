@@ -49,31 +49,10 @@ __all__ = [
     "assemble_vb",
     "assemble_ve",
     "assemble_theta",
-    "BudgetExhausted",
     "run_ldt_cffp",
     "run_ldt_cffp_seeds",
     "initial_design",
 ]
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised when a block subproblem is left with a non-positive power budget.
-
-    ``low`` marks which designs are exhausted, one bool per design.
-    """
-
-    def __init__(self, message: str, low: list[bool]):
-        super().__init__(message)
-        self.low = low
-
-
-def _block_budget(state: DesignState, budget: list[float], block: str) -> float | list[float]:
-    """The budget of each design, one float for a single design; raises
-    BudgetExhausted when some are not positive."""
-    low = [x <= 0 for x in budget]
-    if any(low):
-        raise BudgetExhausted(f"{block} budget {budget[0] if state.one else budget} <= 0", low)
-    return budget[0] if state.one else budget
 
 
 def _diagonal(M: np.ndarray) -> np.ndarray:
@@ -406,6 +385,10 @@ def _aux_at(ev: Evaluation) -> AuxVars:
 # runner passes its own so that the effective channels and H_si v are not
 # rebuilt.  Without one, the assembler builds it.  A stacked state (with
 # ``aux`` a list, one AuxVars per design) gives a stack of problems.
+#
+# A block's budget is p_max less what the other blocks spend (one float for
+# one design): at least the block's own spend while the iterate spends at
+# most p_max.  QcqpProblem rejects a budget that is not positive.
 
 def _state_of(ch: ChannelSet, d: Design, state: DesignState | None) -> DesignState:
     if state is None:
@@ -453,8 +436,8 @@ def _assemble_beam(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
     """
     state = _state_of(ch, d, state)
     other = "v_e" if bob else "v_b"
-    budget = _block_budget(state, [p_max - x for x in state.spent(noise, other, "irs")],
-                           "confidential-beam" if bob else "AN-beam")
+    budget = [p_max - x for x in state.spent(noise, other, "irs")]
+    budget = budget[0] if state.one else budget
     terms = _aux_terms(aux)
     t = state.rows_h                         # rows t_b, t_e
     x = 0 if bob else 1
@@ -497,7 +480,8 @@ def assemble_theta(ch: ChannelSet, d: Design, noise: NoiseProfile, aux: AuxVars,
     total-power expression.
     """
     state = _state_of(ch, d, state)
-    p_be = _block_budget(state, [p_max - x for x in state.spent(noise, "bs")], "reflect")
+    p_be = [p_max - x for x in state.spent(noise, "bs")]
+    p_be = p_be[0] if state.one else p_be
     terms = _aux_terms(aux)
     # columns c_bb, c_be, c_eb, c_ee, where c_xy = conj(g_x) * H_si v_y
     HV = _columns(state.hv_b, state.hv_e, state.hv_b, state.hv_e)
@@ -539,42 +523,6 @@ def initial_design(ch: ChannelSet, noise: NoiseProfile, p_max: float,
     return Design(v_b=v_b, v_e=v_e, theta=scale * theta_hat)
 
 
-def _assemble_block(assemble, state: DesignState, noise, aux, p_max,
-                    traces: list[RunTrace], block: str, rescale: tuple[str, ...],
-                    **reuse) -> QcqpProblem | None:
-    """Assemble one block for the design of ``state``, or for each design of
-    a stack (``aux`` is then a list), with one trace per design.  The
-    assembler reads the channels from ``state``, so it is given none.
-
-    A design whose budget is exhausted has its other blocks shrunk by 5%
-    once, flagged, and the block is assembled again.  The retry refreshes
-    ``state`` and drops ``reuse``: the rescue rescaled what they were built
-    at (for the other designs of a stack the fresh problem is the same).
-    A design still exhausted is flagged and its block skipped, which gives
-    None; if only some designs of a stack are, their ``BudgetExhausted`` is
-    raised, its ``low`` marking them.
-    """
-    d = state.d
-    try:
-        return assemble(None, d, noise, aux, p_max, state=state, **reuse)
-    except BudgetExhausted as exc:
-        low = exc.low
-    for i in np.flatnonzero(low):
-        traces[i].add_flag(f"budget-rescue:{block}")
-    scale = np.where(low, 0.95, 1.0).reshape(*d.theta.shape[:-1], 1)
-    for name in rescale:
-        setattr(d, name, getattr(d, name) * scale)
-    state.refresh()
-    try:
-        return assemble(None, d, noise, aux, p_max, state=state)
-    except BudgetExhausted as exc:
-        if not all(exc.low):
-            raise
-    for t in traces:
-        t.add_flag(f"budget-skip:{block}")
-    return None
-
-
 def run_ldt_cffp(ch: ChannelSet, noise: NoiseProfile, p_max: float,
                  seed: int = 1) -> tuple[Design, RunTrace]:
     """Run the alternating surrogate ascent to convergence.
@@ -600,10 +548,9 @@ def run_ldt_cffp_seeds(chs: list[ChannelSet], noise: NoiseProfile, p_max: float,
     stack when it converges.  Each seed's design, trace rows, iterations
     and flags are those of its own ``run_ldt_cffp``; its ``wall_time_s`` is
     its share of each lockstep iteration it ran, the iteration's time split
-    evenly among the seeds in it.  A budget rescue applies to its seed
-    alone; should a seed's block be skipped while others' are not, the
-    ``BudgetExhausted`` is raised, its ``low`` marking those seeds among the
-    ones still running, and the caller runs each seed on its own.
+    evenly among the seeds in it.  A block budget that is not positive
+    raises QcqpProblem's ValueError for the whole stack, and the caller
+    runs each seed on its own.
 
     Each design is evaluated once: the evaluation that closes an iteration
     gives its trace rows and the next iteration's auxiliaries, and the
@@ -629,21 +576,15 @@ def run_ldt_cffp_seeds(chs: list[ChannelSet], noise: NoiseProfile, p_max: float,
     for it in range(1, MAX_ITERS + 1):
         aux = [_aux_at(ev) for ev in evs]
         terms = _aux_terms(aux)
-        run = [traces[i] for i in live]
 
-        prob = _assemble_block(assemble_vb, state, noise, terms, p_max, run,
-                               "v_b", ("v_e", "theta"))
-        if prob is not None:
-            state.set_v_b(solve_qcqp_stack(prob).x)
+        # the assemblers read the channels from the state, so they are given none
+        prob = assemble_vb(None, state.d, noise, terms, p_max, state=state)
+        state.set_v_b(solve_qcqp_stack(prob).x)
         # theta is unchanged since the v_b problem, so v_e shares its A and F
-        prob = _assemble_block(assemble_ve, state, noise, terms, p_max, run,
-                               "v_e", ("v_b", "theta"), shared=prob)
-        if prob is not None:
-            state.set_v_e(solve_qcqp_stack(prob).x)
-        prob = _assemble_block(assemble_theta, state, noise, terms, p_max, run,
-                               "theta", ("v_b", "v_e"))
-        if prob is not None:
-            state.set_theta(solve_qcqp_stack(prob).x.conj())
+        prob = assemble_ve(None, state.d, noise, terms, p_max, shared=prob, state=state)
+        state.set_v_e(solve_qcqp_stack(prob).x)
+        prob = assemble_theta(None, state.d, noise, terms, p_max, state=state)
+        state.set_theta(solve_qcqp_stack(prob).x.conj())
 
         evs = state.evaluate(noise)
         now = time.perf_counter()

@@ -168,8 +168,8 @@ class DesignState:
     them apart.  ``rows`` holds t_b^H and t_e^H (one row each) and depends
     only on theta; ``hv_b`` and ``hv_e`` are H_si v_b and H_si v_e.  Change
     the designs through the setters, which refresh the products of the
-    block they change, or call ``refresh`` after changing ``d`` in place.
-    The design-independent arrays of the channels are built once, here.
+    block they change.  The design-independent arrays of the channels are
+    built once, here.
     """
 
     def __init__(self, ch: ChannelSet | Sequence[ChannelSet], d: Design):
@@ -191,7 +191,7 @@ class DesignState:
             [self.g_abs2, np.ones(self.g_abs2[..., :1, :].shape)], axis=-2)
         self.eye_m = np.eye(self.H_si.shape[-1])
         self.d = d
-        self.refresh()
+        self._refresh()
 
     def take(self, rows: list[int]) -> DesignState:
         """The stack of the designs at ``rows``, with their products."""
@@ -200,10 +200,10 @@ class DesignState:
             setattr(new, name, getattr(self, name)[rows])
         d = self.d
         new.d = Design(d.v_b[rows], d.v_e[rows], d.theta[rows])
-        new.refresh()
+        new._refresh()
         return new
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         self.set_v_b(self.d.v_b)
         self.set_v_e(self.d.v_e)
         self.set_theta(self.d.theta)

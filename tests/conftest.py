@@ -87,8 +87,8 @@ def random_block_design(rng: np.random.Generator, bch: BlockedChannelSet,
 
 def overspend_seed(monkeypatch, seed: int, factor: float) -> None:
     """Make ``ldt_cffp.initial_design`` start ``seed`` with its AN beam and
-    IRS noise spending ``factor`` times the budget, so its first v_b step
-    needs a budget rescue; other seeds start as usual."""
+    IRS noise spending ``factor`` times the budget, so with ``factor`` > 1
+    its first v_b block has no budget; other seeds start as usual."""
     initial = ldt_cffp.initial_design
 
     def overspent(ch, noise, p_max, s):

@@ -126,7 +126,9 @@ def test_malformed_sweep_values_raise_value_errors():
            ("n_elements", [math.nan]), ("n_elements", [math.inf]), ("n1", ["4"]),
            ("total_power_dbm", [None]), ("total_power_dbm", [math.nan]),
            ("total_power_dbm", [20.0, math.inf]), ("total_power_dbm", [-math.inf]),
-           ("total_power_dbm", 20.0), ("total_power_dbm", None)]
+           ("total_power_dbm", 20.0), ("total_power_dbm", None),
+           ("n_elements", [8, 8]), ("n_elements", [8, 8.0]), ("n1", [4, 6, 4]),
+           ("total_power_dbm", [20, 20.0]), ("pa_grid", [(0.2, 0.4), [0.2, 0.4]])]
     for kind, values in bad:
         with pytest.raises(ValueError):
             SweepSpec(kind, values)
@@ -499,32 +501,25 @@ def test_a_failing_pa_grid_seed_gives_a_flagged_row_per_pair(monkeypatch, tmp_pa
 
 
 def test_a_block_skipped_for_one_seed_reruns_each_seed_alone(monkeypatch):
-    """Seed 5 starts 1.5 times over the budget, so its v_b block is skipped
-    while the others' are not: the stack raises and every seed reruns on
-    its own, which gives the rows of each seed's own run."""
-    from airsdm import harness, ldt_cffp
-    from airsdm.ldt_cffp import BudgetExhausted
+    """Seed 5 starts 1.5 times over the budget, so its first v_b block has
+    no budget and cannot be solved: QcqpProblem's ValueError fails the
+    stack, every seed reruns on its own, seed 5 gets one NaN error row and
+    seeds 4 and 6 the rows of their own runs."""
+    from airsdm import ldt_cffp
+    from airsdm.harness import run_point
 
     overspend_seed(monkeypatch, 5, 1.5)
     monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 30)
-    stack = harness.run_ldt_cffp_seeds
-    raised = []
-
-    def recording(chs, noise, p_max, seeds, keep_rows=True):
-        try:
-            return stack(chs, noise, p_max, seeds, keep_rows)
-        except BudgetExhausted as exc:
-            raised.append((seeds, exc.low))
-            raise
-
-    monkeypatch.setattr(harness, "run_ldt_cffp_seeds", recording)
     spec = _spec(sweep=SweepSpec("n_elements", [8]), methods=["ldt-cffp"], seeds=[4, 5, 6])
     rows = run_experiment(spec)
-    assert raised == [([4, 5, 6], [False, True, False])]
-    assert [r.flags for r in rows] == [
-        ["iteration-cap"], ["budget-rescue:v_b", "budget-skip:v_b", "iteration-cap"],
-        ["iteration-cap"]]
-    assert _rows_of(rows) == _rows_of(_one_seed_runs(spec))
+    assert [r.seed for r in rows] == [4, 5, 6]
+    bad = rows[1]
+    assert math.isnan(bad.sr_bits) and bad.iterations == 0
+    assert len(bad.flags) == 1
+    assert bad.flags[0].startswith("error:ValueError: power budget must be positive")
+    for row in (rows[0], rows[2]):
+        alone, _ = run_point(spec, 8, "ldt-cffp", row.seed)
+        assert _rows_of([row]) == _rows_of([alone])
 
 
 def test_a_failing_swarm_stack_reruns_each_seed_alone(monkeypatch):

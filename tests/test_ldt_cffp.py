@@ -17,8 +17,6 @@ from conftest import crandn, overspend_seed, random_channelset, random_design
 
 from airsdm import ldt_cffp
 from airsdm.ldt_cffp import (
-    BudgetExhausted,
-    _assemble_block,
     assemble_theta,
     assemble_vb,
     assemble_ve,
@@ -31,8 +29,7 @@ from airsdm.ldt_cffp import (
 )
 from airsdm.model import (Design, DesignState, NoiseProfile, effective_channel, ldt_objective,
                           secrecy_rate, snr_pair, total_power, virtual_rate)
-from airsdm.scene import benchmark_scene, build_channels
-from airsdm.trace import RunTrace
+from airsdm.scene import benchmark_scene, build_channels, dbm_to_watts
 
 
 NOISE = NoiseProfile(sigma2_irs=0.05, sigma2_b=0.07, sigma2_e=0.06)
@@ -173,11 +170,11 @@ def test_assemblers_raise_on_exhausted_budget():
     aux = optimal_aux(ch, random_design(rng, ch, NOISE, p_max=4.0), NOISE)
     glut = Design(v_b=10.0 * crandn(rng, 4), v_e=10.0 * crandn(rng, 4),
                   theta=crandn(rng, 8))
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(ValueError, match="power budget"):
         assemble_vb(ch, glut, NOISE, aux, p_max=1.0)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(ValueError, match="power budget"):
         assemble_ve(ch, glut, NOISE, aux, p_max=1.0)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(ValueError, match="power budget"):
         assemble_theta(ch, glut, NOISE, aux, p_max=1.0)
 
 
@@ -195,26 +192,6 @@ def test_shared_ve_problem_matches_fresh_assembly():
         s_fresh, s_reused = solve_qcqp(fresh), solve_qcqp(reused)
         assert_allclose(s_reused.x, s_fresh.x, rtol=1e-12, atol=0)
         assert_allclose(s_reused.nu, s_fresh.nu, rtol=1e-12)
-
-
-def test_budget_rescue_bypasses_the_shared_factorization():
-    rng = np.random.default_rng(10)
-    ch, d, aux = _random_state(rng)
-    shared = assemble_vb(ch, d, NOISE, aux, p_max=6.0)
-    # a total budget just below what v_b and theta spend exhausts the v_e
-    # block; shrinking both by 5% frees it
-    p_max = 0.99 * (6.0 - assemble_ve(ch, d, NOISE, aux, p_max=6.0).p_budget)
-    rescued = d.copy()
-    trace = RunTrace()
-    prob = _assemble_block(assemble_ve, DesignState(ch, rescued),
-                           NOISE, aux, p_max, [trace], "v_e", ("v_b", "theta"), shared=shared)
-    assert trace.flags == ["budget-rescue:v_e"]
-    assert_allclose(rescued.theta, 0.95 * d.theta, rtol=1e-15)
-    fresh = assemble_ve(ch, rescued, NOISE, aux, p_max)
-    assert prob._T is not shared._T
-    assert_allclose(prob.F, fresh.F, rtol=1e-15)
-    assert not np.allclose(prob.F, shared.F)
-    assert_allclose(solve_qcqp(prob).x, solve_qcqp(fresh).x, rtol=1e-12)
 
 
 def test_block_maximizer_improves_the_surrogate():
@@ -378,7 +355,6 @@ def test_run_builds_and_solves_every_block_through_the_module_globals(monkeypatc
     for seeds in ([1], [1, 2, 3]):
         counts.update(dict.fromkeys(counts, 0))
         runs = run_ldt_cffp_seeds([ch] * len(seeds), NoiseProfile(), p_max=1.0, seeds=seeds)
-        assert not any(f.startswith("budget-") for _, trace in runs for f in trace.flags)
         lockstep = max(trace.iterations for _, trace in runs)
         assert counts == {"QcqpProblem": 2 * lockstep, "solve_qcqp_stack": 3 * lockstep,
                           "solve_qcqp": 0}
@@ -441,64 +417,32 @@ def test_a_stack_needs_one_channel_set_per_seed():
 
 
 def test_a_budget_rescue_stays_with_its_seed_in_a_stack(monkeypatch):
-    """Seed 5 starts with its AN beam and IRS noise 2% above the budget, so
-    its first v_b step needs a rescue, which frees the block; the other
-    seeds' runs are untouched."""
+    """Seed 5 starts with its AN beam and IRS noise 2% above the budget,
+    which leaves its first v_b block none. No block is rescued: the
+    ``QcqpProblem`` ValueError ends seed 5's run, in a stack and alone,
+    while seeds 4 and 6 stacked without it equal their one-seed runs."""
     overspend_seed(monkeypatch, 5, 1.02)
     monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 30)
     noise = NoiseProfile()
     ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
-    chs, seeds = [ch] * 3, [4, 5, 6]
+    for seeds in ([4, 5, 6], [5]):
+        with pytest.raises(ValueError, match="power budget must be positive"):
+            run_ldt_cffp_seeds([ch] * len(seeds), noise, 1.0, seeds)
+    chs, seeds = [ch] * 2, [4, 6]
     stacked = run_ldt_cffp_seeds(chs, noise, 1.0, seeds)
     alone = [run_ldt_cffp(ch, noise, 1.0, seed=seed) for seed in seeds]
     _assert_same_runs(chs, noise, 1.0, stacked, alone)
-    assert [[f for f in trace.flags if f.startswith("budget-")] for _, trace in stacked] == \
-        [[], ["budget-rescue:v_b"], []]
 
 
 def test_a_block_skipped_for_one_seed_of_a_stack_raises(monkeypatch):
-    """At 1.5 times the budget the rescue cannot free seed 5's v_b block,
-    which is skipped for it alone: the stack raises, naming seed 5, and
-    leaves the rerun of each seed to its caller."""
+    """At 1.5 times the budget seed 5's first v_b block has none: the
+    ``QcqpProblem`` ValueError ends the stack, and seed 5 alone, leaving the
+    rerun of each seed to its caller."""
     overspend_seed(monkeypatch, 5, 1.5)
-    noise = NoiseProfile()
     ch, _ = build_channels(benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0))
-    with pytest.raises(BudgetExhausted) as exc:
-        run_ldt_cffp_seeds([ch] * 3, noise, 1.0, [4, 5, 6])
-    assert exc.value.low == [False, True, False]
-
-
-def test_a_stacked_rescue_scales_and_refactors_only_its_design():
-    """In a stack sharing the v_b factorization, the design whose v_e budget
-    is exhausted is shrunk and flagged alone, and every design's problem
-    equals its own fresh one-design problem."""
-    rng = np.random.default_rng(14)
-    ch = random_channelset(rng)
-    designs = [random_design(rng, ch, NOISE, p_max=6.0, fill=0.7) for _ in range(3)]
-    designs[1].v_b = 1.5 * designs[1].v_b
-    # what the AN-beam block leaves to the rest: the confidential beam and IRS noise
-    spend = [DesignState(ch, d).spent(NOISE, "v_b", "irs")[0] for d in designs]
-    p_max = 0.99 * spend[1]
-    assert max(spend[0], spend[2]) < 0.9 * p_max
-    auxes = [optimal_aux(ch, d, NOISE) for d in designs]
-    stack = Design(*(np.stack([getattr(d, f) for d in designs]) for f in ("v_b", "v_e", "theta")))
-    state = DesignState([ch] * 3, stack)
-    shared = assemble_vb([ch] * 3, stack, NOISE, auxes, p_max, state=state)
-    traces = [RunTrace() for _ in designs]
-    prob = _assemble_block(assemble_ve, state, NOISE, auxes, p_max, traces,
-                           "v_e", ("v_b", "theta"), shared=shared)
-    assert [t.flags for t in traces] == [[], ["budget-rescue:v_e"], []]
-    for f in ("v_b", "theta"):
-        assert_allclose(getattr(stack, f)[1], 0.95 * getattr(designs[1], f), rtol=1e-15)
-        for i in (0, 2):
-            assert np.array_equal(getattr(stack, f)[i], getattr(designs[i], f))
-    sols = solve_qcqp_stack(prob)
-    for i, d in enumerate(designs):
-        mine = Design(stack.v_b[i], stack.v_e[i], stack.theta[i])
-        fresh = assemble_ve(ch, mine, NOISE, auxes[i], p_max)
-        assert_allclose(prob.F[i], fresh.F, rtol=1e-15)
-        assert prob.p_budget[i] == fresh.p_budget
-        assert_allclose(sols.x[i], solve_qcqp(fresh).x, rtol=1e-12)
+    for seeds in ([4, 5, 6], [5]):
+        with pytest.raises(ValueError, match="power budget must be positive"):
+            run_ldt_cffp_seeds([ch] * len(seeds), NoiseProfile(), 1.0, seeds)
 
 
 # -- initialization and the runner ------------------------------------------------
@@ -516,6 +460,25 @@ def test_initial_design_spends_99_percent():
     assert np.array_equal(d.theta, again.theta)
     other = initial_design(ch, noise, p_max=1.0, seed=4)
     assert not np.allclose(d.theta, other.theta)
+
+
+def test_every_iterate_stays_within_the_budget_at_extreme_powers():
+    """A block's budget is p_max less the other blocks' spend, which stays
+    positive only while each iterate spends at most p_max: every trace row
+    of seeds 1 to 3 keeps that to rounding, with no run raising, from the
+    degenerate scene to a default one and from -30 dBm of power over
+    -20 dBm of noise to 90 dBm over -120 dBm."""
+    scenes = [benchmark_scene(m_bs=4, n_irs=8, n1=4, n2=4, rician_k_db=5.0,
+                              pl_ref_db=-60.0, seed=1),
+              benchmark_scene(m_bs=4, n_irs=8, pl_ref_db=-55.0)]
+    seeds = [1, 2, 3]
+    for cfg in scenes:
+        ch, _ = build_channels(cfg)
+        for power_dbm, noise_dbm in ((-30.0, -20.0), (90.0, -120.0), (30.0, -70.0)):
+            p_max, w = dbm_to_watts(power_dbm), dbm_to_watts(noise_dbm)
+            runs = run_ldt_cffp_seeds([ch] * 3, NoiseProfile(w, w, w), p_max, seeds)
+            slack = min(r["power_slack"] for _, trace in runs for r in trace.rows)
+            assert slack >= -1e-9 * p_max
 
 
 def test_run_ldt_cffp_trace_and_convergence():
