@@ -3,10 +3,13 @@
 An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
 seed) cell and returns sorted :class:`ResultRow` records.  Each method is
-one record of a table: the channels it runs on and its stacked runner.
-Every cell of a method runs in one call to that runner; if the call
-fails, each of its cells reruns alone, and a cell that still fails
-becomes flagged rows instead of aborting the batch.  Tables are emitted
+one record of a table: the channels it runs on, its stacked runner and
+whether it reads the run seed.  Every cell of a method runs in one call
+to that runner, which computes each distinct input once: one channel set
+per distinct scene, and for a method that reads no seed one run per
+distinct (channels, power).  If the call fails, each of its cells reruns
+alone, and a cell that still fails becomes flagged rows instead of
+aborting the batch.  Tables are emitted
 as CSV (schema versioned in a header comment) and/or JSON, both of which
 round-trip losslessly through the matching readers.
 """
@@ -18,6 +21,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -64,11 +68,13 @@ SWEEP_KINDS = ("n_elements", "total_power_dbm", "n1", "n2", "pa_grid")
 # --- methods: one record each ----------------------------------------------
 
 class _Method(NamedTuple):
-    """The channels a method runs on and its stacked runner, which calls the
-    optimizers through this module's globals (traced runs and tests patch them)."""
+    """The channels a method runs on, its stacked runner, which calls the
+    optimizers through this module's globals (traced runs and tests patch
+    them), and whether its result depends on the run seed."""
 
     blocked: bool                   # the blocked channels, else the monolithic ones
     run: Callable[..., list]        # (chs, noise, powers, seeds, keep_rows) -> [(design, trace)]
+    reads_seed: bool = True         # else one run per distinct (channels, power)
 
 
 def _run_ldt_cffp(chs, noise, powers, seeds, keep_rows):
@@ -104,7 +110,8 @@ def _zero_reflection_design(ch, p_watts: float) -> tuple[Design, list[str]]:
 
 
 def _run_zero_reflection(chs, noise, powers, seeds, keep_rows):
-    """The closed-form baseline, cell by cell: no iterations, no trace rows."""
+    """The closed-form baseline, one design per (channels, power) it is
+    given: no iterations, no trace rows."""
     t0 = time.perf_counter()
     designs = [_zero_reflection_design(ch, p_watts) for ch, p_watts in zip(chs, powers)]
     share = max((time.perf_counter() - t0) / len(designs), 1e-9)
@@ -112,15 +119,18 @@ def _run_zero_reflection(chs, noise, powers, seeds, keep_rows):
 
 
 _TABLE = {
-    "ldt-cffp": _Method(False, _run_ldt_cffp),     # monolithic-IRS surrogate ascent
-    # the blocked pipeline per split searcher; fixed-* pin eta, beta or both at 0.5
-    "nsp-mrr-pa/ES": _Method(True, partial(_run_blocked, exhaustive_search)),
-    "nsp-mrr-pa/PSO": _Method(True, partial(_run_blocked, pso_search)),
-    "nsp-mrr-pa/SA": _Method(True, partial(_run_blocked, annealing_search)),
-    "fixed-eta": _Method(True, partial(_run_blocked, fixed_eta_search)),
-    "fixed-beta": _Method(True, partial(_run_blocked, fixed_beta_search)),
-    "fixed-both": _Method(True, partial(_run_blocked, fixed_point_search)),
-    "zero-reflection": _Method(False, _run_zero_reflection),   # no IRS; AN nulled at Bob
+    # monolithic-IRS surrogate ascent from a random start
+    "ldt-cffp": _Method(False, _run_ldt_cffp, reads_seed=True),
+    # the blocked pipeline per split searcher; fixed-* pin eta, beta or both at
+    # 0.5; only the stochastic searchers (PSO, SA) read the seed
+    "nsp-mrr-pa/ES": _Method(True, partial(_run_blocked, exhaustive_search), reads_seed=False),
+    "nsp-mrr-pa/PSO": _Method(True, partial(_run_blocked, pso_search), reads_seed=True),
+    "nsp-mrr-pa/SA": _Method(True, partial(_run_blocked, annealing_search), reads_seed=True),
+    "fixed-eta": _Method(True, partial(_run_blocked, fixed_eta_search), reads_seed=False),
+    "fixed-beta": _Method(True, partial(_run_blocked, fixed_beta_search), reads_seed=False),
+    "fixed-both": _Method(True, partial(_run_blocked, fixed_point_search), reads_seed=False),
+    # no IRS; AN nulled at Bob
+    "zero-reflection": _Method(False, _run_zero_reflection, reads_seed=False),
 }
 
 METHODS = tuple(_TABLE)
@@ -330,40 +340,70 @@ def run_point(spec: ExperimentSpec, value, method: str, seed: int,
     return rows[0], traces[0]
 
 
+def _channel_key(cfg: SceneConfig) -> str:
+    """What the channels of ``cfg`` depend on: ``build_channels`` reads the
+    seed only on a Rician scene."""
+    if cfg.rician_k_db is None:
+        cfg = replace(cfg, seed=0)
+    return repr(cfg)
+
+
 def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
                keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace]]:
     """Run the (sweep value, seed) cells of one method through its runner.
 
-    Builds each cell's channels of the method's kind, calls the runner
-    once for all cells and returns their rows and traces; ``keep_rows``
-    keeps the per-iteration rows of ``ldt-cffp`` traces.  A blocked row
-    is scored with ``blocked_secrecy_rate`` and carries its design's
-    (eta, beta); a monolithic row is scored with ``secrecy_rate``.  Under
-    ``pa_grid`` (value None) each seed's converged design is moved to
-    every pair through its context (``PaScalarContext.at``) and scored
-    there, one row per pair.  Errors propagate to the caller.
+    Builds the channels of the method's kind once per distinct scene (a
+    pure-LoS scene is one scene for every seed), calls the runner once
+    and returns each cell's row and trace; ``keep_rows`` keeps the
+    per-iteration rows of ``ldt-cffp`` traces.  The runner gets one row
+    per cell, or for a method that reads no seed one row per distinct
+    (channels, power), whose design every cell of it shares; each such
+    cell gets its own copy of the run's trace with an even share of its
+    ``wall_time_s``.  Each run's design is scored once: a blocked row
+    with ``blocked_secrecy_rate``, carrying its design's (eta, beta), a
+    monolithic row with ``secrecy_rate``.  Under ``pa_grid`` (value None)
+    each run's converged design is moved to every pair through its
+    context (``PaScalarContext.at``) and scored there, one row per pair.
+    Errors propagate to the caller.
     """
-    blocked, run = _TABLE[method]
+    blocked, run, reads_seed = _TABLE[method]
     noise = _noise_profile(spec)
     kind = spec.sweep.kind
-    scenes = [_scene_at(spec, value, seed) for value, seed in cells]
-    chs = [build_channels(cfg)[1 if blocked else 0] for cfg, _ in scenes]
-    runs = run(chs, noise, [p for _, p in scenes], [seed for _, seed in cells], keep_rows)
+    channels = {}              # channel key -> channel set
+    slots = {}                 # run key -> index of the run
+    inputs, of_cell = [], []   # (channels, power, seed) of each run; each cell's run
+    for i, (value, seed) in enumerate(cells):
+        cfg, p = _scene_at(spec, value, seed)
+        key = _channel_key(cfg)
+        if key not in channels:
+            channels[key] = build_channels(cfg)[1 if blocked else 0]
+        slot = slots.setdefault(i if reads_seed else (key, p), len(slots))
+        if slot == len(inputs):
+            inputs.append((channels[key], p, seed))
+        of_cell.append(slot)
+    chs, powers, seeds = (list(x) for x in zip(*inputs))
+    runs = run(chs, noise, powers, seeds, keep_rows)
     rate = blocked_secrecy_rate if blocked else secrecy_rate
-    rows = []
-    for (value, seed), ch, (design, trace) in zip(cells, chs, runs):
-        # (sweep value, design) of each row: the converged design, or under
-        # pa_grid that design moved to each pair
+    scored = []       # per run: (pa_grid pair or None, rate, split) of each of its rows
+    for ch, (design, _) in zip(chs, runs):
         if kind == "pa_grid":
             ctx = PaScalarContext(ch, design, noise)
-            scored = [(pair, ctx.at(*pair)) for pair in spec.sweep.values]
+            moved = [(pair, ctx.at(*pair)) for pair in spec.sweep.values]
         else:
-            scored = [(value, design)]
-        rows.extend(ResultRow(method, kind, v, seed, rate(ch, d, noise), trace.iterations,
-                              trace.wall_time_s, list(trace.flags),
-                              *((d.pa.eta, d.pa.beta) if blocked else ()))
-                    for v, d in scored)
-    return rows, [trace for _, trace in runs]
+            moved = [(None, design)]
+        scored.append([(pair, rate(ch, d, noise), (d.pa.eta, d.pa.beta) if blocked else ())
+                       for pair, d in moved])
+    shares = Counter(of_cell)     # cells per run
+    rows, traces = [], []
+    for (value, seed), slot in zip(cells, of_cell):
+        run_trace = runs[slot][1]
+        trace = replace(run_trace, flags=list(run_trace.flags),
+                        wall_time_s=run_trace.wall_time_s / shares[slot])
+        rows.extend(ResultRow(method, kind, value if pair is None else pair, seed, sr,
+                              trace.iterations, trace.wall_time_s, list(trace.flags), *split)
+                    for pair, sr, split in scored[slot])
+        traces.append(trace)
+    return rows, traces
 
 
 def _run_alone(spec: ExperimentSpec, method: str, cell: tuple) -> list[ResultRow]:
@@ -394,12 +434,14 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     Each method runs all its cells in one ``_run_seeds`` call: every
     (sweep value, seed) pair of a batch (every seed of a ``pa_grid``
     sweep, whose one run per seed scores all pairs); the method's runner
-    decides the stacks.  A stacked row's ``wall_time_s`` is its own work
-    plus its share of the stack's, so in a blocked stack it mixes the
-    work of every sweep value.  If the call raises, each cell runs alone,
-    so a failure stays the rows of the cell that fails.  Rows come back
-    sorted by (method, sweep, value, seed), so the table is independent
-    of execution order.
+    decides the stacks.  A method that reads no seed runs once per
+    distinct (channels, power), and the cells of that run share it.  A
+    stacked row's ``wall_time_s`` is its own work plus its share of the
+    stack's, so in a blocked stack it mixes the work of every sweep
+    value; a shared run's is split evenly among its cells.  If the call
+    raises, each cell runs alone, so a failure stays the rows of the
+    cell that fails.  Rows come back sorted by (method, sweep, value,
+    seed), so the table is independent of execution order.
     """
     values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
     rows: list[ResultRow] = []

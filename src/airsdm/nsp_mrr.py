@@ -27,7 +27,8 @@ splits with one ``search_stack`` call on their stacked contexts, and a
 seed leaves the stack in the pass it converges (or after ``MAX_ITERS``
 passes, flagged).
 ``run_nsp_mrr_pa`` is its stack of one.  The null-space projectors depend
-only on the channels, so each seed's are computed once per run.
+only on the channels, so a stack computes them once per distinct channel
+set, which every row on that set shares.
 
 A blocked design is a monolithic design on the stacked blocks
 (``BlockDesign.as_design`` on ``BlockedChannelSet.stacked``), and its
@@ -140,7 +141,8 @@ def nsp_beamformers(bch: BlockedChannelSet, d: BlockDesign,
 def _projectors(bch: BlockedChannelSet) -> tuple[np.ndarray, np.ndarray]:
     """(T1, T2): the null-space projectors of the AN and the CM beam.
 
-    They depend on the channels only, so a run computes them once.
+    They depend on the channels only, so a stack computes them once per
+    channel set.
     """
     T1 = nsp_projector(np.vstack([bch.h_b.conj()[None, :], bch.H_s1]))
     T2 = nsp_projector(np.vstack([bch.h_e.conj()[None, :], bch.H_s2]))
@@ -406,18 +408,24 @@ def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile,
     swarm stack for PSO, one array chain for SA on a large stack, row by
     row otherwise), then moves each row's design to its split through
     its context.  A row leaves the stack in the pass its beamformers
-    converge.  Each row's projectors are computed once, from its
-    channels.  Each row's design, trace rows, iterations and flags are
-    those of its own run.  Its ``wall_time_s`` is the time of its own
-    work (projectors, beams, context, its search's ``seconds``, gains)
-    plus, in each pass it ran, an even share of the rest of the pass, so
-    the rows' times add up to the stack's.
+    converge.  The projectors are computed once per distinct channel
+    set, and rows that share a ``BlockedChannelSet`` share them.  Each
+    row's design, trace rows, iterations and flags are those of its own
+    run.  Its ``wall_time_s`` is the time of its own work (beams,
+    context, its search's ``seconds``, gains) plus, in each pass it ran,
+    an even share of the rest of the pass (the first pass's rest holds
+    the projectors), so the rows' times add up to the stack's.
     """
     if not seeds or len(bchs) != len(seeds) or len(p_s) != len(seeds):
         raise ValueError(f"need one channel set per seed, one power per seed and at least "
                          f"one seed, got {len(bchs)} and {len(p_s)} for {len(seeds)}")
     mark = time.perf_counter()
-    runs = [_SeedRun(bch, budget) for bch, budget in zip(bchs, p_s)]
+    # one pair per distinct channel set; bchs keeps each keyed object alive
+    projectors = {}
+    for bch in bchs:
+        if id(bch) not in projectors:
+            projectors[id(bch)] = _projectors(bch)
+    runs = [_SeedRun(bch, budget, projectors[id(bch)]) for bch, budget in zip(bchs, p_s)]
     live = list(range(len(runs)))
     for it in range(1, MAX_ITERS + 1):
         stack = PaScalarContext.stack([runs[i].beams(noise) for i in live])
@@ -442,11 +450,12 @@ def run_nsp_mrr_pa_seeds(bchs: list[BlockedChannelSet], noise: NoiseProfile,
 class _SeedRun:
     """One seed's state in ``run_nsp_mrr_pa_seeds``."""
 
-    def __init__(self, bch: BlockedChannelSet, p_s: float):
+    def __init__(self, bch: BlockedChannelSet, p_s: float,
+                 projectors: tuple[np.ndarray, np.ndarray]):
         t0 = time.perf_counter()
         m = bch.h_b.size
         self.bch = bch
-        self.projectors = _projectors(bch)
+        self.projectors = projectors
         self.d = BlockDesign(
             v_b=np.zeros(m, dtype=complex),
             v_e=np.zeros(m, dtype=complex),

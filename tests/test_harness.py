@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +420,7 @@ def test_ldt_cffp_runs_one_stack_per_sweep_value(monkeypatch):
     blocked = _recording(monkeypatch, "run_nsp_mrr_pa_seeds")
     rows = run_experiment(spec)
     assert ldt == [[1, 2, 3], [1, 2, 3]]
-    assert blocked == [[1, 2, 3, 1, 2, 3]]
+    assert blocked == [[1, 1]]      # fixed-both reads no seed: one run per power
     alone = [run_point(spec, r.sweep_value, r.method, r.seed)[0] for r in rows]
     assert _rows_of(rows) == _rows_of(alone)
 
@@ -480,6 +480,157 @@ def test_one_failing_seed_keeps_the_other_rows_of_its_blocked_stack(monkeypatch)
     assert [(r.sweep_value, r.flags) for r in alone] == [(r.sweep_value, r.flags) for r in broken]
     assert _rows_of([r for r in rows if r.seed != 100]) == \
         _rows_of([r for r in clean if r.seed != 100])
+
+
+# -- one computation per distinct input -------------------------------------------
+
+SEED_FREE = ["nsp-mrr-pa/ES", "fixed-eta", "fixed-both", "zero-reflection"]
+RICIAN = benchmark_scene(m_bs=8, n_irs=8, n1=4, n2=4, rician_k_db=5.0, pl_ref_db=-60.0)
+
+
+def _counting(monkeypatch, owner, name):
+    """Record the positional arguments of every call to ``owner.<name>``."""
+    original, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _cells(spec):
+    return [(value, seed) for value in spec.sweep.values for seed in spec.seeds]
+
+
+@pytest.mark.parametrize("method", ["nsp-mrr-pa/ES", "nsp-mrr-pa/SA", "zero-reflection"])
+def test_a_los_power_sweep_builds_one_channel_set(monkeypatch, method):
+    """A pure-LoS scene ignores the seed and the power, so one _run_seeds
+    call builds one channel set and computes its projectors once."""
+    from airsdm import harness, nsp_mrr
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]), methods=[method],
+                 seeds=[1, 2, 3])
+    builds = _counting(monkeypatch, harness, "build_channels")
+    projectors = _counting(monkeypatch, nsp_mrr, "nsp_projector")
+    rows, _ = harness._run_seeds(spec, method, _cells(spec))
+    assert len(rows) == 6
+    assert len(builds) == 1
+    assert len(projectors) == (2 if harness._TABLE[method].blocked else 0)
+
+
+@pytest.mark.parametrize("scene, built", [
+    (_fast_scene(), [(4, 1), (8, 1)]),            # the first seed's config of each value
+    (RICIAN, [(n, s) for n in (4, 8) for s in (1, 2, 3)]),
+], ids=["los", "rician"])
+def test_an_element_sweep_builds_one_channel_set_per_distinct_scene(monkeypatch, scene, built):
+    """A Rician scene draws its channels with the run seed folded in, so it
+    builds one set per (value, seed); a LoS scene one per value."""
+    from airsdm import harness, nsp_mrr
+
+    spec = _spec(scene=scene, sweep=SweepSpec("n_elements", [4, 8]),
+                 methods=["nsp-mrr-pa/PSO"], seeds=[1, 2, 3])
+    builds = _counting(monkeypatch, harness, "build_channels")
+    projectors = _counting(monkeypatch, nsp_mrr, "nsp_projector")
+    harness._run_seeds(spec, "nsp-mrr-pa/PSO", _cells(spec))
+    assert [(cfg.n_irs, cfg.seed) for (cfg,) in builds] == built
+    assert len(projectors) == 2 * len(built)
+
+
+def test_a_method_that_reads_no_seed_runs_once_per_power(monkeypatch):
+    """Every row is its own run_point row; the cells of one shared run split
+    its wall time evenly, and each row and trace owns its flags list."""
+    from airsdm import harness
+    from airsdm.harness import run_point
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]), methods=SEED_FREE,
+                 seeds=[1, 2, 3, 4])
+    rows = run_experiment(spec)
+    alone = [run_point(spec, r.sweep_value, r.method, r.seed)[0] for r in rows]
+    assert _rows_of(rows) == _rows_of(alone)
+
+    shared = {}
+    for method in SEED_FREE:
+        record = harness._TABLE[method]
+        assert not record.reads_seed
+
+        def run(*args, record=record, method=method):
+            runs = record.run(*args)
+            shared[method] = (list(args[3]), [trace.wall_time_s for _, trace in runs])
+            return runs
+
+        monkeypatch.setitem(harness._TABLE, method, record._replace(run=run))
+    for method in SEED_FREE:
+        rows, traces = harness._run_seeds(spec, method, _cells(spec))
+        seeds, walls = shared[method]
+        assert seeds == [1, 1]                        # one run per power
+        for power, wall in zip(spec.sweep.values, walls):
+            shares = [r.wall_time_s for r in rows if r.sweep_value == power]
+            assert len(shares) == 4 and len(set(shares)) == 1
+            assert math.isclose(sum(shares), wall, rel_tol=1e-12)
+        assert [t.wall_time_s for t in traces] == [r.wall_time_s for r in rows]
+        lists = [r.flags for r in rows] + [t.flags for t in traces]
+        assert len({id(flags) for flags in lists}) == len(lists)
+
+
+def test_a_failing_shared_run_gives_each_of_its_cells_an_error_row(monkeypatch):
+    from functools import partial
+
+    from airsdm import harness
+    from airsdm.pa_search import exhaustive_search
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
+                 methods=["nsp-mrr-pa/ES"], seeds=[1, 2, 3])
+    clean = run_experiment(spec)
+    p_30 = dbm_to_watts(30.0)
+
+    def fails_at_30_dbm(objective, seed, start=None):
+        if objective.p_s == p_30 and start is None:
+            raise np.linalg.LinAlgError(f"synthetic failure at {objective.p_s} W")
+        return exhaustive_search(objective, seed, start=start)
+
+    record = harness._TABLE["nsp-mrr-pa/ES"]
+    monkeypatch.setitem(harness._TABLE, "nsp-mrr-pa/ES",
+                        record._replace(run=partial(harness._run_blocked, fails_at_30_dbm)))
+    rows = run_experiment(spec)
+    broken = [r for r in rows if r.sweep_value == 30.0]
+    flag = f"error:LinAlgError: synthetic failure at {p_30} W"
+    assert [(r.seed, r.flags) for r in broken] == [(s, [flag]) for s in spec.seeds]
+    assert all(math.isnan(r.sr_bits) and r.iterations == 0 for r in broken)
+    assert len({id(r.flags) for r in broken}) == 3
+    assert _rows_of([r for r in rows if r not in broken]) == \
+        _rows_of([r for r in clean if r.sweep_value == 20.0])
+
+
+def _assert_same_design(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+@pytest.mark.parametrize("scene", [benchmark_scene(), RICIAN], ids=["default", "rician"])
+def test_every_record_that_reads_no_seed_gives_one_result_for_every_seed(scene):
+    """Guards the table: a record declared seed-free shares one run among
+    its seeds, so its runner must not depend on the seed it is given."""
+    from airsdm import harness
+
+    noise = _noise_profile(_spec())
+    mono, blocked = build_channels(replace(scene, seed=scene.seed + 1))
+    checked = []
+    for name, record in harness._TABLE.items():
+        if record.reads_seed:
+            continue
+        ch = blocked if record.blocked else mono
+        (d1, t1), (d7, t7) = (record.run([ch], noise, [dbm_to_watts(20.0)], [seed], True)[0]
+                              for seed in (1, 7))
+        _assert_same_design(d1, d7)
+        assert (t1.iterations, t1.converged, t1.flags) == (t7.iterations, t7.converged, t7.flags)
+        assert [{k: v for k, v in row.items() if k != "wall_time_s"} for row in t1.rows] == \
+            [{k: v for k, v in row.items() if k != "wall_time_s"} for row in t7.rows]
+        checked.append(name)
+    assert checked == ["nsp-mrr-pa/ES", "fixed-eta", "fixed-beta", "fixed-both",
+                       "zero-reflection"]
 
 
 def test_a_failing_pa_grid_seed_gives_a_flagged_row_per_pair(monkeypatch, tmp_path):
