@@ -7,9 +7,9 @@ one record of a table: the channels it runs on, its stacked runner and
 whether it reads the run seed.  Every cell of a method runs in one call
 to that runner, which computes each distinct input once: one channel set
 per distinct scene, and for a method that reads no seed one run per
-distinct (channels, power).  If the call fails, each of its cells reruns
-alone, and a cell that still fails becomes flagged rows instead of
-aborting the batch.  Tables are emitted
+distinct (channels, power).  If the call fails, each of its runs reruns
+alone, and the cells of a run that still fails become flagged rows
+instead of aborting the batch.  Tables are emitted
 as CSV (schema versioned in a header comment) and/or JSON, both of which
 round-trip losslessly through the matching readers.
 """
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .scene import SceneConfig, build_channels, dbm_to_watts
+from .scene import SceneConfig, _finite, _integer, build_channels, dbm_to_watts
 from .model import Design, NoiseProfile, secrecy_rate
 # run_ldt_cffp, run_nsp_mrr_pa: not called here; kept as module globals that traced runs wrap
 from .ldt_cffp import run_ldt_cffp, run_ldt_cffp_seeds
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 SWEEP_KINDS = ("n_elements", "total_power_dbm", "n1", "n2", "pa_grid")
+_FORMATS = ("csv", "json")
 
 
 # --- methods: one record each ----------------------------------------------
@@ -136,26 +137,17 @@ _TABLE = {
 METHODS = tuple(_TABLE)
 
 
-def _integer(v, what: str) -> int:
-    """``v`` as an int; ValueError unless it is an integral number."""
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):   # None, text, NaN, inf
-        i = None
-    if i is None or i != v:
-        raise ValueError(f"{what} must be integers, got {v!r}")
-    return i
-
-
-def _finite(v, what: str) -> float:
-    """``v`` as a float; ValueError unless it is a finite number."""
-    try:
-        x = float(v)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite numbers, got {v!r}")
-    return x
+def _names(names, what: str, known: tuple) -> list[str]:
+    """``names`` as a list; ValueError unless it is a non-empty list of
+    distinct names from ``known``."""
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"{what}s must be a non-empty list, got {names!r}")
+    for name in names:
+        if not isinstance(name, str) or name not in known:
+            raise ValueError(f"unknown {what} {name!r}; expected one of {known}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"{what}s must be distinct, got {names!r}")
+    return list(names)
 
 
 @dataclass
@@ -222,17 +214,17 @@ class ExperimentSpec:
             if set(self.sweep) != {"kind", "values"}:
                 raise ValueError(f"sweep needs exactly 'kind' and 'values', got {sorted(self.sweep)}")
             self.sweep = SweepSpec(**self.sweep)
+        if not isinstance(self.sweep, SweepSpec):
+            raise ValueError(f"sweep must be an object of 'kind' and 'values', got {self.sweep!r}")
         if isinstance(self.scene, dict):
             self.scene = SceneConfig.from_dict(self.scene)
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        for m in self.methods:
-            if m not in _TABLE:
-                raise ValueError(f"unknown method {m!r}; expected one of {tuple(_TABLE)}")
+        if not isinstance(self.scene, SceneConfig):
+            raise ValueError(f"scene must be an object of scene keys, got {self.scene!r}")
+        self.methods = _names(self.methods, "method", tuple(_TABLE))
         self.power_dbm = _finite(self.power_dbm, "power_dbm")
         self.noise_dbm = _finite(self.noise_dbm, "noise_dbm")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ValueError(f"seeds must be a non-empty list, got {self.seeds!r}")
         self.seeds = [_integer(s, "seeds") for s in self.seeds]
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
@@ -243,7 +235,9 @@ class ExperimentSpec:
         if self.scene.rician_k_db is not None and self.scene.seed + min(self.seeds) < 0:
             raise ValueError(f"scene.seed + run seed must be non-negative on a Rician "
                              f"scene, got {self.scene.seed} + {min(self.seeds)}")
-        _check_formats(self.formats)
+        self.formats = _names(self.formats, "format", _FORMATS)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path stem, got {self.out!r}")
         if self.sweep.kind == "pa_grid":
             bad = [m for m in self.methods if not _TABLE[m].blocked]
             if bad:
@@ -348,6 +342,15 @@ def _channel_key(cfg: SceneConfig) -> str:
     return repr(cfg)
 
 
+def _cell_input(spec: ExperimentSpec, method: str, i: int, cell: tuple,
+                ) -> tuple[SceneConfig, str, float, object]:
+    """Cell i's scene, channel key, power (watts) and run key: the cell's
+    index for a method that reads the seed, else its (channels, power)."""
+    cfg, p = _scene_at(spec, *cell)
+    key = _channel_key(cfg)
+    return cfg, key, p, (i if _TABLE[method].reads_seed else (key, p))
+
+
 def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
                keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace]]:
     """Run the (sweep value, seed) cells of one method through its runner.
@@ -366,20 +369,19 @@ def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
     context (``PaScalarContext.at``) and scored there, one row per pair.
     Errors propagate to the caller.
     """
-    blocked, run, reads_seed = _TABLE[method]
+    blocked, run, _ = _TABLE[method]
     noise = _noise_profile(spec)
     kind = spec.sweep.kind
     channels = {}              # channel key -> channel set
     slots = {}                 # run key -> index of the run
     inputs, of_cell = [], []   # (channels, power, seed) of each run; each cell's run
-    for i, (value, seed) in enumerate(cells):
-        cfg, p = _scene_at(spec, value, seed)
-        key = _channel_key(cfg)
+    for i, cell in enumerate(cells):
+        cfg, key, p, run_key = _cell_input(spec, method, i, cell)
         if key not in channels:
             channels[key] = build_channels(cfg)[1 if blocked else 0]
-        slot = slots.setdefault(i if reads_seed else (key, p), len(slots))
+        slot = slots.setdefault(run_key, len(slots))
         if slot == len(inputs):
-            inputs.append((channels[key], p, seed))
+            inputs.append((channels[key], p, cell[1]))
         of_cell.append(slot)
     chs, powers, seeds = (list(x) for x in zip(*inputs))
     runs = run(chs, noise, powers, seeds, keep_rows)
@@ -406,20 +408,20 @@ def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
     return rows, traces
 
 
-def _run_alone(spec: ExperimentSpec, method: str, cell: tuple) -> list[ResultRow]:
-    """The rows of one (sweep value, seed) cell run on its own.  A failure
-    becomes one flagged NaN row for each sweep value the run stands for:
-    every pair under ``pa_grid``, else the cell's value."""
-    value, seed = cell
+def _run_alone(spec: ExperimentSpec, method: str, cells: list[tuple]) -> list[ResultRow]:
+    """The rows of the (sweep value, seed) cells of one run, run on their
+    own.  A failure gives each cell one flagged NaN row, with its own
+    flags list and an even share of the time, for each sweep value the
+    cell stands for: every pair under ``pa_grid``, else the cell's value."""
     t0 = time.perf_counter()
     try:
-        return _run_seeds(spec, method, [cell])[0]
+        return _run_seeds(spec, method, cells)[0]
     except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
         flag = f"error:{type(exc).__name__}: {exc}"
-        wall = max(time.perf_counter() - t0, 1e-9)
-        values = spec.sweep.values if value is None else [value]
+        wall = max((time.perf_counter() - t0) / len(cells), 1e-9)
         return [ResultRow(method, spec.sweep.kind, v, seed, float("nan"), 0, wall, [flag])
-                for v in values]
+                for value, seed in cells
+                for v in (spec.sweep.values if value is None else [value])]
 
 
 def _row_key(row: ResultRow) -> tuple:
@@ -439,9 +441,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     stacked row's ``wall_time_s`` is its own work plus its share of the
     stack's, so in a blocked stack it mixes the work of every sweep
     value; a shared run's is split evenly among its cells.  If the call
-    raises, each cell runs alone, so a failure stays the rows of the
-    cell that fails.  Rows come back sorted by (method, sweep, value,
-    seed), so the table is independent of execution order.
+    raises, each run reruns alone with its cells, so a failure stays the
+    rows of the cells of the run that fails, and a shared run is computed
+    once more, not once per cell.  Rows come back sorted by (method,
+    sweep, value, seed), so the table is independent of execution order.
     """
     values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
     rows: list[ResultRow] = []
@@ -449,9 +452,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         cells = [(value, seed) for value in values for seed in spec.seeds]
         try:
             rows.extend(_run_seeds(spec, method, cells)[0])
-        except Exception:  # noqa: BLE001 - each cell's own run reports it
-            for cell in cells:
-                rows.extend(_run_alone(spec, method, cell))
+        except Exception:  # noqa: BLE001 - each run's own rerun reports it
+            runs: dict = {}
+            for i, cell in enumerate(cells):
+                runs.setdefault(_cell_input(spec, method, i, cell)[3], []).append(cell)
+            for run_cells in runs.values():
+                rows.extend(_run_alone(spec, method, run_cells))
     rows.sort(key=_row_key)
     return rows
 
@@ -536,16 +542,6 @@ def _record_to_row(rec: dict) -> ResultRow:
     return ResultRow(*values)
 
 
-def _check_formats(formats) -> None:
-    if not formats:
-        raise ValueError("formats must be non-empty")
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise ValueError(f"unknown format {f!r}; expected 'csv' or 'json'")
-    if len(set(formats)) != len(formats):
-        raise ValueError("formats must be distinct")
-
-
 def emit_results(rows: list[ResultRow], out: str | Path,
                  formats: tuple[str, ...] = ("csv",)) -> list[Path]:
     """Write the table as ``<out>.csv`` / ``<out>.json``; returns the paths.
@@ -554,7 +550,7 @@ def emit_results(rows: list[ResultRow], out: str | Path,
     """
     if not rows:
         raise ValueError("refusing to emit an empty result table")
-    _check_formats(formats)
+    _names(formats, "format", _FORMATS)
     records = [_row_to_record(r) for r in rows]
     paths = [Path(f"{out}.{fmt}") for fmt in formats]
     for fmt, path in zip(formats, paths):

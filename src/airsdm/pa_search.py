@@ -10,9 +10,9 @@ number of evaluations:
 * pso_search        - particle swarm (inertia + cognitive/social pulls),
 * annealing_search  - simulated annealing with Gaussian proposals
                       reflected at the box boundary and geometric cooling,
-                      its random numbers drawn up front (one call each
-                      for the cold start, the steps and the Metropolis
-                      uniforms),
+                      its random numbers drawn up front by ``_stream`` (one
+                      call each for the cold start, the steps and the
+                      Metropolis uniforms), which the array chain reads too,
 * fixed_*           - pinned-factor baselines.
 
 Every searcher is called as ``searcher(objective, seed, start=None)``.  The
@@ -41,7 +41,6 @@ A result's value is -inf only when every candidate scored NaN.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -78,8 +77,9 @@ PROPOSALS = 20                      # proposals per temperature level
 STEP = 0.05                         # Gaussian proposal std
 # Rows from which search_stack runs SA as one array chain.  An array chain
 # step costs about the same at any S, the float chains S float steps; they
-# cross near 35 rows and are within 10% of each other at 32 (see README).
-ARRAY_CHAINS = 32
+# cross at 28 rows (see README), where both read each row's draws from
+# _stream and the array chain holds them, 48 KB per row, for its search.
+ARRAY_CHAINS = 28
 
 
 @dataclass
@@ -244,24 +244,20 @@ def annealing_search(objective: Callable, seed: int = 0,
     so far begin at ``start``, scored under ``objective``, or at a uniform
     draw from the box when ``start`` is None.
 
-    The stream of ``default_rng(seed)`` is read in this order: the uniform
+    ``_stream`` reads ``default_rng(seed)`` in this order: the uniform
     start (cold start only), every Gaussian step as one
     ``(LEVELS, PROPOSALS, 2)`` normal draw, then every Metropolis uniform
     as one ``(LEVELS, PROPOSALS)`` draw.  Proposal k's uniform is used only
     when move k is worse, so each search draws the same amount whatever
     the objective.
     """
-    rng = np.random.default_rng(seed)
-    z = _check_start(start)
-    z_eta, z_beta = rng.uniform(LO, HI, size=2).tolist() if z is None else z
-    steps = rng.normal(0.0, STEP, (LEVELS, PROPOSALS, 2)).tolist()
-    draws = rng.random((LEVELS, PROPOSALS)).tolist()
+    (z_eta, z_beta), steps, draws = _stream(seed, _check_start(start))
     fz = _value(objective, z_eta, z_beta)
     best = (z_eta, z_beta)
     best_val = fz
     temp = T0
 
-    for level_steps, level_draws in zip(steps, draws):
+    for level_steps, level_draws in zip(steps.tolist(), draws.tolist()):
         for (step_eta, step_beta), draw in zip(level_steps, level_draws):
             eta = _reflect(z_eta + step_eta)
             beta = _reflect(z_beta + step_beta)
@@ -276,25 +272,38 @@ def annealing_search(objective: Callable, seed: int = 0,
     return SearchResult(best, best_val, LEVELS * PROPOSALS + 1)
 
 
+def _stream(seed: int, start: tuple[float, float] | None
+            ) -> tuple[tuple[float, float], np.ndarray, np.ndarray]:
+    """An SA search's start point, its ``(LEVELS, PROPOSALS, 2)`` Gaussian
+    steps and its ``(LEVELS, PROPOSALS)`` Metropolis uniforms, read from
+    ``default_rng(seed)`` in that order; the start is a uniform draw from
+    the box when ``start`` is None, else ``start`` itself (no draw)."""
+    rng = np.random.default_rng(seed)
+    point = tuple(rng.uniform(LO, HI, size=2).tolist()) if start is None else start
+    return point, rng.normal(0.0, STEP, (LEVELS, PROPOSALS, 2)), rng.random((LEVELS, PROPOSALS))
+
+
 def _chains(objective, seeds: list[int],
             starts: list[tuple[float, float] | None]) -> list[SearchResult]:
     """One annealing chain per row, advanced together as arrays.
 
     Row i is ``annealing_search(objective[i], seeds[i], start=starts[i])``
-    bit for bit: its generator gives its cold start, then ``_level_draws``
-    its steps and uniforms.  Start values are scored on each row's float
-    path, proposals with one stacked call per proposal on contiguous
-    (S, 1) columns of eta and beta.
+    bit for bit: ``_stream`` gives its start, steps and uniforms, stored
+    on a trailing row axis, so the chain holds 48 KB of draws per row.
+    Start values are scored on each row's float path, proposals with one
+    stacked call per proposal on contiguous (S, 1) columns of eta and beta.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    points = np.array([rng.uniform(LO, HI, size=2) if start is None else start
-                       for rng, start in zip(rngs, starts)])
+    points = np.empty((len(seeds), 2))
+    steps = np.empty((LEVELS, PROPOSALS, 2, len(seeds)))
+    draws = np.empty((LEVELS, PROPOSALS, len(seeds)))
+    for i, (seed, start) in enumerate(zip(seeds, starts)):
+        points[i], steps[..., i], draws[..., i] = _stream(seed, start)
     fz = np.array([[_value(objective[i], *point)] for i, point in enumerate(points.tolist())])
     z = np.ascontiguousarray(points.T[..., None])   # (2, S, 1): eta and beta columns
     best, best_val = z.copy(), fz.copy()
     temp = T0
-    for steps, draws in _level_draws(rngs):
-        for step, draw in zip(steps[..., None], draws[..., None]):
+    for level_steps, level_draws in zip(steps[..., None], draws[..., None]):
+        for step, draw in zip(level_steps, level_draws):
             cand = _reflect_array(z + step)
             fc = _values(objective, cand[0], cand[1])
             take = _metropolis(fz, fc, draw, temp)
@@ -307,23 +316,6 @@ def _chains(objective, seeds: list[int],
     return [SearchResult((eta, beta), val, LEVELS * PROPOSALS + 1)
             for eta, beta, val in zip(best[0, :, 0].tolist(), best[1, :, 0].tolist(),
                                       best_val[:, 0].tolist())]
-
-
-def _level_draws(rngs: list[np.random.Generator]):
-    """Each level's Gaussian steps, (PROPOSALS, 2, S), and Metropolis
-    uniforms, (PROPOSALS, S), one row per generator.
-
-    Row i's steps are the next ``(PROPOSALS, 2)`` normals of ``rngs[i]``;
-    its uniforms come from a copy of ``rngs[i]`` moved past all
-    ``LEVELS * PROPOSALS * 2`` normals.  So the rows read their streams as
-    ``annealing_search``'s one-shot draws do, with one level in memory.
-    """
-    ahead = [copy.deepcopy(rng) for rng in rngs]
-    for rng in ahead:
-        rng.standard_normal(LEVELS * PROPOSALS * 2)
-    for _ in range(LEVELS):
-        yield (np.stack([rng.normal(0.0, STEP, (PROPOSALS, 2)) for rng in rngs], axis=2),
-               np.stack([rng.random(PROPOSALS) for rng in ahead], axis=1))
 
 
 def _reflect_array(x: np.ndarray) -> np.ndarray:

@@ -81,6 +81,28 @@ def steering_vector(n: int, phase_angle: float) -> np.ndarray:
     return np.exp(1j * np.pi * k * math.sin(phase_angle))
 
 
+def _integer(v, what: str) -> int:
+    """``v`` as an int; ValueError unless it is an integral number."""
+    try:
+        i = None if isinstance(v, bool) else int(v)
+    except (TypeError, ValueError, OverflowError):   # None, lists, NaN, inf
+        i = None
+    if i is None or i != v:                          # also text: int("4") != "4"
+        raise ValueError(f"{what} must be integers, got {v!r}")
+    return i
+
+
+def _finite(v, what: str) -> float:
+    """``v`` as a float; ValueError unless it is a finite number."""
+    try:
+        x = math.nan if isinstance(v, (bool, str)) else float(v)
+    except (TypeError, ValueError):                  # None, lists
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite numbers, got {v!r}")
+    return x
+
+
 _Pos = tuple[float, float, float]
 
 
@@ -103,6 +125,11 @@ class SceneConfig:
     seed: int = 0                     # drives the scattered component when rician_k_db is set
 
     def __post_init__(self) -> None:
+        for name in ("m_bs", "n_irs", "n1", "n2", "seed"):
+            setattr(self, name, _integer(getattr(self, name), name))
+        for name in ("pl_ref_db", "pl_exponent", "rician_k_db"):
+            if getattr(self, name) is not None:
+                _finite(getattr(self, name), name)
         if self.m_bs < 1:
             raise ValueError(f"m_bs must be >= 1, got {self.m_bs}")
         for name in ("n_irs", "n1", "n2"):
@@ -110,20 +137,15 @@ class SceneConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n1 + self.n2 != self.n_irs:
             raise ValueError(f"n1 + n2 must equal n_irs ({self.n1}+{self.n2} != {self.n_irs})")
-        # chained comparisons, so that NaN fails them too
-        if not -math.inf < self.pl_ref_db < 0:
+        if not self.pl_ref_db < 0:
             raise ValueError(f"pl_ref_db must be negative and finite, got {self.pl_ref_db}")
-        if not 0 < self.pl_exponent < math.inf:
+        if not 0 < self.pl_exponent:
             raise ValueError(f"pl_exponent must be positive and finite, got {self.pl_exponent}")
-        if self.rician_k_db is not None and not math.isfinite(self.rician_k_db):
-            raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
         for name in ("bs_pos", "irs1_pos", "irs2_pos", "bob_pos", "eve_pos"):
-            p = tuple(float(c) for c in getattr(self, name))
-            if len(p) != 3:
-                raise ValueError(f"{name} must have 3 coordinates, got {p}")
-            if not all(math.isfinite(c) for c in p):
-                raise ValueError(f"{name} must have finite coordinates, got {p}")
-            setattr(self, name, p)
+            p = getattr(self, name)
+            if not isinstance(p, (list, tuple)) or len(p) != 3:
+                raise ValueError(f"{name} must have 3 coordinates, got {p!r}")
+            setattr(self, name, tuple(_finite(c, f"{name} coordinates") for c in p))
 
     # -- serialization (JSON, strict keys) --------------------------------
 

@@ -70,6 +70,15 @@ def test_sweep_over_both_axes_is_rejected(tmp_path, capsys):
     assert not out.with_suffix(".csv").exists()
 
 
+def test_sweep_with_a_repeated_method_is_rejected(tmp_path, capsys):
+    out = tmp_path / "res"
+    code = main(["sweep", "--n", "8", "--method", "zero-reflection,zero-reflection",
+                 "--seeds", "1", "--out", str(out)])
+    assert code == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists()
+
+
 def test_sweep_without_an_axis_is_rejected(capsys):
     code = main(["sweep", "--method", "zero-reflection"])
     assert code == 2
@@ -127,6 +136,18 @@ def test_run_with_a_missing_spec_is_an_invalid_spec_error(tmp_path, capsys):
     {"seeds": [-1]},
     {"scene": benchmark_scene(m_bs=4, n_irs=8, rician_k_db=5.0, seed=-2).to_dict(),
      "seeds": [1]},
+    {"methods": 5},
+    {"methods": [["x"]]},
+    {"methods": "nsp-mrr-pa/ES"},
+    {"methods": ["zero-reflection", "zero-reflection"]},
+    {"scene": 5},
+    {"scene": "1"},
+    {"scene": [[1]]},
+    {"scene": {"n_irs": "x"}},
+    {"seeds": 5},
+    {"seeds": [True]},
+    {"sweep": 5},
+    {"out": ["x"]},
 ])
 def test_run_with_a_malformed_spec_is_an_invalid_spec_error(tmp_path, capsys, change):
     spec = ExperimentSpec(

@@ -77,6 +77,11 @@ def test_experiment_spec_validation():
         _spec(methods=[])
     with pytest.raises(ValueError):
         _spec(methods=["simplex"])
+    with pytest.raises(ValueError, match="distinct"):
+        _spec(methods=["zero-reflection", "zero-reflection"])
+    for methods in (5, "nsp-mrr-pa/ES", [["x"]]):
+        with pytest.raises(ValueError, match="method"):
+            _spec(methods=methods)
     with pytest.raises(ValueError):
         _spec(seeds=[])
     with pytest.raises(ValueError):
@@ -584,9 +589,11 @@ def test_a_failing_shared_run_gives_each_of_its_cells_an_error_row(monkeypatch):
                  methods=["nsp-mrr-pa/ES"], seeds=[1, 2, 3])
     clean = run_experiment(spec)
     p_30 = dbm_to_watts(30.0)
+    failures = []
 
     def fails_at_30_dbm(objective, seed, start=None):
         if objective.p_s == p_30 and start is None:
+            failures.append(seed)
             raise np.linalg.LinAlgError(f"synthetic failure at {objective.p_s} W")
         return exhaustive_search(objective, seed, start=start)
 
@@ -594,6 +601,7 @@ def test_a_failing_shared_run_gives_each_of_its_cells_an_error_row(monkeypatch):
     monkeypatch.setitem(harness._TABLE, "nsp-mrr-pa/ES",
                         record._replace(run=partial(harness._run_blocked, fails_at_30_dbm)))
     rows = run_experiment(spec)
+    assert len(failures) <= 2       # the shared stack, then the run's one rerun
     broken = [r for r in rows if r.sweep_value == 30.0]
     flag = f"error:LinAlgError: synthetic failure at {p_30} W"
     assert [(r.seed, r.flags) for r in broken] == [(s, [flag]) for s in spec.seeds]

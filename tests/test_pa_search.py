@@ -452,20 +452,15 @@ class CountedStack(CallCounter):
         return self.objective[i]
 
 
-def test_level_draws_read_each_stream_as_the_one_shot_draws():
-    seeds = [3, 8, 11]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    rngs[1].uniform(0.01, 0.99, size=2)          # a cold start draws first
-    levels = list(pa_search._level_draws(rngs))
-    assert len(levels) == pa_search.LEVELS
-    steps = np.stack([s for s, _ in levels])     # (LEVELS, PROPOSALS, 2, S)
-    draws = np.stack([d for _, d in levels])     # (LEVELS, PROPOSALS, S)
-    for i, seed in enumerate(seeds):
+def test_the_stream_reads_each_seed_as_the_one_shot_draws():
+    for seed, start in [(3, (0.3, 0.7)), (8, None), (11, (0.01, 0.99))]:
+        point, steps, draws = pa_search._stream(seed, start)
         ref = np.random.default_rng(seed)
-        if i == 1:
-            ref.uniform(0.01, 0.99, size=2)
-        assert np.array_equal(steps[..., i], ref.normal(0.0, 0.05, (100, 20, 2)))
-        assert np.array_equal(draws[..., i], ref.random((100, 20)))
+        if start is None:                        # a cold start draws first
+            start = tuple(ref.uniform(0.01, 0.99, size=2).tolist())
+        assert point == start
+        assert np.array_equal(steps, ref.normal(0.0, 0.05, (100, 20, 2)))
+        assert np.array_equal(draws, ref.random((100, 20)))
 
 
 def assert_array_chain_is_the_float_chains(stack, seeds, starts):

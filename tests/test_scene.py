@@ -119,6 +119,30 @@ def test_scene_config_rejects_non_finite_values(kwargs):
         SceneConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_irs": "x"},
+    {"m_bs": True},
+    {"n1": 16.5},
+    {"seed": None},
+    {"pl_ref_db": "-30"},
+    {"pl_exponent": [2.0]},
+    {"rician_k_db": "5"},
+    {"bs_pos": 5},
+    {"bob_pos": "1,2"},
+    {"eve_pos": ("a", 0.0, 0.0)},
+    {"irs1_pos": (80.0, 20.0)},
+])
+def test_scene_config_rejects_wrongly_typed_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SceneConfig(**kwargs)
+
+
+def test_scene_config_takes_integral_counts_as_ints():
+    cfg = SceneConfig(m_bs=4.0, n_irs=np.int64(8), n1=4, n2=4)
+    assert (cfg.m_bs, cfg.n_irs) == (4, 8)
+    assert type(cfg.m_bs) is int and type(cfg.n_irs) is int
+
+
 def test_scene_dict_round_trip():
     cfg = SceneConfig(m_bs=4, n_irs=8, n1=3, n2=5, pl_ref_db=-42.0,
                       rician_k_db=5.0, seed=7)
