@@ -4,14 +4,14 @@ An :class:`ExperimentSpec` names a scene, one sweep axis, a set of methods
 and a seed list; :func:`run_experiment` runs every (sweep value, method,
 seed) cell and returns sorted :class:`ResultRow` records.  Each method is
 one record of a table: the channels it runs on, its stacked runner and
-whether it reads the run seed.  Every cell of a method runs in one call
-to that runner, which computes each distinct input once: one channel set
-per distinct scene, and for a method that reads no seed one run per
-distinct (channels, power).  If the call fails, each of its runs reruns
-alone, and the cells of a run that still fails become flagged rows
-instead of aborting the batch.  Tables are emitted
-as CSV (schema versioned in a header comment) and/or JSON, both of which
-round-trip losslessly through the matching readers.
+whether it reads the run seed.  One plan per batch computes each distinct
+input once: the channels of each distinct scene, shared by every method,
+and for a method that reads no seed one run per distinct (scene, power).
+Every run of a method goes through one call to its runner.  If the call
+fails, each of its runs reruns alone, and the cells of a run that still
+fails become flagged rows instead of aborting the batch.  Tables are
+emitted as CSV (schema versioned in a header comment) and/or JSON, both of
+which round-trip losslessly through the matching readers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -75,7 +74,7 @@ class _Method(NamedTuple):
 
     blocked: bool                   # the blocked channels, else the monolithic ones
     run: Callable[..., list]        # (chs, noise, powers, seeds, keep_rows) -> [(design, trace)]
-    reads_seed: bool = True         # else one run per distinct (channels, power)
+    reads_seed: bool = True         # else one run per distinct (scene, power)
 
 
 def _run_ldt_cffp(chs, noise, powers, seeds, keep_rows):
@@ -302,24 +301,24 @@ def _noise_profile(spec: ExperimentSpec) -> NoiseProfile:
 
 
 def _scene_at(spec: ExperimentSpec, value, seed: int) -> tuple[SceneConfig, float]:
-    """Scene and power (watts) for one sweep point.
+    """Scene and power (watts) for one sweep point, as one new SceneConfig.
 
     The run seed is folded into the channel seed so Rician scenes draw a
     fresh realization per seed; pure-LoS scenes ignore it.
     """
-    cfg = spec.scene
-    power_dbm = spec.power_dbm
-    kind = spec.sweep.kind
+    cfg, kind = spec.scene, spec.sweep.kind
+    changes = {"seed": cfg.seed + seed}
     if kind == "n_elements":
-        cfg = replace(cfg, n_irs=value, n1=value // 2, n2=value - value // 2)
+        changes.update(n_irs=value, n1=value // 2, n2=value - value // 2)
     elif kind == "n1":
-        cfg = replace(cfg, n1=value, n_irs=value + cfg.n2)
+        changes.update(n1=value, n_irs=value + cfg.n2)
     elif kind == "n2":
-        cfg = replace(cfg, n2=value, n_irs=cfg.n1 + value)
-    elif kind == "total_power_dbm":
-        power_dbm = value
-    cfg = replace(cfg, seed=cfg.seed + seed)
-    return cfg, dbm_to_watts(power_dbm)
+        changes.update(n2=value, n_irs=cfg.n1 + value)
+    return replace(cfg, **changes), _watts_at(spec, value)
+
+
+def _watts_at(spec: ExperimentSpec, value) -> float:
+    return dbm_to_watts(value if spec.sweep.kind == "total_power_dbm" else spec.power_dbm)
 
 
 def run_point(spec: ExperimentSpec, value, method: str, seed: int,
@@ -328,99 +327,103 @@ def run_point(spec: ExperimentSpec, value, method: str, seed: int,
 
     Returns its row and its runner's trace with the per-iteration rows
     (none, and 0 iterations, for the closed-form ``zero-reflection``).
-    Errors propagate to the caller.
+    Errors propagate to the caller; a ``pa_grid`` spec is a ValueError.
     """
-    rows, traces = _run_seeds(spec, method, [(value, seed)], keep_rows=True)
+    if spec.sweep.kind == "pa_grid":
+        raise ValueError("run_point needs a spec that is not a pa_grid sweep")
+    runs = _plan(spec, [method], [(value, seed)])[method]
+    rows, traces = _run_seeds(spec, method, runs, keep_rows=True)
     return rows[0], traces[0]
 
 
-def _channel_key(cfg: SceneConfig) -> str:
-    """What the channels of ``cfg`` depend on: ``build_channels`` reads the
-    seed only on a Rician scene."""
-    if cfg.rician_k_db is None:
-        cfg = replace(cfg, seed=0)
-    return repr(cfg)
+def _plan(spec: ExperimentSpec, methods: list[str], cells: list[tuple]) -> dict[str, list]:
+    """Each method's runs over the (sweep value, seed) cells: the one place
+    that decides which cells share channels and which share a run.
+
+    A cell's scene depends on the sweep value only for ``n_elements``,
+    ``n1`` and ``n2``, and on the run seed only on a Rician scene.  Each
+    distinct scene gets one ``SceneConfig`` and one ``build_channels``
+    call, whose (monolithic, blocked) channel sets every method shares;
+    if the call raises, each run of that scene raises its exception.  A
+    cell is its own run for a method that reads the seed, else its run is
+    its (scene, power).  A run is the list of its cells, each a (sweep
+    value, seed, channel sets, power in watts) tuple.
+    """
+    by_value = spec.sweep.kind in ("n_elements", "n1", "n2")
+    by_seed = spec.scene.rician_k_db is not None
+    scenes, alone, shared = {}, [], {}
+    for value, seed in cells:
+        scene = (value if by_value else None, seed if by_seed else None)
+        if scene not in scenes:
+            try:
+                scenes[scene] = build_channels(_scene_at(spec, value, seed)[0])
+            except Exception as exc:  # noqa: BLE001 - raised again by the scene's runs
+                scenes[scene] = exc
+        p = _watts_at(spec, value)
+        cell = (value, seed, scenes[scene], p)
+        alone.append([cell])
+        shared.setdefault((scene, p), []).append(cell)
+    return {method: alone if _TABLE[method].reads_seed else list(shared.values())
+            for method in methods}
 
 
-def _cell_input(spec: ExperimentSpec, method: str, i: int, cell: tuple,
-                ) -> tuple[SceneConfig, str, float, object]:
-    """Cell i's scene, channel key, power (watts) and run key: the cell's
-    index for a method that reads the seed, else its (channels, power)."""
-    cfg, p = _scene_at(spec, *cell)
-    key = _channel_key(cfg)
-    return cfg, key, p, (i if _TABLE[method].reads_seed else (key, p))
-
-
-def _run_seeds(spec: ExperimentSpec, method: str, cells: list[tuple],
+def _run_seeds(spec: ExperimentSpec, method: str, runs: list[list[tuple]],
                keep_rows: bool = False) -> tuple[list[ResultRow], list[RunTrace]]:
-    """Run the (sweep value, seed) cells of one method through its runner.
+    """Run one method's runs (see ``_plan``) in one call to its runner and
+    return each cell's row and trace, run by run.
 
-    Builds the channels of the method's kind once per distinct scene (a
-    pure-LoS scene is one scene for every seed), calls the runner once
-    and returns each cell's row and trace; ``keep_rows`` keeps the
-    per-iteration rows of ``ldt-cffp`` traces.  The runner gets one row
-    per cell, or for a method that reads no seed one row per distinct
-    (channels, power), whose design every cell of it shares; each such
-    cell gets its own copy of the run's trace with an even share of its
-    ``wall_time_s``.  Each run's design is scored once: a blocked row
-    with ``blocked_secrecy_rate``, carrying its design's (eta, beta), a
-    monolithic row with ``secrecy_rate``.  Under ``pa_grid`` (value None)
-    each run's converged design is moved to every pair through its
+    The runner gets each run's channels of the method's kind, power and
+    first seed; ``keep_rows`` keeps the per-iteration rows of ``ldt-cffp``
+    traces.  Each cell gets its own copy of its run's trace with an even
+    share of its ``wall_time_s``.  Each run's design is scored once: a
+    blocked row with ``blocked_secrecy_rate``, carrying its design's (eta,
+    beta), a monolithic row with ``secrecy_rate``.  Under ``pa_grid``
+    (value None) each run's design is moved to every pair through its
     context (``PaScalarContext.at``) and scored there, one row per pair.
     Errors propagate to the caller.
     """
     blocked, run, _ = _TABLE[method]
     noise = _noise_profile(spec)
     kind = spec.sweep.kind
-    channels = {}              # channel key -> channel set
-    slots = {}                 # run key -> index of the run
-    inputs, of_cell = [], []   # (channels, power, seed) of each run; each cell's run
-    for i, cell in enumerate(cells):
-        cfg, key, p, run_key = _cell_input(spec, method, i, cell)
-        if key not in channels:
-            channels[key] = build_channels(cfg)[1 if blocked else 0]
-        slot = slots.setdefault(run_key, len(slots))
-        if slot == len(inputs):
-            inputs.append((channels[key], p, cell[1]))
-        of_cell.append(slot)
-    chs, powers, seeds = (list(x) for x in zip(*inputs))
-    runs = run(chs, noise, powers, seeds, keep_rows)
+    _, seeds, sets, powers = zip(*(cells[0] for cells in runs))
+    for channels in sets:
+        if isinstance(channels, Exception):
+            raise channels
+    chs = [channels[1 if blocked else 0] for channels in sets]
+    results = run(chs, noise, list(powers), list(seeds), keep_rows)
     rate = blocked_secrecy_rate if blocked else secrecy_rate
-    scored = []       # per run: (pa_grid pair or None, rate, split) of each of its rows
-    for ch, (design, _) in zip(chs, runs):
+    rows, traces = [], []
+    for ch, (design, run_trace), cells in zip(chs, results, runs):
         if kind == "pa_grid":
             ctx = PaScalarContext(ch, design, noise)
             moved = [(pair, ctx.at(*pair)) for pair in spec.sweep.values]
         else:
             moved = [(None, design)]
-        scored.append([(pair, rate(ch, d, noise), (d.pa.eta, d.pa.beta) if blocked else ())
-                       for pair, d in moved])
-    shares = Counter(of_cell)     # cells per run
-    rows, traces = [], []
-    for (value, seed), slot in zip(cells, of_cell):
-        run_trace = runs[slot][1]
-        trace = replace(run_trace, flags=list(run_trace.flags),
-                        wall_time_s=run_trace.wall_time_s / shares[slot])
-        rows.extend(ResultRow(method, kind, value if pair is None else pair, seed, sr,
-                              trace.iterations, trace.wall_time_s, list(trace.flags), *split)
-                    for pair, sr, split in scored[slot])
-        traces.append(trace)
+        scored = [(pair, rate(ch, d, noise), (d.pa.eta, d.pa.beta) if blocked else ())
+                  for pair, d in moved]
+        for value, seed, *_ in cells:
+            trace = replace(run_trace, flags=list(run_trace.flags),
+                            wall_time_s=run_trace.wall_time_s / len(cells))
+            rows.extend(ResultRow(method, kind, value if pair is None else pair, seed, sr,
+                                  trace.iterations, trace.wall_time_s, list(trace.flags), *split)
+                        for pair, sr, split in scored)
+            traces.append(trace)
     return rows, traces
 
 
 def _run_alone(spec: ExperimentSpec, method: str, cells: list[tuple]) -> list[ResultRow]:
-    """The rows of the (sweep value, seed) cells of one run, run on their
-    own.  A failure gives each cell one flagged NaN row, with its own
-    flags list and an even share of the time, for each sweep value the
-    cell stands for: every pair under ``pa_grid``, else the cell's value."""
+    """The rows of the cells of one run, run on its own.  A failure gives
+    each cell one flagged NaN row, with its own flags list and an even
+    share of the time, for each sweep value the cell stands for: every
+    pair under ``pa_grid``, else the cell's value."""
     t0 = time.perf_counter()
     try:
-        return _run_seeds(spec, method, cells)[0]
+        return _run_seeds(spec, method, [cells])[0]
     except Exception as exc:  # noqa: BLE001 - contract: never abort the batch
         flag = f"error:{type(exc).__name__}: {exc}"
         wall = max((time.perf_counter() - t0) / len(cells), 1e-9)
         return [ResultRow(method, spec.sweep.kind, v, seed, float("nan"), 0, wall, [flag])
-                for value, seed in cells
+                for value, seed, *_ in cells
                 for v in (spec.sweep.values if value is None else [value])]
 
 
@@ -433,31 +436,26 @@ def _row_key(row: ResultRow) -> tuple:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (sweep value, method, seed) cell; failures become flagged rows.
 
-    Each method runs all its cells in one ``_run_seeds`` call: every
-    (sweep value, seed) pair of a batch (every seed of a ``pa_grid``
-    sweep, whose one run per seed scores all pairs); the method's runner
-    decides the stacks.  A method that reads no seed runs once per
-    distinct (channels, power), and the cells of that run share it.  A
-    stacked row's ``wall_time_s`` is its own work plus its share of the
-    stack's, so in a blocked stack it mixes the work of every sweep
-    value; a shared run's is split evenly among its cells.  If the call
-    raises, each run reruns alone with its cells, so a failure stays the
-    rows of the cells of the run that fails, and a shared run is computed
-    once more, not once per cell.  Rows come back sorted by (method,
-    sweep, value, seed), so the table is independent of execution order.
+    One ``_plan`` serves the batch (a ``pa_grid`` sweep has one cell per
+    seed, whose run scores every pair), and each method runs all its runs
+    in one ``_run_seeds`` call, whose runner decides the stacks.  A stacked
+    row's ``wall_time_s`` is its own work plus its share of the stack's (a
+    blocked stack mixes every sweep value); a shared run's is split evenly
+    among its cells.  If the call raises, each run reruns alone with its
+    cells, so a failure stays the rows of the cells of the run that fails,
+    and a shared run is computed once more, not once per cell.  Rows come
+    back sorted by (method, sweep, value, seed), so the table is
+    independent of execution order.
     """
     values = [None] if spec.sweep.kind == "pa_grid" else spec.sweep.values
+    plan = _plan(spec, spec.methods, [(value, seed) for value in values for seed in spec.seeds])
     rows: list[ResultRow] = []
-    for method in spec.methods:
-        cells = [(value, seed) for value in values for seed in spec.seeds]
+    for method, runs in plan.items():
         try:
-            rows.extend(_run_seeds(spec, method, cells)[0])
+            rows.extend(_run_seeds(spec, method, runs)[0])
         except Exception:  # noqa: BLE001 - each run's own rerun reports it
-            runs: dict = {}
-            for i, cell in enumerate(cells):
-                runs.setdefault(_cell_input(spec, method, i, cell)[3], []).append(cell)
-            for run_cells in runs.values():
-                rows.extend(_run_alone(spec, method, run_cells))
+            for cells in runs:
+                rows.extend(_run_alone(spec, method, cells))
     rows.sort(key=_row_key)
     return rows
 

@@ -264,7 +264,8 @@ def build_channels(cfg: SceneConfig) -> tuple[ChannelSet, BlockedChannelSet]:
     (irs2_pos == irs1_pos) they partition the monolithic ULA: block 1 takes
     elements 0..n1-1 and block 2 elements n1..n-1, so stacking the block
     channels reproduces the monolithic ones exactly.  Distinct block
-    positions give two independent ULAs.
+    positions give two independent ULAs.  Every array of both sets is
+    read-only, so the runs that share a set cannot change it for each other.
     """
     fac = _ChannelFactory(cfg)
     m, n, n1, n2 = cfg.m_bs, cfg.n_irs, cfg.n1, cfg.n2
@@ -294,6 +295,9 @@ def build_channels(cfg: SceneConfig) -> tuple[ChannelSet, BlockedChannelSet]:
             h_b=h_b, h_e=h_e, H_s1=H_s1, H_s2=H_s2,
             g_b1=g_b1, g_e1=g_e1, g_b2=g_b2, g_e2=g_e2,
         )
+    for channels in (mono, blocked):
+        for array in vars(channels).values():
+            array.setflags(write=False)
     return mono, blocked
 
 

@@ -511,18 +511,34 @@ def _cells(spec):
 
 @pytest.mark.parametrize("method", ["nsp-mrr-pa/ES", "nsp-mrr-pa/SA", "zero-reflection"])
 def test_a_los_power_sweep_builds_one_channel_set(monkeypatch, method):
-    """A pure-LoS scene ignores the seed and the power, so one _run_seeds
-    call builds one channel set and computes its projectors once."""
+    """A pure-LoS scene ignores the seed and the power, so one method's
+    batch builds one channel set and computes its projectors once."""
     from airsdm import harness, nsp_mrr
 
     spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]), methods=[method],
                  seeds=[1, 2, 3])
     builds = _counting(monkeypatch, harness, "build_channels")
     projectors = _counting(monkeypatch, nsp_mrr, "nsp_projector")
-    rows, _ = harness._run_seeds(spec, method, _cells(spec))
+    rows = run_experiment(spec)
     assert len(rows) == 6
     assert len(builds) == 1
     assert len(projectors) == (2 if harness._TABLE[method].blocked else 0)
+
+
+def test_a_los_power_sweep_batch_shares_one_channel_set(monkeypatch):
+    """A pure-LoS scene ignores the seed and the power, so a batch of three
+    methods builds one channel set for all of them, and each blocked
+    method computes its projectors once."""
+    from airsdm import harness, nsp_mrr
+
+    spec = _spec(sweep=SweepSpec("total_power_dbm", [20.0, 30.0]),
+                 methods=["nsp-mrr-pa/ES", "nsp-mrr-pa/SA", "zero-reflection"], seeds=[1, 2, 3])
+    builds = _counting(monkeypatch, harness, "build_channels")
+    projectors = _counting(monkeypatch, nsp_mrr, "nsp_projector")
+    rows = run_experiment(spec)
+    assert len(rows) == 18
+    assert len(builds) == 1
+    assert len(projectors) == 2 * 2                 # two blocked methods
 
 
 @pytest.mark.parametrize("scene, built", [
@@ -530,17 +546,118 @@ def test_a_los_power_sweep_builds_one_channel_set(monkeypatch, method):
     (RICIAN, [(n, s) for n in (4, 8) for s in (1, 2, 3)]),
 ], ids=["los", "rician"])
 def test_an_element_sweep_builds_one_channel_set_per_distinct_scene(monkeypatch, scene, built):
-    """A Rician scene draws its channels with the run seed folded in, so it
-    builds one set per (value, seed); a LoS scene one per value."""
+    """A Rician scene draws its channels with the run seed folded in, so a
+    batch builds one set per (value, seed), a LoS batch one per value, and
+    neither one per method."""
     from airsdm import harness, nsp_mrr
 
-    spec = _spec(scene=scene, sweep=SweepSpec("n_elements", [4, 8]),
-                 methods=["nsp-mrr-pa/PSO"], seeds=[1, 2, 3])
+    methods = ["nsp-mrr-pa/PSO", "fixed-both", "zero-reflection"]
+    spec = _spec(scene=scene, sweep=SweepSpec("n_elements", [4, 8]), methods=methods,
+                 seeds=[1, 2, 3])
     builds = _counting(monkeypatch, harness, "build_channels")
     projectors = _counting(monkeypatch, nsp_mrr, "nsp_projector")
-    harness._run_seeds(spec, "nsp-mrr-pa/PSO", _cells(spec))
+    run_experiment(spec)
     assert [(cfg.n_irs, cfg.seed) for (cfg,) in builds] == built
-    assert len(projectors) == 2 * len(built)
+    assert len(projectors) == 2 * 2 * len(built)    # two blocked methods
+
+
+def _counting_configs(monkeypatch):
+    """Count the SceneConfigs constructed from now on."""
+    from airsdm.scene import SceneConfig
+
+    post_init, made = SceneConfig.__post_init__, []
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SceneConfig, "__post_init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("spec, scenes, projected", [
+    (ExperimentSpec(sweep=SweepSpec("n_elements", [32]), methods=["ldt-cffp"],
+                    scene=benchmark_scene(), power_dbm=20.0, seeds=list(range(1, 21))), 1, 0),
+    (ExperimentSpec(sweep=SweepSpec("total_power_dbm", [10.0, 20.0, 30.0]),
+                    methods=["nsp-mrr-pa/ES", "nsp-mrr-pa/PSO", "nsp-mrr-pa/SA",
+                             "fixed-eta", "fixed-beta", "fixed-both"],
+                    scene=benchmark_scene(), seeds=list(range(1, 21))), 1, 12),
+    (ExperimentSpec(sweep=SweepSpec("n_elements", [8]),
+                    methods=["ldt-cffp", "nsp-mrr-pa/ES", "nsp-mrr-pa/PSO",
+                             "nsp-mrr-pa/SA", "zero-reflection"],
+                    scene=RICIAN, power_dbm=20.0, seeds=[1, 2]), 2, 12),
+], ids=["ldt-n32", "pa-compare", "rician-n8"])
+def test_a_benchmark_batch_builds_each_distinct_scene_once(monkeypatch, spec, scenes, projected):
+    """The criterion-7, -6 and -10 batches: one SceneConfig and one
+    build_channels call per distinct scene, and each blocked method's
+    projectors once per channel set."""
+    from airsdm import harness, ldt_cffp, nsp_mrr
+
+    monkeypatch.setattr(ldt_cffp, "MAX_ITERS", 3)
+    builds = _counting(monkeypatch, harness, "build_channels")
+    projectors = _counting(monkeypatch, nsp_mrr, "nsp_projector")
+    configs = _counting_configs(monkeypatch)
+    rows = run_experiment(spec)
+    assert len(rows) == len(spec.methods) * len(spec.seeds) * len(spec.sweep.values)
+    assert (len(builds), len(configs), len(projectors)) == (scenes, scenes, projected)
+
+
+def _same_channels(a, b) -> bool:
+    return all(np.array_equal(x, y) for set_a, set_b in zip(a, b)
+               for x, y in zip(vars(set_a).values(), vars(set_b).values()))
+
+
+@pytest.mark.parametrize("sweep", [
+    SweepSpec("n_elements", [4, 8]),
+    SweepSpec("total_power_dbm", [20.0, 30.0]),
+    SweepSpec("n1", [2, 4]),
+    SweepSpec("n2", [2, 4]),
+    SweepSpec("pa_grid", [(0.2, 0.4), (0.6, 0.8)]),
+], ids=lambda sweep: sweep.kind)
+@pytest.mark.parametrize("scene", [_fast_scene(), RICIAN], ids=["los", "rician"])
+def test_two_cells_share_a_scene_exactly_when_their_channels_are_equal(scene, sweep):
+    """Each cell of the plan gets the channels of its own scene, and two
+    cells share one channel set exactly when build_channels gives them
+    equal arrays."""
+    from airsdm import harness
+
+    spec = _spec(scene=scene, sweep=sweep, methods=["nsp-mrr-pa/PSO"], seeds=[1, 2])
+    values = [None] if sweep.kind == "pa_grid" else sweep.values
+    cells = [(value, seed) for value in values for seed in spec.seeds]
+    runs = harness._plan(spec, spec.methods, cells)["nsp-mrr-pa/PSO"]
+    planned = [cell for (cell,) in runs]
+    assert [cell[:2] for cell in planned] == cells
+    own = [build_channels(_scene_at(spec, value, seed)[0]) for value, seed in cells]
+    for cell, channels in zip(planned, own):
+        assert _same_channels(cell[2], channels)
+    for i in range(len(cells)):
+        for j in range(i):
+            assert (planned[i][2] is planned[j][2]) == _same_channels(own[i], own[j])
+
+
+def test_a_scene_that_fails_to_build_gives_every_cell_an_error_row():
+    """The plan keeps a build's exception, and every run of that scene
+    reports it as its cells' rows instead of aborting the batch."""
+    from airsdm.scene import SceneConfig
+
+    scene = SceneConfig.from_dict({**_fast_scene().to_dict(), "bob_pos": _fast_scene().bs_pos})
+    spec = _spec(scene=scene, methods=["nsp-mrr-pa/ES", "zero-reflection"], seeds=[1, 2])
+    rows = run_experiment(spec)
+    assert len(rows) == 8
+    for r in rows:
+        assert math.isnan(r.sr_bits)
+        assert r.flags == ["error:ValueError: coincident node positions: (0.0, 0.0, 0.0)"]
+
+
+def test_run_point_rejects_a_pa_grid_spec():
+    """A pa_grid cell stands for every pair, so one row cannot be its result."""
+    from airsdm.harness import run_point
+
+    spec = _spec(sweep=SweepSpec("pa_grid", [(0.2, 0.3), (0.9, 0.1)]), methods=["fixed-both"],
+                 seeds=[1])
+    for value in ((0.9, 0.1), (0.5, 0.5), None):
+        with pytest.raises(ValueError, match="pa_grid"):
+            run_point(spec, value, "fixed-both", 1)
 
 
 def test_a_method_that_reads_no_seed_runs_once_per_power(monkeypatch):
@@ -567,7 +684,8 @@ def test_a_method_that_reads_no_seed_runs_once_per_power(monkeypatch):
 
         monkeypatch.setitem(harness._TABLE, method, record._replace(run=run))
     for method in SEED_FREE:
-        rows, traces = harness._run_seeds(spec, method, _cells(spec))
+        rows, traces = harness._run_seeds(spec, method,
+                                          harness._plan(spec, [method], _cells(spec))[method])
         seeds, walls = shared[method]
         assert seeds == [1, 1]                        # one run per power
         for power, wall in zip(spec.sweep.values, walls):

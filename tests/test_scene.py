@@ -201,6 +201,18 @@ def test_build_channels_frozen_regression():
     assert_allclose(bch.g_b2[0], 0.0009877295966495897 + 0j, rtol=1e-12)
 
 
+@pytest.mark.parametrize("rician_k_db", [None, 5.0], ids=["los", "rician"])
+def test_built_channels_are_read_only(rician_k_db):
+    """A batch shares one channel set among its methods, so no run may
+    write into it."""
+    ch, bch = build_channels(benchmark_scene(m_bs=4, n_irs=8, rician_k_db=rician_k_db))
+    with pytest.raises(ValueError, match="read-only"):
+        ch.h_b[0] = 0.0
+    for channels in (ch, bch):
+        for f in fields(channels):
+            assert not getattr(channels, f.name).flags.writeable, f.name
+
+
 def test_build_channels_rejects_coincident_nodes():
     cfg = SceneConfig(bob_pos=SceneConfig().bs_pos)
     with pytest.raises(ValueError, match="coincident node positions"):
